@@ -183,6 +183,18 @@ def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
     return residual_dp1, residual_dp2
 
 
+def _exp(x: float) -> float:
+    """math.exp with overflow reported as a certification failure: past
+    about 709 the multiplicative form is out of double range."""
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise CertificationError(
+            f"exp({x:.6g}) overflows; the multiplicative-form residuals cannot "
+            "be evaluated in double precision"
+        ) from exc
+
+
 def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResiduals:
     """Residuals of the multiplicative-form equations from a certificate.
 
@@ -203,7 +215,7 @@ def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResidua
     for i in range(s):
         totals = np.full(m, np.inf)
         for u in range(m):
-            denom = float(hat[u, i] @ psi) * math.exp(model.cost[i, u])
+            denom = float(hat[u, i] @ psi) * _exp(model.cost[i, u])
             if denom > 0.0:
                 totals[u] = denom
         finite = np.isfinite(totals)
@@ -217,7 +229,7 @@ def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResidua
         b_star.append(tight)
         avg_best = math.inf
         for u in tight:
-            weights = hat[u, i] * psi * math.exp(model.cost[i, u]) / totals[u]
+            weights = hat[u, i] * psi * _exp(model.cost[i, u]) / totals[u]
             avg_best = min(avg_best, float(weights @ lam))
         averaging[i] = abs(lam[i] - avg_best)
     return TwistedResiduals(top=top, eigen=eigen, averaging=averaging,

@@ -79,20 +79,28 @@ class GridSpec:
 
 
 def build_grid(model: MdpModel, resolution: int) -> GridSpec:
-    """Enumerate the per-state dyadic action sets at the given resolution."""
+    """Enumerate the per-state dyadic action sets at the given resolution.
+
+    The compositions depend only on the support size, so each distinct size
+    is enumerated once and shared by the states that have it.
+    """
     s = model.num_states
     scale = float(2**resolution)
+    by_size = {}
     supports = []
     numerators = []
     rows = []
     for i in range(s):
         supp = union_support(model, i)
-        nums = enumerate_rows(len(supp), resolution)
+        if len(supp) not in by_size:
+            nums = tuple(enumerate_rows(len(supp), resolution))
+            by_size[len(supp)] = nums, np.asarray(nums, dtype=float) / scale
+        nums, fractions = by_size[len(supp)]
         mat = np.zeros((len(nums), s))
-        mat[:, supp] = np.asarray(nums, dtype=float) / scale
+        mat[:, supp] = fractions
         mat.setflags(write=False)
         supports.append(supp)
-        numerators.append(tuple(nums))
+        numerators.append(nums)
         rows.append(mat)
     return GridSpec(
         resolution=resolution,

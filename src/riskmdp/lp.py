@@ -7,8 +7,11 @@ to Bland's rule after a run of degenerate pivots (anti-cycling).  Free
 variables are handled natively through their bounds, not by splitting, so
 dual extraction stays clean.
 
-Rows are scaled to unit max-norm internally; feas_tol and gap_tol are
-absolute on the scaled problem and the scaling is undone on output.
+Rows are scaled to unit max-norm internally: the scaled triplets are
+scattered once into the single dense working matrix (structural, slack and
+artificial columns side by side), and every product with the constraint
+matrix reads that matrix or the triplets.  feas_tol and gap_tol are absolute
+on the scaled problem and the scaling is undone on output.
 
 Dual sign convention (so that b.y equals the primal objective at optimum):
 
@@ -76,13 +79,16 @@ class LinearProgram:
         if len(self.cols) and (self.cols.min() < 0 or self.cols.max() >= n):
             raise ValueError("triplet column index out of range")
         keys = self.rows.astype(np.int64) * n + self.cols
-        if len(np.unique(keys)) != len(keys):
+        # strictly increasing keys (what build produces) cannot repeat; only
+        # other orders need the sort-based check
+        if np.any(keys[1:] <= keys[:-1]) and len(np.unique(keys)) != len(keys):
             raise ValueError("duplicate (row, col) triplets; coalesce first")
 
     @classmethod
     def build(cls, sense, objective, rows, cols, vals, relations, rhs,
               lower=None, upper=None) -> "LinearProgram":
-        """Construct with duplicate triplets coalesced by summation."""
+        """Construct with duplicate triplets coalesced by summation; the
+        result is sorted by (row, col) with zero entries dropped."""
         objective = np.asarray(objective, dtype=float)
         n = objective.shape[0]
         rows = np.asarray(rows, dtype=np.int64)
@@ -93,8 +99,9 @@ class LinearProgram:
             keys = rows * n + cols
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            uniq, start = np.unique(keys, return_index=True)
+            start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
             summed = np.add.reduceat(vals[order], start)
+            uniq = keys[start]
             rows, cols, vals = uniq // n, uniq % n, summed
             keep = vals != 0.0
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -306,19 +313,19 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     if np.any(lp.lower > lp.upper):
         return LpSolution(status="infeasible")
     sign = 1.0 if lp.sense == "min" else -1.0
-    a_struct = lp.dense_matrix()
 
-    # row scaling to unit max-norm
-    norms = np.abs(a_struct).max(axis=1, initial=0.0)
+    # row scaling to unit max-norm, applied to the triplets
+    norms = np.zeros(m)
+    np.maximum.at(norms, lp.rows, np.abs(lp.vals))
     norms[norms == 0.0] = 1.0
-    a_scaled = a_struct / norms[:, None]
     b_scaled = lp.rhs / norms
 
-    # slacks: <= rows get +slack, >= rows get -slack, both slack >= 0
+    # the one dense copy: scaled structural columns, then slacks (<= rows
+    # get +slack, >= rows get -slack, both slack >= 0), then artificials
     ineq = [k for k, rel in enumerate(lp.relations) if rel != "=="]
     n_slack = len(ineq)
     a_full = np.zeros((m, n + n_slack + m))
-    a_full[:, :n] = a_scaled
+    a_full[lp.rows, lp.cols] = lp.vals / norms[lp.rows]
     for pos, k in enumerate(ineq):
         a_full[k, n + pos] = 1.0 if lp.relations[k] == "<=" else -1.0
 
@@ -396,7 +403,8 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     _, y_int = sim._reduced_costs()
     duals = sign * y_int / norms
     objective = float(lp.objective @ x)
-    reduced = lp.objective - a_struct.T @ duals
+    reduced = lp.objective - np.bincount(lp.cols, weights=lp.vals * duals[lp.rows],
+                                         minlength=n)
     # bound duals: variables pinned at finite nonzero bounds carry their
     # reduced cost into the dual objective
     bound_terms = float(np.sum(np.where(np.isfinite(x) & (reduced != 0.0),
@@ -404,7 +412,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     gap = abs(objective - (float(lp.rhs @ duals) + bound_terms))
 
     # residuals on the scaled problem
-    ax = a_scaled @ x
+    ax = a_full[:, :n] @ x
     viol = np.zeros(m)
     for k, rel in enumerate(lp.relations):
         if rel == "==":
@@ -415,30 +423,22 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
             viol[k] = max(0.0, b_scaled[k] - ax[k])
     primal_residual = float(viol.max(initial=0.0))
 
-    d_int = sign * lp.objective - a_scaled.T @ y_int
-    dual_viol = 0.0
-    for j in range(n):
-        if sim.in_basis[j]:
-            dual_viol = max(dual_viol, abs(d_int[j]))
-        elif np.isneginf(lp.lower[j]) and np.isposinf(lp.upper[j]):
-            dual_viol = max(dual_viol, abs(d_int[j]))
-        elif sim.at_upper[j]:
-            dual_viol = max(dual_viol, max(0.0, d_int[j]))
-        else:
-            dual_viol = max(dual_viol, max(0.0, -d_int[j]))
-    # slack reduced costs encode the dual sign conditions on inequality rows
-    for pos, k in enumerate(ineq):
-        dj = -a_full[:, n + pos] @ y_int
-        if sim.in_basis[n + pos]:
-            dual_viol = max(dual_viol, abs(dj))
-        else:
-            dual_viol = max(dual_viol, max(0.0, -dj))
+    # optimal reduced-cost signs over structural and slack columns (the slack
+    # ones encode the dual sign conditions on inequality rows): d == 0 on
+    # basic and free columns, d <= 0 at an upper bound, d >= 0 at a lower one
+    ncols = n + n_slack
+    d_int = sim.c[:ncols] - a_full[:, :ncols].T @ y_int
+    pinned = sim.in_basis[:ncols] | (np.isneginf(sim.lower[:ncols])
+                                     & np.isposinf(sim.upper[:ncols]))
+    dual_residual = float(np.where(pinned, np.abs(d_int),
+                                   np.where(sim.at_upper[:ncols], d_int, -d_int))
+                          .max(initial=0.0))
 
     sol = LpSolution(
         status="optimal", x=x, duals=duals, reduced_costs=reduced,
         objective_value=objective, duality_gap=gap,
         primal_residual=primal_residual,
-        dual_residual=float(dual_viol), iterations=sim.iterations,
+        dual_residual=dual_residual, iterations=sim.iterations,
     )
     if primal_residual > 1e3 * feas_tol or gap > 1e3 * gap_tol:
         raise LpError(

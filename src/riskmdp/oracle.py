@@ -9,7 +9,6 @@ through invariant measures.  The LP solutions are verified against these.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .extreal import NEG_INF, weighted_sum
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, apply_policy
 
 ENUMERATION_GUARD = 10**6
+BLOCK_ENTRIES = 2**22    # matrix entries per brute-force batch (32 MB per float64 array)
 RATE_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
 RATE_WINDOW = 32
@@ -157,8 +157,11 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
                             max_iters: int = MAX_POWER_ITERS) -> BruteForceResult:
     """Exact minimum of max_i (growth rate) over all pure policies.
 
-    Enumerates the |U|^s pure policies (guarded), runs the batched power
-    iteration jointly, and breaks value ties by lexicographic policy order.
+    Enumerates the |U|^s pure policies (guarded) in lexicographic order, in
+    blocks of about BLOCK_ENTRIES matrix entries so memory stays bounded,
+    runs the batched power iteration per block (each policy's iteration is
+    independent of its batch), and breaks value ties by lexicographic policy
+    order.
     """
     s, m = model.num_states, model.num_actions
     count = m**s
@@ -167,22 +170,27 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
             f"pure-policy enumeration of {count} policies exceeds guard "
             f"{ENUMERATION_GUARD}"
         )
-    choices = np.array(list(itertools.product(range(m), repeat=s)), dtype=int)
-    p_v = model.kernel[choices, np.arange(s)[None, :], :]
-    c_v = model.cost[np.arange(s)[None, :], choices]
-    with np.errstate(divide="ignore"):
-        logm = c_v[:, :, None] + np.log(p_v)
-    est, _, conv = _batched_log_rates(logm, rate_tol, max_iters, RATE_WINDOW)
-    values = est.max(axis=1)
-    best = 0
-    for k in range(1, len(values)):
-        if values[k] < values[best]:
-            best = k
+    block = max(1, BLOCK_ENTRIES // (s * s))
+    place = m ** np.arange(s - 1, -1, -1)   # the last state's action varies fastest
+    best_value, best_choice, best_est, converged = None, None, None, True
+    for start in range(0, count, block):
+        index = np.arange(start, min(start + block, count))
+        choices = (index[:, None] // place[None, :]) % m
+        p_v = model.kernel[choices, np.arange(s)[None, :], :]
+        c_v = model.cost[np.arange(s)[None, :], choices]
+        with np.errstate(divide="ignore"):
+            logm = c_v[:, :, None] + np.log(p_v)
+        est, _, conv = _batched_log_rates(logm, rate_tol, max_iters, RATE_WINDOW)
+        converged &= bool(conv.all())
+        values = est.max(axis=1)
+        for k in range(len(values)):
+            if best_value is None or values[k] < best_value:
+                best_value, best_choice, best_est = values[k], choices[k], est[k]
     return BruteForceResult(
-        value=float(values[best]),
-        argmin=PurePolicy(tuple(int(u) for u in choices[best])),
-        per_state=est[best],
-        converged=bool(conv.all()),
+        value=float(best_value),
+        argmin=PurePolicy(tuple(int(u) for u in best_choice)),
+        per_state=best_est,
+        converged=converged,
     )
 
 

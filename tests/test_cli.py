@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskmdp
 from riskmdp.cli import main
 
 from helpers import random_model
@@ -103,6 +106,25 @@ def test_solve_methods_agree(tmp_path):
     assert abs(grid["lambda_bar"] - congen["lambda_bar"]) <= 1e-3
 
 
+@pytest.mark.parametrize("method", ["grid", "congen"])
+def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, method):
+    # exp(cost) overflows double precision past about 709
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "actions": ["x", "y"],
+        "transitions": {"x": [[0.6, 0.4], [0.3, 0.7]], "y": [[0.5, 0.5], [0.2, 0.8]]},
+        "costs": [[790.0, 800.0], [795.0, 798.0]],
+    }))
+    out = tmp_path / "report.json"
+    code = main(["solve", "--model", str(path), "--method", method, "--out", str(out)])
+    assert code in {0, 2, 3, 4, 5}
+    report = json.loads(out.read_text())
+    assert "error" in report["certificate"]
+    assert main(["verify", "--model", str(path), "--solution", str(out)]) == 5
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_oracle_uncontrolled(tmp_path, capsys):
     model = write_two_state(tmp_path)
     out = tmp_path / "oracle.json"
@@ -196,9 +218,13 @@ def test_solver_failure_exit_4(tmp_path, monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path):
     model = write_two_state(tmp_path)
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "riskmdp", "solve", "--model", str(model)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert "lambda_bar = 0.776856" in proc.stdout

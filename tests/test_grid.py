@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError
 from riskmdp.grid import build_grid, enumerate_rows
+from riskmdp.model import MdpModel
 
 from helpers import random_model
 
@@ -62,6 +63,27 @@ def test_rows_vanish_off_support_and_sum_exactly_to_one():
         assert np.all(grid.rows[i][:, off] == 0.0)
         # dyadic rows over a common denominator add up exactly in binary
         assert np.all(grid.rows[i].sum(axis=1) == 1.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_rows_per_state_when_support_sizes_repeat(n):
+    # states 0, 1, 3 share support size 2 on different supports; state 2 has 3
+    kernel = np.array([[[0.5, 0.5, 0.0, 0.0],
+                        [0.0, 0.3, 0.7, 0.0],
+                        [0.2, 0.0, 0.3, 0.5],
+                        [0.6, 0.0, 0.0, 0.4]]])
+    model = MdpModel(states=("a", "b", "c", "d"), actions=("x",),
+                     kernel=kernel, cost=np.zeros((4, 1)))
+    grid = build_grid(model, n)
+    for i in range(4):
+        supp = list(grid.supports[i])
+        nums = enumerate_rows(len(supp), n)
+        expected = np.zeros((len(nums), 4))
+        expected[:, supp] = np.asarray(nums, dtype=float) / 2**n
+        assert grid.numerators[i] == tuple(nums)
+        assert np.array_equal(grid.rows[i], expected)
+        assert not grid.rows[i].flags.writeable
+    assert [len(grid.supports[i]) for i in range(4)] == [2, 2, 3, 2]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskmdp import lp as lp_module
 from riskmdp.lp import FEAS_TOL, GAP_TOL, LinearProgram, LpError, solve
 
 from helpers import enumerate_lp_optimum
@@ -77,6 +78,88 @@ def test_duplicate_triplets_are_coalesced():
                       rows=np.array([0, 0]), cols=np.array([0, 0]),
                       vals=np.array([0.5, 0.5]), relations=("<=",),
                       rhs=np.array([1.0]), lower=np.zeros(1), upper=np.full(1, np.inf))
+
+
+def _direct(rows, cols):
+    """Constructor call with the given triplet order and unit values."""
+    return LinearProgram(sense="min", objective=np.ones(3),
+                         rows=np.array(rows), cols=np.array(cols),
+                         vals=np.ones(len(rows)), relations=("<=", "<="),
+                         rhs=np.ones(2), lower=np.zeros(3), upper=np.full(3, np.inf))
+
+
+def test_constructor_accepts_unsorted_unique_triplets():
+    prog = _direct([1, 0, 1, 0], [2, 1, 0, 0])
+    assert prog.dense_matrix().tolist() == [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("rows,cols", [
+    ([0, 1, 0], [2, 0, 2]),        # unsorted, duplicate apart
+    ([0, 0, 1], [1, 1, 2]),        # sorted, duplicate adjacent
+    ([1, 1], [0, 0]),
+])
+def test_constructor_rejects_duplicate_triplets(rows, cols):
+    with pytest.raises(ValueError, match="duplicate"):
+        _direct(rows, cols)
+
+
+def _reference_dual_residual(sim, n, n_slack):
+    """The column-by-column statement of the reduced-cost sign conditions."""
+    _, y_int = sim._reduced_costs()
+    d = sim.c[: n + n_slack] - sim.a[:, : n + n_slack].T @ y_int
+    worst = 0.0
+    for j in range(n + n_slack):
+        if sim.in_basis[j]:
+            worst = max(worst, abs(d[j]))
+        elif j < n and np.isneginf(sim.lower[j]) and np.isposinf(sim.upper[j]):
+            worst = max(worst, abs(d[j]))
+        elif j < n and sim.at_upper[j]:
+            worst = max(worst, max(0.0, d[j]))
+        else:
+            worst = max(worst, max(0.0, -d[j]))
+    return worst
+
+
+def _bounded_instance(rng):
+    """Random sparse LP with free columns and finite upper bounds."""
+    m, n = 5, 8
+    a = rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.7)
+    relations = [str(rng.choice(["<=", ">=", "=="])) for _ in range(m)]
+    shift = {"<=": 0.3, ">=": -0.3, "==": 0.0}
+    b = a @ rng.uniform(0.0, 1.0, n) + np.array([shift[r] for r in relations])
+    lower = np.where(rng.uniform(size=n) < 0.3, -np.inf, 0.0)
+    upper = np.where(rng.uniform(size=n) < 0.4, 1.2, np.inf)
+    rows, cols = np.nonzero(a)
+    return LinearProgram.build(str(rng.choice(["min", "max"])), rng.uniform(-1.0, 1.0, n),
+                               rows, cols, a[rows, cols], relations, b,
+                               lower=lower, upper=upper)
+
+
+def test_dual_residual_matches_columnwise_reference(monkeypatch):
+    sims = []
+
+    class Recording(lp_module._Simplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(lp_module, "_Simplex", Recording)
+    rng = np.random.default_rng(5)
+    seen_free = seen_at_upper = 0
+    for _ in range(40):
+        prog = _bounded_instance(rng)
+        try:
+            sol = solve(prog)
+        except LpError:
+            continue
+        if sol.status != "optimal":
+            continue
+        sim, n = sims[-1], prog.num_vars
+        n_slack = sum(rel != "==" for rel in prog.relations)
+        assert sol.dual_residual == _reference_dual_residual(sim, n, n_slack)
+        seen_free += int(np.isneginf(prog.lower).any())
+        seen_at_upper += int((sim.at_upper[:n] & ~sim.in_basis[:n]).any())
+    assert seen_free >= 5 and seen_at_upper >= 5
 
 
 def test_nonfinite_input_rejected():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF, weighted_sum
@@ -172,6 +173,27 @@ def test_brute_force_picks_dominating_action():
                      kernel=kernel, cost=cost)
     bf = brute_force_lambda_star(model)
     assert bf.argmin.choice == (1, 1)
+
+
+def _tied_model():
+    # identical actions: every pure policy ties, lexicographic order decides
+    kernel = np.array([[[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [0.7, 0.0, 0.3]]] * 2)
+    return MdpModel(states=("x", "y", "z"), actions=("a", "b"),
+                    kernel=kernel, cost=np.array([[0.3, 0.3], [0.1, 0.1], [0.6, 0.6]]))
+
+
+@pytest.mark.parametrize("entries", [1, 20, 100])
+def test_brute_force_blocks_give_the_one_batch_result(model_corpus, monkeypatch, entries):
+    models = [model for _, model in model_corpus] + [_tied_model()]
+    whole = [brute_force_lambda_star(model) for model in models]
+    monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
+    for model, expected in zip(models, whole):
+        got = brute_force_lambda_star(model)
+        assert got.value == expected.value
+        assert got.argmin == expected.argmin
+        assert np.array_equal(got.per_state, expected.per_state)
+        assert got.converged == expected.converged
+    assert whole[-1].argmin.choice == (0, 0, 0)
 
 
 def test_brute_force_guard():
