@@ -183,16 +183,29 @@ def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
     return residual_dp1, residual_dp2
 
 
+def _overflow(x) -> CertificationError:
+    return CertificationError(
+        f"exp({x:.6g}) overflows; the multiplicative-form residuals cannot "
+        "be evaluated in double precision"
+    )
+
+
 def _exp(x: float) -> float:
     """math.exp with overflow reported as a certification failure: past
     about 709 the multiplicative form is out of double range."""
     try:
         return math.exp(x)
     except OverflowError as exc:
-        raise CertificationError(
-            f"exp({x:.6g}) overflows; the multiplicative-form residuals cannot "
-            "be evaluated in double precision"
-        ) from exc
+        raise _overflow(x) from exc
+
+
+def _exp_array(x) -> np.ndarray:
+    """np.exp under the same overflow rule as _exp, with no RuntimeWarning."""
+    with np.errstate(over="raise"):
+        try:
+            return np.exp(x)
+        except FloatingPointError as exc:
+            raise _overflow(float(np.max(x))) from exc
 
 
 def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResiduals:
@@ -208,7 +221,7 @@ def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResidua
     psi = certificate.psi
     hat = certificate.hat
     tol = certificate.level_tol
-    top = abs(float(np.exp(certificate.phi_star.max())) - float(lam.max()))
+    top = abs(float(_exp_array(certificate.phi_star.max())) - float(lam.max()))
     eigen = np.empty(s)
     averaging = np.empty(s)
     b_star = []
@@ -248,7 +261,7 @@ def build_certificate(model: MdpModel, phi_star, v_vec,
     cert = DpCertificate(
         phi_star=phi, v_vec=v, partition=partition, hat=hat,
         residual_dp1=residual_dp1, residual_dp2=residual_dp2,
-        lambda_twisted=np.exp(phi), psi=np.exp(v),
+        lambda_twisted=_exp_array(phi), psi=_exp_array(v),
         residual_star=TwistedResiduals(
             top=0.0, eigen=np.zeros(len(phi)), averaging=np.zeros(len(phi)),
             b_star=tuple(() for _ in phi)),

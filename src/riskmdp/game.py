@@ -295,9 +295,12 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
     """
     s, m = model.num_states, model.num_actions
     n_mu = sum(counts)
-    # scores: negative V-row slack per (state, row), zero exactly at tight rows
-    a = dual_lp.dense_matrix()
-    qv = a[:s, :n_mu].T @ vvec  # equals V_i - q.V per (i, row)
+    # scores: negative V-row slack per (state, row), zero exactly at tight rows;
+    # the kernel-balance block holds rows < s and mu columns < n_mu
+    inside = (dual_lp.rows < s) & (dual_lp.cols < n_mu)
+    block = np.zeros((s, n_mu))
+    block[dual_lp.rows[inside], dual_lp.cols[inside]] = dual_lp.vals[inside]
+    qv = block.T @ vvec  # equals V_i - q.V per (i, row)
     scores = np.zeros(n_mu)
     base = 0
     for i in range(s):

@@ -5,6 +5,12 @@ growth rates via log-space power iteration on the exponentiated-cost matrix,
 brute-force minimization over all pure policies, Cesaro limit matrices from
 the communicating-class structure, and the ergodic game payoff evaluated
 through invariant measures.  The LP solutions are verified against these.
+
+The power iteration stores each policy's log matrix only on the model's
+union-support columns (k per state, k the largest support size), so one
+step is k elementwise passes summed left to right in slot order, and a
+batch of policies sheds its converged members as it goes.  Growth rates of
+a single policy and the brute-force scan share that one code path.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .extreal import NEG_INF, weighted_sum
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, apply_policy
 
 ENUMERATION_GUARD = 10**6
-BLOCK_ENTRIES = 2**22    # matrix entries per brute-force batch (32 MB per float64 array)
+BLOCK_ENTRIES = 2**22    # stored entries per brute-force batch (32 MB of float64)
 RATE_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
 RATE_WINDOW = 32
@@ -85,57 +91,114 @@ def tilde_cost(model: MdpModel, i: int, qrow, u: int) -> float:
     return float(model.cost[i, u]) - div
 
 
-def _log_matvec(logm: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    """One multiplication step in log space, batched: (P,s,s) x (P,s)."""
-    t = logm + ln[:, None, :]
-    mx = t.max(axis=2)
-    return mx + np.log(np.exp(t - mx[..., None]).sum(axis=2))
+def _support_columns(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, pad) for an (s, s) support mask.
+
+    cols is an (s, k) index array that lists each state's support in
+    ascending order, k being the largest support size; shorter rows repeat
+    their last column, and pad marks those repeated slots.
+    """
+    s = support.shape[0]
+    sizes = support.sum(axis=1)
+    k = int(sizes.max())
+    order = np.argsort(~support, axis=1, kind="stable")[:, :k]
+    pad = np.arange(k)[None, :] >= sizes[:, None]
+    cols = np.where(pad, order[np.arange(s), sizes - 1][:, None], order)
+    return cols, pad
 
 
-def _batched_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int,
-                       window: int):
+def _log_entries(cost: np.ndarray, prob: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Log matrix entries c(i) + log p(cols[i, c] | i) as a (k, s, P) array,
+    from per-chain costs (s, P) and probabilities gathered on the support
+    columns (k, s, P); padded slots are -inf."""
+    with np.errstate(divide="ignore"):
+        logc = cost[None] + np.log(prob)
+    np.copyto(logc, NEG_INF, where=pad.T[:, :, None])
+    return logc
+
+
+def _pure_log_entries(model: MdpModel, choices: np.ndarray, cols: np.ndarray,
+                      pad: np.ndarray) -> np.ndarray:
+    """(k, s, P) log entries of the pure policies in choices (P, s), gathered
+    straight from the kernel on the support columns."""
+    states = np.arange(model.num_states)
+    prob = model.kernel[choices.T[None], states[None, :, None], cols.T[:, :, None]]
+    return _log_entries(model.cost[states[:, None], choices.T], prob, pad)
+
+
+def _support_matvec(logc: np.ndarray, cols: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """One multiplication step in log space on the support columns, batched:
+    entry (i, p) is log sum_c exp(logc[c, i, p] + ln[cols[i, c], p]), shifted
+    by the slot maximum and summed left to right in slot order."""
+    terms = [logc[c] + ln[cols[:, c]] for c in range(cols.shape[1])]
+    mx = terms[0]
+    for t in terms[1:]:
+        mx = np.maximum(mx, t)
+    total = np.exp(terms[0] - mx)
+    for t in terms[1:]:
+        total += np.exp(t - mx)
+    return mx + np.log(total)
+
+
+def _batched_log_rates(logc: np.ndarray, cols: np.ndarray, rate_tol: float,
+                       max_iters: int, window: int):
     """Growth-rate estimates for a batch of chains by log-space power iteration.
 
-    Keeps iterates normalized (running max subtracted) so all arithmetic stays
-    O(1), and damps with the average of two consecutive iterates so period-2
-    structure cannot make the per-step estimate oscillate.  The estimate is
-    the damped per-step increment averaged over a sliding window; an element
-    converges when successive estimates differ by less than rate_tol.
+    Each chain's log matrix is stored only on the union-support columns, state
+    major: logc[c, i, p] is the log entry of chain p at (i, cols[i, c]), -inf
+    on padded slots, so a step costs k elementwise passes instead of a dense
+    (P, s, s) reduction, and padded slots add exactly 0.  Keeps iterates
+    normalized (running max subtracted) so all arithmetic stays O(1), and
+    damps with the average of two consecutive iterates so period-2 structure
+    cannot make the per-step estimate oscillate.  The estimate is the damped
+    per-step increment averaged over a sliding window; a chain converges when
+    successive estimates differ by less than rate_tol.  Converged chains are
+    written out, and once they make up half the batch it is compacted to the
+    rest (compacting at every convergence step copies the window more often
+    than it saves).  Every operation acts per chain, so a chain's result does
+    not depend on which others share its batch.  Returns (P, s) estimates,
+    per-chain iteration counts and converged flags.
     """
-    p, s, _ = logm.shape
-    ln = np.zeros((p, s))
+    _, s, p = logc.shape
+    live = np.arange(p)
+    ln = np.zeros((s, p))
     d_prev = None
-    buf = np.zeros((window, p, s))
+    buf = np.zeros((window, s, p))
     buf_count = 0
     est_prev = None
     out = np.zeros((p, s))
-    iters = np.zeros(p, dtype=int)
+    iters = np.full(p, max_iters)
     done = np.zeros(p, dtype=bool)
     log2 = math.log(2.0)
     for step in range(1, max_iters + 1):
-        lnew = _log_matvec(logm, ln)
-        off = lnew.max(axis=1)
-        lnew_norm = lnew - off[:, None]
-        damped = np.logaddexp(lnew_norm, ln - off[:, None]) - log2
+        lnew = _support_matvec(logc, cols, ln)
+        off = lnew.max(axis=0)
+        lnew_norm = lnew - off
+        damped = np.logaddexp(lnew_norm, ln - off) - log2
+        est = None
         if d_prev is not None:
-            inc = damped - d_prev + off[:, None]
-            buf[buf_count % window] = inc
+            buf[buf_count % window] = damped - d_prev + off
             buf_count += 1
             if buf_count >= window:
                 est = buf.mean(axis=0)
                 if est_prev is not None:
-                    newly = ~done & (np.abs(est - est_prev).max(axis=1) < rate_tol)
-                    out[newly] = est[newly]
-                    iters[newly] = step
-                    done |= newly
-                    if done.all():
-                        return out, iters, done
-                est_prev = est
+                    newly = ~done[live] & (np.abs(est - est_prev).max(axis=0) < rate_tol)
+                    if newly.any():
+                        out[live[newly]] = est[:, newly].T
+                        iters[live[newly]] = step
+                        done[live[newly]] = True
+                        keep = ~done[live]
+                        if not keep.any():
+                            return out, iters, done
+                        if 2 * (len(live) - keep.sum()) >= len(live):
+                            live, logc, buf = live[keep], logc[:, :, keep], buf[:, :, keep]
+                            est, damped, lnew_norm = est[:, keep], damped[:, keep], lnew_norm[:, keep]
+        est_prev = est
         d_prev = damped
         ln = lnew_norm
-    est = buf.mean(axis=0) if buf_count >= window else np.zeros((p, s))
-    out[~done] = est[~done]
-    iters[~done] = max_iters
+    if buf_count >= window:
+        rest = ~done[live]
+        out[live[rest]] = buf.mean(axis=0)[:, rest].T
     return out, iters, done
 
 
@@ -145,9 +208,10 @@ def growth_rate(model: MdpModel, policy: StationaryPolicy, *,
     """Per-state growth rates lim (1/n) log E_i[exp(sum of costs)] under a
     stationary policy, via power iteration on M(i,j) = exp(c_v(i)) p_v(j|i)."""
     p_v, c_v = apply_policy(model, policy)
-    with np.errstate(divide="ignore"):
-        logm = c_v[:, None] + np.log(p_v)
-    est, iters, conv = _batched_log_rates(logm[None], rate_tol, max_iters, window)
+    cols, pad = _support_columns(model.support)
+    prob = p_v[np.arange(model.num_states)[None, :], cols.T][:, :, None]
+    logc = _log_entries(c_v[:, None], prob, pad)
+    est, iters, conv = _batched_log_rates(logc, cols, rate_tol, max_iters, window)
     lam = est[0]
     return GrowthRates(lam=lam, lambda_max=float(lam.max()),
                        iterations=int(iters[0]), converged=bool(conv[0]))
@@ -158,10 +222,11 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
     """Exact minimum of max_i (growth rate) over all pure policies.
 
     Enumerates the |U|^s pure policies (guarded) in lexicographic order, in
-    blocks of about BLOCK_ENTRIES matrix entries so memory stays bounded,
-    runs the batched power iteration per block (each policy's iteration is
-    independent of its batch), and breaks value ties by lexicographic policy
-    order.
+    blocks of about BLOCK_ENTRIES stored entries so memory stays bounded (per
+    policy, s * k log entries on the support columns and s * RATE_WINDOW
+    window entries), runs the batched power iteration per block (each
+    policy's iteration is independent of its batch), and breaks value ties
+    by lexicographic policy order.
     """
     s, m = model.num_states, model.num_actions
     count = m**s
@@ -170,17 +235,15 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
             f"pure-policy enumeration of {count} policies exceeds guard "
             f"{ENUMERATION_GUARD}"
         )
-    block = max(1, BLOCK_ENTRIES // (s * s))
+    cols, pad = _support_columns(model.support)
+    block = max(1, BLOCK_ENTRIES // (s * (cols.shape[1] + RATE_WINDOW)))
     place = m ** np.arange(s - 1, -1, -1)   # the last state's action varies fastest
     best_value, best_choice, best_est, converged = None, None, None, True
     for start in range(0, count, block):
         index = np.arange(start, min(start + block, count))
         choices = (index[:, None] // place[None, :]) % m
-        p_v = model.kernel[choices, np.arange(s)[None, :], :]
-        c_v = model.cost[np.arange(s)[None, :], choices]
-        with np.errstate(divide="ignore"):
-            logm = c_v[:, :, None] + np.log(p_v)
-        est, _, conv = _batched_log_rates(logm, rate_tol, max_iters, RATE_WINDOW)
+        logc = _pure_log_entries(model, choices, cols, pad)
+        est, _, conv = _batched_log_rates(logc, cols, rate_tol, max_iters, RATE_WINDOW)
         converged &= bool(conv.all())
         values = est.max(axis=1)
         for k in range(len(values)):

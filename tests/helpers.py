@@ -2,12 +2,14 @@
 
 The oracles here intentionally re-derive results through routes the library
 does not use (basis enumeration for LPs, dense 1-d scans for the analytic
-chain) so that agreement is meaningful.
+chain, a dense log-space power iteration for the growth-rate oracle) so that
+agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -106,6 +108,69 @@ def enumerate_lp_optimum(lp):
     if best_obj is None:
         return None, None
     return sign * best_obj, best_x
+
+
+def dense_log_matrices(model: MdpModel, choices) -> np.ndarray:
+    """(P, s, s) log matrices c_v(i) + log p_v(j|i) of the pure policies in
+    choices (P, s), -inf off each policy's support."""
+    choices = np.asarray(choices)
+    states = np.arange(model.num_states)[None, :]
+    p_v = model.kernel[choices, states, :]
+    c_v = model.cost[states, choices]
+    with np.errstate(divide="ignore"):
+        return c_v[:, :, None] + np.log(p_v)
+
+
+def dense_log_matvec(logm: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """One multiplication step in log space, batched: (P,s,s) x (P,s)."""
+    t = logm + ln[:, None, :]
+    mx = t.max(axis=2)
+    return mx + np.log(np.exp(t - mx[..., None]).sum(axis=2))
+
+
+def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, window: int):
+    """Reference power iteration on dense (P, s, s) log matrices.
+
+    The same normalization, damping, window and stopping rule as the
+    library's support-column iteration, but with a dense log-sum-exp over
+    all s columns and every chain kept in the batch until the last one
+    converges.  Returns (P, s) estimates, iteration counts, converged flags.
+    """
+    p, s, _ = logm.shape
+    ln = np.zeros((p, s))
+    d_prev = None
+    buf = np.zeros((window, p, s))
+    buf_count = 0
+    est_prev = None
+    out = np.zeros((p, s))
+    iters = np.zeros(p, dtype=int)
+    done = np.zeros(p, dtype=bool)
+    log2 = math.log(2.0)
+    for step in range(1, max_iters + 1):
+        lnew = dense_log_matvec(logm, ln)
+        off = lnew.max(axis=1)
+        lnew_norm = lnew - off[:, None]
+        damped = np.logaddexp(lnew_norm, ln - off[:, None]) - log2
+        if d_prev is not None:
+            inc = damped - d_prev + off[:, None]
+            buf[buf_count % window] = inc
+            buf_count += 1
+            if buf_count >= window:
+                est = buf.mean(axis=0)
+                if est_prev is not None:
+                    newly = ~done & (np.abs(est - est_prev).max(axis=1) < rate_tol)
+                    out[newly] = est[newly]
+                    iters[newly] = step
+                    done |= newly
+                    if done.all():
+                        return out, iters, done
+                est_prev = est
+        d_prev = damped
+        ln = lnew_norm
+    est = buf.mean(axis=0) if buf_count >= window else np.zeros((p, s))
+    out[~done] = est[~done]
+    iters[~done] = max_iters
+    return out, iters, done
 
 
 def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:

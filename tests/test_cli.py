@@ -107,7 +107,7 @@ def test_solve_methods_agree(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["grid", "congen"])
-def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, method):
+def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, recwarn, method):
     # exp(cost) overflows double precision past about 709
     path = tmp_path / "costly.json"
     path.write_text(json.dumps({
@@ -123,6 +123,8 @@ def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, method):
     assert main(["verify", "--model", str(path), "--solution", str(out)]) == 5
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert len(recwarn) == 0
 
 
 def test_oracle_uncontrolled(tmp_path, capsys):

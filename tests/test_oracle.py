@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF, weighted_sum
 from riskmdp.grid import build_grid
-from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy
+from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, apply_policy
 from riskmdp.oracle import (
     brute_force_lambda_star,
     cesaro_limit,
@@ -20,7 +21,7 @@ from riskmdp.oracle import (
     tilde_cost,
 )
 
-from helpers import random_model
+from helpers import corpus, dense_log_matrices, dense_log_rates, random_model
 
 ONLY = StationaryPolicy(np.ones((2, 1)))
 
@@ -182,8 +183,10 @@ def _tied_model():
                     kernel=kernel, cost=np.array([[0.3, 0.3], [0.1, 0.1], [0.6, 0.6]]))
 
 
-@pytest.mark.parametrize("entries", [1, 20, 100])
+@pytest.mark.parametrize("entries", [1, 20, 100, 1000])
 def test_brute_force_blocks_give_the_one_batch_result(model_corpus, monkeypatch, entries):
+    # 1000 entries make blocks of 7 to 14 policies; in most of them half the
+    # policies converge, and leave the batch, before the slowest one
     models = [model for _, model in model_corpus] + [_tied_model()]
     whole = [brute_force_lambda_star(model) for model in models]
     monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
@@ -194,6 +197,175 @@ def test_brute_force_blocks_give_the_one_batch_result(model_corpus, monkeypatch,
         assert np.array_equal(got.per_state, expected.per_state)
         assert got.converged == expected.converged
     assert whole[-1].argmin.choice == (0, 0, 0)
+
+
+# -- support-column iteration against the dense reference ----------------------
+
+def _named(kernel, cost):
+    m, s, _ = kernel.shape
+    return MdpModel(states=tuple(f"s{i}" for i in range(s)),
+                    actions=tuple(f"a{u}" for u in range(m)),
+                    kernel=kernel, cost=cost)
+
+
+def _lazy_ring(seed, s, m):
+    """Each state stays put or moves to the next one, split near a per-state base."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for i in range(s):
+        base = rng.uniform(0.25, 0.75)
+        for u in range(m):
+            x = base + rng.uniform(-0.005, 0.005)
+            kernel[u, i, i] = x
+            kernel[u, i, (i + 1) % s] = 1.0 - x
+    return _named(kernel, rng.uniform(0.0, 1.0, size=(s, m)))
+
+
+def _wide(seed, s, m, successors=4):
+    """Each state reaches the next one and three others, rows near a shared base."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for i in range(s):
+        others = [j for j in range(s) if j != (i + 1) % s]
+        cols = [(i + 1) % s] + list(rng.choice(others, successors - 1, replace=False))
+        base = rng.dirichlet(np.ones(successors))
+        for u in range(m):
+            row = np.clip(base + rng.uniform(-0.005, 0.005, successors), 0.01, None)
+            kernel[u, i, cols] = row / row.sum()
+    return _named(kernel, rng.uniform(0.0, 1.0, size=(s, m)))
+
+
+def _trap():
+    """State 0 absorbs; the others drift down to it or up the chain."""
+    s = 5
+    kernel = np.zeros((2, s, s))
+    kernel[:, 0, 0] = 1.0
+    for i in range(1, s):
+        for u, down in enumerate((0.3, 0.6)):
+            kernel[u, i, i - 1] = down
+            kernel[u, i, (i + 1) % s] = 1.0 - down
+    cost = np.array([[0.9, 0.95], [0.1, 0.4], [0.2, 0.3], [0.5, 0.1], [0.3, 0.3]])
+    return _named(kernel, cost)
+
+
+def _single_state():
+    return _named(np.ones((3, 1, 1)), np.array([[0.37, 0.1, 2.5]]))
+
+
+def _differing_supports():
+    """Actions at a state reach different successors: the union support has
+    4 columns at the last state and 2 or 1 at the others (padded slots)."""
+    kernel = np.array([
+        [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.4, 0.0, 0.6]],
+        [[0.0, 0.0, 1.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.7, 0.0, 0.3, 0.0]],
+    ])
+    cost = np.array([[0.2, 0.9], [0.5, 0.1], [0.4, 0.6], [0.3, 0.8]])
+    return _named(kernel, cost)
+
+
+def _policies(model, limit=128, seed=0):
+    """All pure policies, or `limit` of them drawn at random past that count."""
+    s, m = model.num_states, model.num_actions
+    if m**s <= limit:
+        return np.array(list(itertools.product(range(m), repeat=s)))
+    return np.random.default_rng(seed).integers(0, m, size=(limit, s))
+
+
+def _support_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
+    cols, pad = oracle._support_columns(model.support)
+    logc = oracle._pure_log_entries(model, choices, cols, pad)
+    return oracle._batched_log_rates(logc, cols, oracle.RATE_TOL, max_iters,
+                                     oracle.RATE_WINDOW)
+
+
+def _dense_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
+    return dense_log_rates(dense_log_matrices(model, choices), oracle.RATE_TOL,
+                           max_iters, oracle.RATE_WINDOW)
+
+
+BIT_FOR_BIT = {
+    **dict(corpus()),
+    "ring-s10m2": random_model(41, 10, 2),
+    "ring-s10m3": random_model(42, 10, 3),
+    "lazy-s10m2": _lazy_ring(43, 10, 2),
+    "lazy-s10m3": _lazy_ring(44, 10, 3),
+    "wide-s6m2": _wide(45, 6, 2),
+    "trap": _trap(),
+    "single-state": _single_state(),
+    "differing-supports": _differing_supports(),
+}
+
+
+def test_support_columns_pad_short_rows():
+    cols, pad = oracle._support_columns(_differing_supports().support)
+    np.testing.assert_array_equal(cols, [[1, 2, 2, 2], [0, 1, 1, 1], [2, 2, 2, 2], [0, 1, 2, 3]])
+    np.testing.assert_array_equal(pad, np.arange(4)[None, :] >= np.array([[2], [2], [1], [4]]))
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FOR_BIT))
+def test_support_iteration_equals_dense_bit_for_bit(name):
+    # at most 2 finite entries per row, or s < 8 (numpy sums fewer than 8
+    # terms left to right): the slot-order sum and the dense reduction add
+    # the same nonzero terms in the same order
+    model = BIT_FOR_BIT[name]
+    choices = _policies(model)
+    est, iters, conv = _support_rates(model, choices)
+    ref_est, ref_iters, ref_conv = _dense_rates(model, choices)
+    assert np.array_equal(est, ref_est)
+    assert np.array_equal(iters, ref_iters)
+    assert np.array_equal(conv, ref_conv)
+    assert conv.all()
+
+
+@pytest.mark.parametrize("quantile", [25, 75])
+def test_support_iteration_stopped_partway_equals_dense(quantile):
+    # half the batch converges before the slowest policy, so converged
+    # policies leave the batch while the rest keep iterating; stopping at the
+    # 25th percentile leaves converged policies in the batch (fewer than half
+    # have converged), at the 75th the batch has been compacted
+    model = BIT_FOR_BIT["lazy-s10m2"]
+    choices = _policies(model)
+    _, iters, _ = _support_rates(model, choices)
+    assert np.median(iters) < iters.max()
+    cut = int(np.percentile(iters, quantile))
+    est, got_iters, conv = _support_rates(model, choices, max_iters=cut)
+    ref_est, ref_iters, ref_conv = _dense_rates(model, choices, max_iters=cut)
+    assert 0.0 < conv.mean() < 1.0
+    assert (conv.mean() < 0.5) == (quantile < 50)
+    assert np.array_equal(est, ref_est)
+    assert np.array_equal(got_iters, ref_iters)
+    assert np.array_equal(conv, ref_conv)
+
+
+@pytest.mark.parametrize("name", ["ring-s10m3", "differing-supports", "single-state"])
+def test_growth_rate_equals_dense_reference(name):
+    model = BIT_FOR_BIT[name]
+    s, m = model.num_states, model.num_actions
+    rng = np.random.default_rng(7)
+    for policy in (StationaryPolicy.pure(rng.integers(0, m, size=s), m),
+                   StationaryPolicy(rng.dirichlet(np.ones(m), size=s))):
+        p_v, c_v = apply_policy(model, policy)
+        with np.errstate(divide="ignore"):
+            logm = c_v[:, None] + np.log(p_v)
+        est, iters, conv = dense_log_rates(logm[None], oracle.RATE_TOL,
+                                           oracle.MAX_POWER_ITERS, oracle.RATE_WINDOW)
+        rates = growth_rate(model, policy)
+        assert np.array_equal(rates.lam, est[0])
+        assert rates.iterations == iters[0]
+        assert rates.converged == conv[0]
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_support_iteration_close_to_dense_on_wide_rows(seed):
+    # 4 finite entries per row at s = 10: the dense pairwise sum and the
+    # slot-order sum may round differently, within 1e-14
+    model = _wide(seed, 10, 2)
+    choices = _policies(model)
+    est, _, conv = _support_rates(model, choices)
+    ref_est, _, ref_conv = _dense_rates(model, choices)
+    assert conv.all() and ref_conv.all()
+    assert np.abs(est - ref_est).max() <= 1e-14
+    assert est.max(axis=1).argmin() == ref_est.max(axis=1).argmin()
 
 
 def test_brute_force_guard():
