@@ -23,7 +23,6 @@ from .game import (
     ConvergenceReport,
     GameSolution,
     build_dual,
-    build_primal,
     solve_congen,
     solve_game,
     solve_sequence,

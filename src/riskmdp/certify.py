@@ -122,15 +122,12 @@ def hat_kernel(model: MdpModel, partition: LevelPartition) -> np.ndarray:
     every action cannot stay in its level, which contradicts the partition
     coming from a genuine solution; that is flagged as an error.
     """
-    s, m = model.num_states, model.num_actions
+    s = model.num_states
     level = partition.level_of()
     if len(level) != s:
         raise ValueError("partition does not cover the state space")
-    same = np.zeros((s, s), dtype=bool)
-    for i in range(s):
-        for j in range(s):
-            same[i, j] = level[i] == level[j]
-    hat = np.where(same[None, :, :], model.kernel, 0.0)
+    index = np.array([level[i] for i in range(s)])
+    hat = np.where(index[:, None] == index[None, :], model.kernel, 0.0)
     dead = [i for i in range(s) if hat[:, i, :].sum() == 0.0]
     if dead:
         raise CertificationError(
@@ -167,10 +164,13 @@ def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
     feasible row (their constraints are vacuous) and drop out of the min.
     """
     phi = np.asarray(phi_star, dtype=float)
-    v = np.asarray(v_vec, dtype=float)
+    hat = hat_kernel(model, build_partition(phi, tol))
+    return _dp_residuals(model, phi, np.asarray(v_vec, dtype=float), hat)
+
+
+def _dp_residuals(model: MdpModel, phi: np.ndarray, v: np.ndarray, hat: np.ndarray):
+    """check_dp's residuals from an already restricted kernel."""
     s = model.num_states
-    partition = build_partition(phi, tol)
-    hat = hat_kernel(model, partition)
     residual_dp1 = np.empty(s)
     for i in range(s):
         supp = list(union_support(model, i))
@@ -257,7 +257,7 @@ def build_certificate(model: MdpModel, phi_star, v_vec,
     v = np.asarray(v_vec, dtype=float)
     partition = build_partition(phi, level_tol)
     hat = hat_kernel(model, partition)
-    residual_dp1, residual_dp2 = check_dp(model, phi, v, level_tol)
+    residual_dp1, residual_dp2 = _dp_residuals(model, phi, v, hat)
     cert = DpCertificate(
         phi_star=phi, v_vec=v, partition=partition, hat=hat,
         residual_dp1=residual_dp1, residual_dp2=residual_dp2,

@@ -26,7 +26,7 @@ import numpy as np
 from . import certify, game, oracle
 from .errors import GuardError, ModelError
 from .lp import LpError
-from .model import MdpModel, StationaryPolicy, parse_model
+from .model import MdpModel, StationaryPolicy, parse_model, read_model_document
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -46,14 +46,10 @@ def model_digest(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load_raw(path: str) -> tuple[dict, MdpModel]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
-    return raw, parse_model(raw)
+def _header(argv, raw: dict) -> dict:
+    """The keys every report on a model file starts with."""
+    return {"report_version": REPORT_VERSION, "command": argv,
+            "model_digest": model_digest(raw)}
 
 
 def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
@@ -99,18 +95,23 @@ def _policy_map(model: MdpModel, pure) -> dict:
     return {model.states[i]: model.actions[u] for i, u in enumerate(pure.choice)}
 
 
-def _oracle_block(model: MdpModel, lambda_solve: float):
-    try:
-        bf = oracle.brute_force_lambda_star(model)
-    except GuardError:
-        return None
+def _brute_force(model: MdpModel) -> dict:
+    bf = oracle.brute_force_lambda_star(model)
     return {
         "value": bf.value,
         "per_state": _vec(bf.per_state),
         "argmin": _policy_map(model, bf.argmin),
         "converged": bf.converged,
-        "gap": abs(lambda_solve - bf.value),
     }
+
+
+def _oracle_block(model: MdpModel, lambda_solve: float):
+    try:
+        block = _brute_force(model)
+    except GuardError:
+        return None
+    block["gap"] = abs(lambda_solve - block["value"])
+    return block
 
 
 def _certificate_block(model: MdpModel, phi, v, level_tol=certify.DEFAULT_LEVEL_TOL):
@@ -156,7 +157,8 @@ def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
 
 
 def cmd_solve(args, argv) -> int:
-    raw, model = _load_raw(args.model)
+    raw = read_model_document(args.model)
+    model = parse_model(raw)
     timings = {}
     t0 = time.perf_counter()
     if args.method == "grid":
@@ -191,9 +193,7 @@ def cmd_solve(args, argv) -> int:
     timings["certify"] = time.perf_counter() - t0
 
     report = {
-        "report_version": REPORT_VERSION,
-        "command": argv,
-        "model_digest": model_digest(raw),
+        **_header(argv, raw),
         "method": args.method,
         **method_block,
         "lambda_bar": lambda_bar,
@@ -210,7 +210,8 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_oracle(args, argv) -> int:
-    raw, model = _load_raw(args.model)
+    raw = read_model_document(args.model)
+    model = parse_model(raw)
     timings = {}
     t0 = time.perf_counter()
     if args.policy:
@@ -226,30 +227,18 @@ def cmd_oracle(args, argv) -> int:
         }
         print(f"lambda_max = {rates.lambda_max:.6f}")
     else:
-        bf = oracle.brute_force_lambda_star(model)
-        body = {
-            "mode": "brute_force",
-            "value": bf.value,
-            "per_state": _vec(bf.per_state),
-            "argmin": _policy_map(model, bf.argmin),
-            "converged": bf.converged,
-        }
-        print(f"lambda_bar = {bf.value:.6f}")
+        body = {"mode": "brute_force", **_brute_force(model)}
+        print(f"lambda_bar = {body['value']:.6f}")
         print("argmin :", ", ".join(f"{s} -> {a}" for s, a in body["argmin"].items()))
     timings["oracle"] = time.perf_counter() - t0
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": argv,
-        "model_digest": model_digest(raw),
-        **body,
-        "timings": timings,
-    }
+    report = {**_header(argv, raw), **body, "timings": timings}
     _emit(report, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args, argv) -> int:
-    raw, model = _load_raw(args.model)
+    raw = read_model_document(args.model)
+    model = parse_model(raw)
     try:
         solution = json.loads(Path(args.solution).read_text(encoding="utf-8"))
         phi = np.asarray(solution["phi_star"], dtype=float)
@@ -261,9 +250,7 @@ def cmd_verify(args, argv) -> int:
         cert, cert_block = _certificate_block(model, phi, v)
     except certify.CertificationError as exc:
         report = {
-            "report_version": REPORT_VERSION,
-            "command": argv,
-            "model_digest": model_digest(raw),
+            **_header(argv, raw),
             "tolerance": args.tol,
             "passed": False,
             "error": str(exc),
@@ -290,9 +277,7 @@ def cmd_verify(args, argv) -> int:
             worst_name, worst_state, worst_val = name, k, float(arr[k])
     passed = worst_val <= args.tol
     report = {
-        "report_version": REPORT_VERSION,
-        "command": argv,
-        "model_digest": model_digest(raw),
+        **_header(argv, raw),
         "tolerance": args.tol,
         "passed": passed,
         "worst": {"check": worst_name, "state": model.states[worst_state],

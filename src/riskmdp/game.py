@@ -1,4 +1,4 @@
-"""Primal/dual linear programs for the single-controller ergodic game.
+"""The linear program of the single-controller ergodic game.
 
 The maximizing player picks a kernel row per state (restricted to a dyadic
 grid at finite resolution), the minimizing player picks an action
@@ -9,12 +9,12 @@ the exact LP formulation possible.
 The primal has variables (V, beta, y) with one beta-constraint and one
 V-constraint per (state, grid row); the dual has occupation-style weights
 (mu, nu) per (state, grid row) and a vector w with sum(beta) = sum(w) at the
-optimum.  Both programs are built explicitly, but a solve runs the
-row-compact dual orientation (2s + s|U| rows regardless of grid size) and
-reads the primal solution off the dual multipliers, which is exact at a
-simplex vertex.
+optimum.  Only the dual is built: its orientation is row-compact (2s + s|U|
+rows regardless of grid size), and the primal solution is read off its
+multipliers, which is exact at a simplex vertex.  The primal itself lives in
+tests/helpers.py, where the dual is checked to be its exact transpose.
 
-Unattainable rewards (absolute continuity failures) enter the LPs through a
+Unattainable rewards (absolute continuity failures) enter the LP through a
 large negative sentinel coefficient rather than -inf; such constraints are
 slack at any optimum of the shipped model scale, matching the extended-real
 semantics.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extreal import NEG_INF, weighted_sum
+from .extreal import NEG_INF
 from .grid import GridSpec, build_grid
 from .lp import LinearProgram, LpError, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
@@ -60,15 +60,12 @@ class GameSolution:
     minimizer: StationaryPolicy        # y
     minimizer_pure: PurePolicy         # purified v*
     maximizer: KernelMatrix            # q* assembled from dual weights
-    dual_mu: tuple[np.ndarray, ...]
-    dual_nu: tuple[np.ndarray, ...]
     dual_w: np.ndarray
     duality_gap: float
     primal_residual: float
     dual_residual: float
     num_constraints: int               # inequality rows of the implied primal
     flagged_states: tuple[int, ...]
-    sentinel: float
     certified: bool = True
     rounds: int | None = None
 
@@ -111,69 +108,16 @@ def tilde_cost_table(model: MdpModel, i: int, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sentineled(tables: list[np.ndarray], sentinel: float) -> list[np.ndarray]:
-    return [np.where(np.isneginf(t), -sentinel, t) for t in tables]
-
-
-def _tables(model: MdpModel, rows_per_state, sentinel: float):
+def _tables(model: MdpModel, rows_per_state):
+    """Per-state reward tables, -inf included, and the LP's copies with -SENTINEL."""
     true_tables = [tilde_cost_table(model, i, rows_per_state[i])
                    for i in range(model.num_states)]
-    return true_tables, _sentineled(true_tables, sentinel)
+    return true_tables, [np.where(np.isneginf(t), -SENTINEL, t) for t in true_tables]
 
 
-def _primal_from_rows(model: MdpModel, rows_per_state, ctabs) -> LinearProgram:
-    """min sum(beta) over (V free, beta free, y >= 0 with simplex rows).
-
-    Row order: all beta-rows grouped by state, then all V-rows in the same
-    order, then one simplex equality per state.
-    """
-    s, m = model.num_states, model.num_actions
-    counts = [r.shape[0] for r in rows_per_state]
-    n_ineq = sum(counts)
-    n_vars = 2 * s + s * m
-    rows_ix, cols_ix, vals = [], [], []
-    base = 0
-    for i in range(s):
-        r = rows_per_state[i]
-        cnt = counts[i]
-        ridx = np.arange(base, base + cnt)
-        touched = sorted(set(union_support(model, i)) | {i})
-        for j in touched:
-            coef = (1.0 if j == i else 0.0) - r[:, j]
-            # beta-row: sum_j (delta_ij - q_j) beta_j >= 0
-            rows_ix.append(ridx)
-            cols_ix.append(np.full(cnt, s + j))
-            vals.append(coef)
-            # V-row shares the same kernel coefficients on V
-            rows_ix.append(n_ineq + ridx)
-            cols_ix.append(np.full(cnt, j))
-            vals.append(coef)
-        # V-row: + beta_i - sum_u ctilde(i,q,u) y_i(u)
-        rows_ix.append(n_ineq + ridx)
-        cols_ix.append(np.full(cnt, s + i))
-        vals.append(np.ones(cnt))
-        for u in range(m):
-            rows_ix.append(n_ineq + ridx)
-            cols_ix.append(np.full(cnt, 2 * s + i * m + u))
-            vals.append(-ctabs[i][:, u])
-        base += cnt
-    for i in range(s):
-        for u in range(m):
-            rows_ix.append(np.array([2 * n_ineq + i]))
-            cols_ix.append(np.array([2 * s + i * m + u]))
-            vals.append(np.array([1.0]))
-    objective = np.zeros(n_vars)
-    objective[s:2 * s] = 1.0
-    lower = np.zeros(n_vars)
-    lower[: 2 * s] = -np.inf
-    relations = [">="] * (2 * n_ineq) + ["=="] * s
-    rhs = np.zeros(2 * n_ineq + s)
-    rhs[2 * n_ineq:] = 1.0
-    return LinearProgram.build(
-        "min", objective, np.concatenate(rows_ix), np.concatenate(cols_ix),
-        np.concatenate(vals), relations, rhs,
-        lower=lower, upper=np.full(n_vars, np.inf),
-    )
+def _expected_reward(table: np.ndarray, y_row: np.ndarray) -> np.ndarray:
+    """Per table row, sum_u y(u) * table(u) under the rule 0 * (-inf) = 0."""
+    return (np.where(y_row > 0.0, table, 0.0) * y_row).sum(axis=1)
 
 
 def _dual_from_rows(model: MdpModel, rows_per_state, ctabs) -> LinearProgram:
@@ -181,68 +125,44 @@ def _dual_from_rows(model: MdpModel, rows_per_state, ctabs) -> LinearProgram:
 
     Row order: s kernel-balance equalities (one per state, paired with V),
     s mass equalities (paired with beta), then s*|U| reward rows (paired
-    with the y variables).
+    with the y variables).  The blocks are written into one dense matrix
+    whose nonzeros, read off row by row, are the triplets in (row, col)
+    order, so the constructor takes them as they are.
     """
     s, m = model.num_states, model.num_actions
     counts = [r.shape[0] for r in rows_per_state]
     n_mu = sum(counts)
-    n_vars = 2 * n_mu + s
-    rows_ix, cols_ix, vals = [], [], []
-    base = 0
-    for i in range(s):
-        r = rows_per_state[i]
-        cnt = counts[i]
-        mu_cols = np.arange(base, base + cnt)
-        nu_cols = n_mu + mu_cols
-        touched = sorted(set(union_support(model, i)) | {i})
-        for j in touched:
-            coef = (1.0 if j == i else 0.0) - r[:, j]
-            rows_ix.append(np.full(cnt, j))          # kernel balance, mu
-            cols_ix.append(mu_cols)
-            vals.append(coef)
-            rows_ix.append(np.full(cnt, s + j))      # mass balance, nu part
-            cols_ix.append(nu_cols)
-            vals.append(coef)
-        rows_ix.append(np.full(cnt, s + i))          # mass balance, mu part
-        cols_ix.append(mu_cols)
-        vals.append(np.ones(cnt))
-        for u in range(m):
-            rows_ix.append(np.full(cnt, 2 * s + i * m + u))
-            cols_ix.append(mu_cols)
-            vals.append(ctabs[i][:, u])
-        base += cnt
-    for i in range(s):
-        for u in range(m):
-            rows_ix.append(np.array([2 * s + i * m + u]))
-            cols_ix.append(np.array([2 * n_mu + i]))
-            vals.append(np.array([-1.0]))
-    objective = np.zeros(n_vars)
+    owner = np.repeat(np.arange(s), counts)  # the state of each mu column
+    mu_cols = np.arange(n_mu)
+    # kernel balance, delta_ij - q_j, at state j's row of each mu column
+    balance = -np.concatenate(rows_per_state).T
+    balance[owner, mu_cols] += 1.0
+    a = np.zeros((2 * s + s * m, 2 * n_mu + s))
+    a[:s, :n_mu] = balance
+    a[s + owner, mu_cols] = 1.0                    # mass balance, mu part
+    a[s:2 * s, n_mu:2 * n_mu] = balance           # mass balance, nu part
+    reward_rows = 2 * s + owner[:, None] * m + np.arange(m)
+    a[reward_rows, mu_cols[:, None]] = np.concatenate(ctabs)
+    a[2 * s:, 2 * n_mu:] = -np.repeat(np.eye(s), m, axis=0)
+    rows, cols = np.nonzero(a)
+    objective = np.zeros(a.shape[1])
     objective[2 * n_mu:] = 1.0
-    lower = np.zeros(n_vars)
+    lower = np.zeros(a.shape[1])
     lower[2 * n_mu:] = -np.inf
-    relations = ["=="] * (2 * s) + [">="] * (s * m)
-    rhs = np.zeros(2 * s + s * m)
+    rhs = np.zeros(a.shape[0])
     rhs[s:2 * s] = 1.0
-    return LinearProgram.build(
-        "max", objective, np.concatenate(rows_ix), np.concatenate(cols_ix),
-        np.concatenate(vals), relations, rhs,
-        lower=lower, upper=np.full(n_vars, np.inf),
+    return LinearProgram(
+        "max", objective, rows, cols, a[rows, cols],
+        ("==",) * (2 * s) + (">=",) * (s * m), rhs,
+        lower=lower, upper=np.full(a.shape[1], np.inf),
     )
 
 
-def build_primal(model: MdpModel, grid: GridSpec, sentinel: float = SENTINEL) -> LinearProgram:
-    """The finite-resolution primal over the given dyadic grid."""
+def build_dual(model: MdpModel, grid: GridSpec) -> LinearProgram:
+    """The finite-resolution game dual over the given dyadic grid."""
     if grid.num_states != model.num_states:
         raise ValueError("grid was built for a different model shape")
-    _, ctabs = _tables(model, grid.rows, sentinel)
-    return _primal_from_rows(model, grid.rows, ctabs)
-
-
-def build_dual(model: MdpModel, grid: GridSpec, sentinel: float = SENTINEL) -> LinearProgram:
-    """The exact LP dual of build_primal's output for the same grid."""
-    if grid.num_states != model.num_states:
-        raise ValueError("grid was built for a different model shape")
-    _, ctabs = _tables(model, grid.rows, sentinel)
+    _, ctabs = _tables(model, grid.rows)
     return _dual_from_rows(model, grid.rows, ctabs)
 
 
@@ -293,7 +213,7 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
     scores zero, so the reweighting only moves the underdetermined part onto
     the rows the potentials actually pin down.
     """
-    s, m = model.num_states, model.num_actions
+    s = model.num_states
     n_mu = sum(counts)
     # scores: negative V-row slack per (state, row), zero exactly at tight rows;
     # the kernel-balance block holds rows < s and mu columns < n_mu
@@ -301,32 +221,27 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
     block = np.zeros((s, n_mu))
     block[dual_lp.rows[inside], dual_lp.cols[inside]] = dual_lp.vals[inside]
     qv = block.T @ vvec  # equals V_i - q.V per (i, row)
-    scores = np.zeros(n_mu)
-    base = 0
-    for i in range(s):
-        cnt = counts[i]
-        scores[base:base + cnt] = ctabs[i] @ y[i] - qv[base:base + cnt] - beta[i]
-        base += cnt
+    scores = (np.concatenate([ctabs[i] @ y[i] for i in range(s)])
+              - qv - np.repeat(beta, counts))
     objective = np.concatenate([scores, scores, np.zeros(s)])
-    lock_rows = np.full(s, dual_lp.num_constraints)
-    lock_cols = 2 * n_mu + np.arange(s)
-    locked = LinearProgram.build(
+    # the lock row comes after every dual row, so the triplets stay in order
+    locked = LinearProgram(
         "max", objective,
-        np.concatenate([dual_lp.rows, lock_rows]),
-        np.concatenate([dual_lp.cols, lock_cols]),
+        np.concatenate([dual_lp.rows, np.full(s, dual_lp.num_constraints)]),
+        np.concatenate([dual_lp.cols, 2 * n_mu + np.arange(s)]),
         np.concatenate([dual_lp.vals, np.ones(s)]),
-        tuple(dual_lp.relations) + (">=",),
+        dual_lp.relations + (">=",),
         np.concatenate([dual_lp.rhs, [optimum - 1e-9]]),
         lower=dual_lp.lower, upper=dual_lp.upper,
     )
     return lp_solve(locked)
 
 
-def _solve_pair(model: MdpModel, rows_per_state, *, resolution, sentinel) -> GameSolution:
+def _solve_pair(model: MdpModel, rows_per_state, *, resolution) -> GameSolution:
     s, m = model.num_states, model.num_actions
     counts = [r.shape[0] for r in rows_per_state]
     n_mu = sum(counts)
-    ctabs_true, ctabs = _tables(model, rows_per_state, sentinel)
+    ctabs_true, ctabs = _tables(model, rows_per_state)
     dual_lp = _dual_from_rows(model, rows_per_state, ctabs)
     try:
         sol = lp_solve(dual_lp)
@@ -420,22 +335,19 @@ def _solve_pair(model: MdpModel, rows_per_state, *, resolution, sentinel) -> Gam
         minimizer=StationaryPolicy(y),
         minimizer_pure=PurePolicy(tuple(choice)),
         maximizer=maximizer,
-        dual_mu=mu,
-        dual_nu=nu,
         dual_w=w,
         duality_gap=gap,
         primal_residual=primal_viol,
         dual_residual=dual_viol,
         num_constraints=2 * n_mu,
         flagged_states=tuple(flagged),
-        sentinel=sentinel,
     )
 
 
-def solve_game(model: MdpModel, resolution: int, *, sentinel: float = SENTINEL) -> GameSolution:
+def solve_game(model: MdpModel, resolution: int) -> GameSolution:
     """Solve the finite-resolution game LP pair and extract value and policies."""
     grid = build_grid(model, resolution)
-    return _solve_pair(model, grid.rows, resolution=resolution, sentinel=sentinel)
+    return _solve_pair(model, grid.rows, resolution=resolution)
 
 
 def _sample_kernel(model: MdpModel, rng) -> np.ndarray:
@@ -450,21 +362,20 @@ def _sampled_feasibility(model: MdpModel, sol: GameSolution) -> float:
     """Worst violation of the semi-infinite constraints over a fixed sample
     of kernels drawn from the full strategy class."""
     rng = np.random.default_rng(FEAS_SAMPLE_SEED)
+    kernels = np.stack([_sample_kernel(model, rng) for _ in range(FEAS_SAMPLE_COUNT)])
     beta, vvec, y = sol.value, sol.potentials, sol.minimizer.rows
     worst = 0.0
-    for _ in range(FEAS_SAMPLE_COUNT):
-        q = _sample_kernel(model, rng)
-        for i in range(model.num_states):
-            worst = max(worst, float(q[i] @ beta - beta[i]))
-            reward = weighted_sum(
-                y[i], [tilde_cost(model, i, q[i], u) for u in range(model.num_actions)])
-            if reward != NEG_INF:
-                worst = max(worst, reward + float(q[i] @ vvec) - vvec[i] - beta[i])
+    for i in range(model.num_states):
+        rows = kernels[:, i, :]
+        reward = _expected_reward(tilde_cost_table(model, i, rows), y[i])
+        # a -inf reward makes its V-constraint vacuous and never wins the max
+        worst = max(worst, float((rows @ beta - beta[i]).max()),
+                    float((reward + rows @ vvec - vvec[i] - beta[i]).max()))
     return worst
 
 
 def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
-                   stop_tol: float = 1e-4, *, sentinel: float = SENTINEL) -> ConvergenceReport:
+                   stop_tol: float = 1e-4) -> ConvergenceReport:
     """Sweep resolutions n_start..n_max, tracking the value trace.
 
     The trace must be componentwise nondecreasing: refining the grid only
@@ -484,7 +395,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     slack = 10.0 * stop_tol
     worst = None
     for n in range(n_start, n_max + 1):
-        sol = solve_game(model, n, sentinel=sentinel)
+        sol = solve_game(model, n)
         if trace:
             drop = float((trace[-1] - sol.value).max())
             mono.append(drop)
@@ -545,8 +456,8 @@ def gibbs_row(model: MdpModel, i: int, y_row: np.ndarray, vvec: np.ndarray) -> n
     return row
 
 
-def solve_congen(model: MdpModel, inner_tol: float = 1e-6, max_rounds: int = 50,
-                 *, sentinel: float = SENTINEL) -> GameSolution:
+def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
+                 max_rounds: int = 50) -> GameSolution:
     """Constraint-generation solve of the semi-infinite game programs.
 
     Starts from the Dirac rows and alternates a restricted solve with exact
@@ -562,7 +473,7 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6, max_rounds: int = 50,
     sol = None
     for round_no in range(1, max_rounds + 1):
         rows_per_state = [np.array(w) for w in working]
-        sol = _solve_pair(model, rows_per_state, resolution=None, sentinel=sentinel)
+        sol = _solve_pair(model, rows_per_state, resolution=None)
         beta, vvec, y = sol.value, sol.potentials, sol.minimizer.rows
         added = False
         for i in range(s):
@@ -577,8 +488,7 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6, max_rounds: int = 50,
             row = gibbs_row(model, i, y[i], vvec)
             if row is None:
                 continue
-            reward = weighted_sum(
-                y[i], [tilde_cost(model, i, row, u) for u in range(model.num_actions)])
+            reward = float(_expected_reward(tilde_cost_table(model, i, row[None, :]), y[i])[0])
             viol = reward + float(row @ vvec) - vvec[i] - beta[i]
             if viol > inner_tol and not _row_present(working[i], row):
                 working[i].append(row)

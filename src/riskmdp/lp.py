@@ -220,6 +220,16 @@ class _Simplex:
 
     # -- ratio test and pivot ---------------------------------------------------
 
+    def _replace(self, r, j, w):
+        """Column j enters the basis at position r (w = binv @ a[:, j]), with
+        a rank-one update of the explicit inverse."""
+        self.in_basis[self.basis[r]] = False
+        self.in_basis[j] = True
+        self.basis[r] = j
+        self.binv[r, :] /= w[r]
+        others = np.arange(self.m) != r
+        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+
     def _step(self, j, direction):
         w = self.binv @ self.a[:, j]
         # entries below a relative threshold are treated as exact zeros so a
@@ -268,13 +278,7 @@ class _Simplex:
             # would make the stored point inconsistent with the basis system
             # and resurface as bound violations at the next refactorization
             self.at_upper[leaving] = delta[r] > 0
-            self.in_basis[leaving] = False
-            self.in_basis[j] = True
-            self.basis[r] = j
-            piv = w[r]
-            self.binv[r, :] /= piv
-            others = np.arange(self.m) != r
-            self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+            self._replace(r, j, w)
             self.pivots_since_refactor += 1
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactor()
@@ -373,13 +377,8 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
         if len(cand):
             j = int(cand[0])
             w = sim.binv @ sim.a[:, j]
-            sim.in_basis[bvar] = False
-            sim.in_basis[j] = True
-            sim.basis[r] = j
+            sim._replace(r, j, w)
             piv = w[r]
-            sim.binv[r, :] /= piv
-            others = np.arange(m) != r
-            sim.binv[others, :] -= np.outer(w[others], sim.binv[r, :])
             sim.x[j] = sim.x[bvar] / piv if abs(piv) > PIVOT_TOL else 0.0
             sim.x[bvar] = 0.0
             sim._recompute_basics()
@@ -412,15 +411,10 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     gap = abs(objective - (float(lp.rhs @ duals) + bound_terms))
 
     # residuals on the scaled problem
-    ax = a_full[:, :n] @ x
-    viol = np.zeros(m)
-    for k, rel in enumerate(lp.relations):
-        if rel == "==":
-            viol[k] = abs(ax[k] - b_scaled[k])
-        elif rel == "<=":
-            viol[k] = max(0.0, ax[k] - b_scaled[k])
-        else:
-            viol[k] = max(0.0, b_scaled[k] - ax[k])
+    excess = a_full[:, :n] @ x - b_scaled
+    relations = np.array(lp.relations)
+    viol = np.where(relations == "==", np.abs(excess),
+                    np.maximum(np.where(relations == "<=", excess, -excess), 0.0))
     primal_residual = float(viol.max(initial=0.0))
 
     # optimal reduced-cost signs over structural and slack columns (the slack

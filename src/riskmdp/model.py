@@ -226,14 +226,18 @@ def parse_model(obj) -> MdpModel:
     return MdpModel(states=states, actions=actions, kernel=kernel, cost=cost)
 
 
-def load_model(path) -> MdpModel:
-    """Load and validate a model from a JSON file."""
+def read_model_document(path):
+    """The JSON document of a model file, before validation."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
-    return parse_model(obj)
+
+
+def load_model(path) -> MdpModel:
+    """Load and validate a model from a JSON file."""
+    return parse_model(read_model_document(path))

@@ -2,8 +2,9 @@
 
 The oracles here intentionally re-derive results through routes the library
 does not use (basis enumeration for LPs, dense 1-d scans for the analytic
-chain, a dense log-space power iteration for the growth-rate oracle) so that
-agreement is meaningful.
+chain, a dense log-space power iteration for the growth-rate oracle, the
+game's primal LP, scalar KL rewards for the sampled feasibility check) so
+that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ import math
 
 import numpy as np
 
-from riskmdp.model import MdpModel
+from riskmdp import game
+from riskmdp.extreal import NEG_INF, weighted_sum
+from riskmdp.grid import GridSpec
+from riskmdp.lp import LinearProgram
+from riskmdp.model import MdpModel, union_support
+from riskmdp.oracle import tilde_cost
 
 
 def random_model(seed: int, s: int, m: int, kernel_jitter: float = 0.005) -> MdpModel:
@@ -182,3 +188,81 @@ def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:
     q = np.arange(step, 1.0, step)
     b = 1.0 - q * np.log(q / rho) - (1.0 - q) * np.log((1.0 - q) / (1.0 - rho))
     return float(q[np.argmax(b / (1.0 - q))])
+
+
+def primal_from_rows(model: MdpModel, rows_per_state) -> LinearProgram:
+    """The game primal: min sum(beta) over (V free, beta free, y >= 0 with
+    simplex rows), with the same sentineled reward tables as the dual.
+
+    Row order: all beta-rows grouped by state, then all V-rows in the same
+    order, then one simplex equality per state.
+    """
+    _, ctabs = game._tables(model, rows_per_state)
+    s, m = model.num_states, model.num_actions
+    counts = [r.shape[0] for r in rows_per_state]
+    n_ineq = sum(counts)
+    n_vars = 2 * s + s * m
+    rows_ix, cols_ix, vals = [], [], []
+    base = 0
+    for i in range(s):
+        r = rows_per_state[i]
+        cnt = counts[i]
+        ridx = np.arange(base, base + cnt)
+        touched = sorted(set(union_support(model, i)) | {i})
+        for j in touched:
+            coef = (1.0 if j == i else 0.0) - r[:, j]
+            # beta-row: sum_j (delta_ij - q_j) beta_j >= 0
+            rows_ix.append(ridx)
+            cols_ix.append(np.full(cnt, s + j))
+            vals.append(coef)
+            # V-row shares the same kernel coefficients on V
+            rows_ix.append(n_ineq + ridx)
+            cols_ix.append(np.full(cnt, j))
+            vals.append(coef)
+        # V-row: + beta_i - sum_u ctilde(i,q,u) y_i(u)
+        rows_ix.append(n_ineq + ridx)
+        cols_ix.append(np.full(cnt, s + i))
+        vals.append(np.ones(cnt))
+        for u in range(m):
+            rows_ix.append(n_ineq + ridx)
+            cols_ix.append(np.full(cnt, 2 * s + i * m + u))
+            vals.append(-ctabs[i][:, u])
+        base += cnt
+    for i in range(s):
+        for u in range(m):
+            rows_ix.append(np.array([2 * n_ineq + i]))
+            cols_ix.append(np.array([2 * s + i * m + u]))
+            vals.append(np.array([1.0]))
+    objective = np.zeros(n_vars)
+    objective[s:2 * s] = 1.0
+    lower = np.zeros(n_vars)
+    lower[: 2 * s] = -np.inf
+    relations = [">="] * (2 * n_ineq) + ["=="] * s
+    rhs = np.zeros(2 * n_ineq + s)
+    rhs[2 * n_ineq:] = 1.0
+    return LinearProgram.build(
+        "min", objective, np.concatenate(rows_ix), np.concatenate(cols_ix),
+        np.concatenate(vals), relations, rhs,
+        lower=lower, upper=np.full(n_vars, np.inf),
+    )
+
+
+def build_primal(model: MdpModel, grid: GridSpec) -> LinearProgram:
+    """The finite-resolution game primal over the given dyadic grid."""
+    return primal_from_rows(model, grid.rows)
+
+
+def scalar_sampled_feasibility(model: MdpModel, beta, vvec, y) -> float:
+    """game._sampled_feasibility one kernel and one state at a time, with the
+    scalar tilde_cost and weighted_sum in place of the reward tables."""
+    rng = np.random.default_rng(game.FEAS_SAMPLE_SEED)
+    worst = 0.0
+    for _ in range(game.FEAS_SAMPLE_COUNT):
+        q = game._sample_kernel(model, rng)
+        for i in range(model.num_states):
+            worst = max(worst, float(q[i] @ beta - beta[i]))
+            reward = weighted_sum(
+                y[i], [tilde_cost(model, i, q[i], u) for u in range(model.num_actions)])
+            if reward != NEG_INF:
+                worst = max(worst, reward + float(q[i] @ vvec) - vvec[i] - beta[i])
+    return worst

@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from riskmdp import game
 from riskmdp.certify import two_state_model
 from riskmdp.grid import build_grid
-from riskmdp.lp import solve as lp_solve
+from riskmdp.lp import LinearProgram, solve as lp_solve
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.game import (
     build_dual,
-    build_primal,
     gibbs_row,
     solve_congen,
     solve_game,
@@ -18,7 +19,42 @@ from riskmdp.game import (
 )
 from riskmdp.oracle import brute_force_lambda_star, game_payoff, growth_rate
 
-from helpers import random_model
+from helpers import (
+    build_primal,
+    corpus,
+    primal_from_rows,
+    random_model,
+    scalar_sampled_feasibility,
+)
+
+# actions at a state reach different successors, so reward tables carry
+# -inf entries and the LP carries sentinel coefficients
+DIFFERING_SUPPORTS = MdpModel(
+    states=("a", "b", "c"), actions=("x", "y"),
+    kernel=np.array([[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                     [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]]),
+    cost=np.array([[0.2, 0.9], [0.5, 0.1], [0.4, 0.6]]),
+)
+
+
+def _congen_rows(model):
+    """A constraint-generation working set: the Dirac rows plus one Gibbs
+    row per state, none of them on a dyadic grid."""
+    rng = np.random.default_rng(7)
+    vvec = rng.uniform(-1.0, 1.0, model.num_states)
+    y = rng.dirichlet(np.ones(model.num_actions), model.num_states)
+    rows = [list(r) for r in build_grid(model, 0).rows]
+    for i in range(model.num_states):
+        rows[i].append(gibbs_row(model, i, y[i], vvec))
+    return [np.array(r) for r in rows]
+
+
+CONGEN_MODEL = random_model(42, 4, 3)
+TRANSPOSE_CASES = (
+    [(name, model, build_grid(model, 2).rows) for name, model in corpus()]
+    + [("differing-supports", DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2).rows),
+       ("congen-working-set", CONGEN_MODEL, _congen_rows(CONGEN_MODEL))]
+)
 
 
 def test_primal_structure_two_state_chain():
@@ -46,28 +82,38 @@ def test_primal_resolution_zero_has_dirac_rows_only():
     assert prog.relations.count(">=") == 2 * n_rows
 
 
-def test_dual_is_exact_machine_transpose_of_primal():
-    model = random_model(42, 3, 2)
-    grid = build_grid(model, 2)
-    a_p = build_primal(model, grid).dense_matrix()
-    a_d = build_dual(model, grid).dense_matrix()
-    s, m = 3, 2
-    n_ineq = grid.total_rows
+@pytest.mark.parametrize("model,rows", [c[1:] for c in TRANSPOSE_CASES],
+                         ids=[c[0] for c in TRANSPOSE_CASES])
+def test_dual_is_exact_machine_transpose_of_primal(model, rows):
+    s = model.num_states
+    n_ineq = sum(len(r) for r in rows)
+    prog_p = primal_from_rows(model, rows)
+    prog_d = game._dual_from_rows(model, rows, game._tables(model, rows)[1])
     # primal rows: [beta-rows, V-rows, simplex]; cols: [V, beta, y]
     # dual rows: [kernel-balance, mass, reward]; cols: [mu, nu, w]
-    np.testing.assert_array_equal(a_d[:s, :n_ineq], a_p[n_ineq:2 * n_ineq, :s].T)
-    np.testing.assert_array_equal(a_d[s:2 * s, n_ineq:2 * n_ineq],
-                                  a_p[:n_ineq, s:2 * s].T)
-    np.testing.assert_array_equal(a_d[s:2 * s, :n_ineq],
-                                  a_p[n_ineq:2 * n_ineq, s:2 * s].T)
-    np.testing.assert_array_equal(a_d[2 * s:, :n_ineq],
-                                  -a_p[n_ineq:2 * n_ineq, 2 * s:].T)
-    np.testing.assert_array_equal(a_d[2 * s:, 2 * n_ineq:],
-                                  -a_p[2 * n_ineq:, 2 * s:].T)
+    order = np.concatenate([np.arange(n_ineq, 2 * n_ineq), np.arange(n_ineq),
+                            np.arange(2 * n_ineq, 2 * n_ineq + s)])
+    expected = prog_p.dense_matrix().T[:, order]
+    expected[2 * s:] *= -1.0
+    np.testing.assert_array_equal(prog_d.dense_matrix(), expected)
     # objective and right-hand sides swap
-    prog_p, prog_d = build_primal(model, grid), build_dual(model, grid)
-    np.testing.assert_array_equal(prog_d.rhs[s:2 * s], np.ones(s))
-    np.testing.assert_array_equal(prog_p.objective[s:2 * s], np.ones(s))
+    np.testing.assert_array_equal(prog_d.rhs, prog_p.objective)
+    np.testing.assert_array_equal(prog_d.objective, prog_p.rhs[order])
+    # the triplets come in strictly increasing (row, col) order with no
+    # stored zeros, which is the form build would give them
+    keys = prog_d.rows * prog_d.num_vars + prog_d.cols
+    assert np.all(keys[1:] > keys[:-1])
+    assert np.all(prog_d.vals != 0.0)
+    rebuilt = LinearProgram.build(prog_d.sense, prog_d.objective, prog_d.rows, prog_d.cols,
+                                  prog_d.vals, prog_d.relations, prog_d.rhs,
+                                  prog_d.lower, prog_d.upper)
+    for field in ("rows", "cols", "vals"):
+        np.testing.assert_array_equal(getattr(rebuilt, field), getattr(prog_d, field))
+
+
+def test_differing_supports_dual_carries_sentinels():
+    lp = build_dual(DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2))
+    assert np.any(lp.vals == -game.SENTINEL)
 
 
 def test_primal_and_dual_objectives_agree():
@@ -277,3 +323,26 @@ def test_saddle_point_spot_check():
         payoff = game_payoff(model, sol.maximizer,
                              StationaryPolicy.pure(choice, 2))
         assert payoff.phi_max >= sol.lambda_bar - 3e-2
+
+
+@pytest.mark.parametrize("name,model", corpus(), ids=[n for n, _ in corpus()])
+def test_sampled_feasibility_matches_scalar_reference(name, model):
+    sol = solve_game(model, 3)
+    expect = scalar_sampled_feasibility(model, sol.value, sol.potentials, sol.minimizer.rows)
+    assert abs(game._sampled_feasibility(model, sol) - expect) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [
+    # action x at state a misses the sampled mass (-inf), y at b gives
+    # weight 0 to x's -inf reward, c mixes two finite rewards
+    [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],
+])
+def test_sampled_feasibility_neg_inf_rewards_match_scalar_reference(y):
+    model = DIFFERING_SUPPORTS
+    rng = np.random.default_rng(3)
+    sol = replace(solve_game(model, 2), potentials=rng.uniform(0.0, 1.0, 3),
+                  minimizer=StationaryPolicy(np.array(y)))
+    expect = scalar_sampled_feasibility(model, sol.value, sol.potentials, sol.minimizer.rows)
+    assert abs(game._sampled_feasibility(model, sol) - expect) <= 1e-12
