@@ -82,9 +82,7 @@ def test_primal_resolution_zero_has_dirac_rows_only():
     assert prog.relations.count(">=") == 2 * n_rows
 
 
-@pytest.mark.parametrize("model,rows", [c[1:] for c in TRANSPOSE_CASES],
-                         ids=[c[0] for c in TRANSPOSE_CASES])
-def test_dual_is_exact_machine_transpose_of_primal(model, rows):
+def _assert_dual_is_transpose_of_primal(model, rows):
     s = model.num_states
     n_ineq = sum(len(r) for r in rows)
     prog_p = primal_from_rows(model, rows)
@@ -109,6 +107,17 @@ def test_dual_is_exact_machine_transpose_of_primal(model, rows):
                                   prog_d.lower, prog_d.upper)
     for field in ("rows", "cols", "vals"):
         np.testing.assert_array_equal(getattr(rebuilt, field), getattr(prog_d, field))
+
+
+def test_dual_is_exact_machine_transpose_of_primal():
+    model = random_model(42, 3, 2)
+    _assert_dual_is_transpose_of_primal(model, build_grid(model, 2).rows)
+
+
+@pytest.mark.parametrize("model,rows", [c[1:] for c in TRANSPOSE_CASES],
+                         ids=[c[0] for c in TRANSPOSE_CASES])
+def test_dual_transpose_of_primal_across_row_sets(model, rows):
+    _assert_dual_is_transpose_of_primal(model, rows)
 
 
 def test_differing_supports_dual_carries_sentinels():
