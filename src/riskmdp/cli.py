@@ -34,7 +34,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def canonical_json(obj) -> str:
@@ -57,7 +57,7 @@ def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
     {"policy": {state: {action: weight}}} for randomized ones."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read policy file {path}: {exc}") from exc
     table = raw.get("policy") if isinstance(raw, dict) else None
     if not isinstance(table, dict):
@@ -169,7 +169,6 @@ def cmd_solve(args, argv) -> int:
             "beta_trace": [_vec(b) for b in rep.beta_trace],
             "stopping_reason": rep.stopping_reason,
             "feasibility_violation": rep.feasibility_violation,
-            "feasibility_samples": rep.feasibility_samples,
         }
     else:
         sol = game.solve_congen(model, args.inner_tol, args.max_rounds)

@@ -41,8 +41,6 @@ SUPPORT_TOL = 1e-9        # y entries above this count as support actions
 GAME_FEAS_TOL = 1e-8
 GAME_GAP_TOL = 1e-6
 MONOTONE_TOL = 1e-7
-FEAS_SAMPLE_COUNT = 50
-FEAS_SAMPLE_SEED = 12345  # fixed so reruns sample identical kernels
 
 
 class MonotonicityError(RuntimeError):
@@ -80,16 +78,13 @@ class ConvergenceReport:
 
     resolutions: tuple[int, ...]
     beta_trace: tuple[np.ndarray, ...]
-    final_beta: np.ndarray
     final: GameSolution
-    monotonicity_log: tuple[float, ...]  # worst decrease per refinement step
     stopping_reason: str
-    feasibility_violation: float
-    feasibility_samples: int
+    feasibility_violation: float  # worst violation of the final triple, >= 0
 
     @property
     def lambda_bar(self) -> float:
-        return float(self.final_beta.max())
+        return float(self.final.value.max())
 
 
 def tilde_cost_table(model: MdpModel, i: int, rows: np.ndarray) -> np.ndarray:
@@ -350,28 +345,27 @@ def solve_game(model: MdpModel, resolution: int) -> GameSolution:
     return _solve_pair(model, grid.rows, resolution=resolution)
 
 
-def _sample_kernel(model: MdpModel, rng) -> np.ndarray:
-    q = np.zeros((model.num_states, model.num_states))
-    for i in range(model.num_states):
-        supp = union_support(model, i)
-        q[i, list(supp)] = rng.dirichlet(np.ones(len(supp)))
-    return q
+def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
+    """Most violated semi-infinite constraint of each family, state by state.
 
-
-def _sampled_feasibility(model: MdpModel, sol: GameSolution) -> float:
-    """Worst violation of the semi-infinite constraints over a fixed sample
-    of kernels drawn from the full strategy class."""
-    rng = np.random.default_rng(FEAS_SAMPLE_SEED)
-    kernels = np.stack([_sample_kernel(model, rng) for _ in range(FEAS_SAMPLE_COUNT)])
-    beta, vvec, y = sol.value, sol.potentials, sol.minimizer.rows
-    worst = 0.0
+    Returns one (jbest, beta_violation, row, v_violation) tuple per state i.
+    The beta-family's worst row is the Dirac row at the union-support
+    successor jbest maximizing beta (the maximum of q.beta over a support
+    simplex sits at a vertex), violated by beta[jbest] - beta[i]; the
+    V-family's worst row is gibbs_row, which is None, with violation -inf,
+    when every row is worth -inf at i.
+    """
+    cuts = []
     for i in range(model.num_states):
-        rows = kernels[:, i, :]
-        reward = _expected_reward(tilde_cost_table(model, i, rows), y[i])
-        # a -inf reward makes its V-constraint vacuous and never wins the max
-        worst = max(worst, float((rows @ beta - beta[i]).max()),
-                    float((reward + rows @ vvec - vvec[i] - beta[i]).max()))
-    return worst
+        supp = list(union_support(model, i))
+        jbest = supp[int(np.argmax(beta[supp]))]
+        row = gibbs_row(model, i, y[i], vvec)
+        viol = NEG_INF
+        if row is not None:
+            reward = float(_expected_reward(tilde_cost_table(model, i, row[None, :]), y[i])[0])
+            viol = reward + float(row @ vvec) - vvec[i] - beta[i]
+        cuts.append((jbest, float(beta[jbest] - beta[i]), row, viol))
+    return cuts
 
 
 def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
@@ -380,25 +374,23 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
 
     The trace must be componentwise nondecreasing: refining the grid only
     enlarges the maximizer's strategy set, so the value can only go up.
-    A decrease beyond MONOTONE_TOL is fatal.  Stops early once the sup-norm
-    value step falls below stop_tol and the (beta, V, y) triple passes a
-    spot-check of feasibility against randomly sampled kernels from the full
-    strategy class with slack 10 * stop_tol; the worst sampled violation of
-    the final solution is recorded on the report either way.
+    A decrease beyond MONOTONE_TOL is fatal.  Every resolution's (beta, V, y)
+    triple is checked against the whole strategy class by exact separation
+    (_separate), and the sweep stops early once the sup-norm value step falls
+    below stop_tol and no constraint is violated by more than 10 * stop_tol.
+    The final triple's worst violation, clipped at 0, is recorded on the
+    report either way.
     """
     if n_start > n_max:
         raise ValueError("n_start must be <= n_max")
     trace = []
     sols = []
-    mono = []
     reason = "n_max"
     slack = 10.0 * stop_tol
-    worst = None
     for n in range(n_start, n_max + 1):
         sol = solve_game(model, n)
         if trace:
             drop = float((trace[-1] - sol.value).max())
-            mono.append(drop)
             if drop > MONOTONE_TOL:
                 raise MonotonicityError(
                     f"value decreased by {drop:.3e} from resolution "
@@ -406,27 +398,21 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                 )
         trace.append(sol.value)
         sols.append(sol)
-        if len(trace) >= 2 and float(np.abs(trace[-1] - trace[-2]).max()) < stop_tol:
-            # stop early only once the solution also looks feasible for the
-            # full strategy class; a converged value can hide coarse potentials
-            worst = _sampled_feasibility(model, sol)
-            if worst <= slack:
-                reason = "stop_tol"
-                break
-            worst = None
+        cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
+        worst = max(0.0, *(max(bviol, vviol) for _, bviol, _, vviol in cuts))
+        # stop early only once the solution is also near-feasible for the
+        # full strategy class; a converged value can hide coarse potentials
+        if (len(trace) >= 2 and float(np.abs(trace[-1] - trace[-2]).max()) < stop_tol
+                and worst <= slack):
+            reason = "stop_tol"
+            break
 
-    final = sols[-1]
-    if worst is None:
-        worst = _sampled_feasibility(model, final)
     return ConvergenceReport(
         resolutions=tuple(s.resolution for s in sols),
         beta_trace=tuple(trace),
-        final_beta=final.value,
-        final=final,
-        monotonicity_log=tuple(mono),
+        final=sols[-1],
         stopping_reason=reason,
         feasibility_violation=worst,
-        feasibility_samples=FEAS_SAMPLE_COUNT,
     )
 
 
@@ -474,23 +460,16 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     for round_no in range(1, max_rounds + 1):
         rows_per_state = [np.array(w) for w in working]
         sol = _solve_pair(model, rows_per_state, resolution=None)
-        beta, vvec, y = sol.value, sol.potentials, sol.minimizer.rows
+        cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
         added = False
-        for i in range(s):
-            supp = list(union_support(model, i))
-            jbest = supp[int(np.argmax(beta[supp]))]
-            if beta[jbest] - beta[i] > inner_tol:
-                row = np.zeros(s)
-                row[jbest] = 1.0
-                if not _row_present(working[i], row):
-                    working[i].append(row)
+        for i, (jbest, bviol, row, vviol) in enumerate(cuts):
+            if bviol > inner_tol:
+                dirac = np.zeros(s)
+                dirac[jbest] = 1.0
+                if not _row_present(working[i], dirac):
+                    working[i].append(dirac)
                     added = True
-            row = gibbs_row(model, i, y[i], vvec)
-            if row is None:
-                continue
-            reward = float(_expected_reward(tilde_cost_table(model, i, row[None, :]), y[i])[0])
-            viol = reward + float(row @ vvec) - vvec[i] - beta[i]
-            if viol > inner_tol and not _row_present(working[i], row):
+            if vviol > inner_tol and not _row_present(working[i], row):
                 working[i].append(row)
                 added = True
         if not added:

@@ -230,7 +230,7 @@ def read_model_document(path):
     """The JSON document of a model file, before validation."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     try:
         return json.loads(text)

@@ -3,8 +3,8 @@
 The oracles here intentionally re-derive results through routes the library
 does not use (basis enumeration for LPs, dense 1-d scans for the analytic
 chain, a dense log-space power iteration for the growth-rate oracle, the
-game's primal LP, scalar KL rewards for the sampled feasibility check) so
-that agreement is meaningful.
+game's primal LP, Dirichlet-sampled kernels scored with scalar KL rewards
+against the exact separation) so that agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -252,17 +252,29 @@ def build_primal(model: MdpModel, grid: GridSpec) -> LinearProgram:
     return primal_from_rows(model, grid.rows)
 
 
-def scalar_sampled_feasibility(model: MdpModel, beta, vvec, y) -> float:
-    """game._sampled_feasibility one kernel and one state at a time, with the
-    scalar tilde_cost and weighted_sum in place of the reward tables."""
-    rng = np.random.default_rng(game.FEAS_SAMPLE_SEED)
-    worst = 0.0
-    for _ in range(game.FEAS_SAMPLE_COUNT):
-        q = game._sample_kernel(model, rng)
-        for i in range(model.num_states):
-            worst = max(worst, float(q[i] @ beta - beta[i]))
-            reward = weighted_sum(
-                y[i], [tilde_cost(model, i, q[i], u) for u in range(model.num_actions)])
-            if reward != NEG_INF:
-                worst = max(worst, reward + float(q[i] @ vvec) - vvec[i] - beta[i])
-    return worst
+def row_violations(model: MdpModel, beta, vvec, y, i: int, q) -> tuple[float, float]:
+    """Violations of state i's beta- and V-constraints at kernel row q, with
+    the scalar tilde_cost and weighted_sum; a -inf reward makes the
+    V-constraint vacuous, so its violation is -inf."""
+    bviol = float(q @ beta - beta[i])
+    reward = weighted_sum(
+        y[i], [tilde_cost(model, i, q, u) for u in range(model.num_actions)])
+    if reward == NEG_INF:
+        return bviol, NEG_INF
+    return bviol, reward + float(q @ vvec) - vvec[i] - beta[i]
+
+
+def sampled_violations(model: MdpModel, beta, vvec, y, count: int = 400,
+                       seed: int = 12345) -> np.ndarray:
+    """(count, s, 2) beta- and V-violations of kernel rows drawn from
+    Dirichlet(1) on each state's union support, the full strategy class."""
+    rng = np.random.default_rng(seed)
+    s = model.num_states
+    out = np.empty((count, s, 2))
+    for k in range(count):
+        for i in range(s):
+            supp = list(union_support(model, i))
+            q = np.zeros(s)
+            q[supp] = rng.dirichlet(np.ones(len(supp)))
+            out[k, i] = row_violations(model, beta, vvec, y, i, q)
+    return out

@@ -157,7 +157,7 @@ def test_twisted_weights_sum_to_one():
 def test_end_to_end_certification_of_lp_solution():
     model = random_model(64, 3, 3)
     rep = solve_sequence(model, 2, 8, 1e-4)
-    cert = build_certificate(model, rep.final_beta, rep.final.potentials)
+    cert = build_certificate(model, rep.final.value, rep.final.potentials)
     bound = max(1e-3, 10 * 1e-4)
     assert cert.worst_residual() <= bound
 

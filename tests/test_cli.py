@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import riskmdp
-from riskmdp.cli import main
+from riskmdp.cli import REPORT_VERSION, main
 
 from helpers import random_model
 
@@ -48,7 +48,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -178,6 +178,95 @@ def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
     # a huge tolerance accepts anything feasible
     assert main(["verify", "--model", str(model), "--solution", str(tampered),
                  "--tol", "10"]) == 0
+
+
+def test_verify_accepts_version_1_reports(tmp_path):
+    # verify reads only phi_star and potentials, which version 2 kept
+    model = write_two_state(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report["report_version"] = 1
+    report["feasibility_samples"] = 50
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(report))
+    assert main(["verify", "--model", str(model), "--solution", str(legacy)]) == 0
+
+
+def test_non_utf8_files_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+    model = write_two_state(tmp_path)
+    for argv in (["solve", "--model", str(bad)],
+                 ["oracle", "--model", str(bad)],
+                 ["verify", "--model", str(bad), "--solution", str(bad)],
+                 ["oracle", "--model", str(model), "--policy", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "model error: cannot read" in err
+        assert "Traceback" not in err
+
+
+# Top-level keys of each report in order, with the keys of nested objects.
+# A change here is a change of report format: bump cli.REPORT_VERSION with it.
+REPORT_LAYOUTS = {
+    "solve-grid": [
+        "report_version", "command", "model_digest", "method", "resolutions",
+        "beta_trace", "stopping_reason", "feasibility_violation", "lambda_bar",
+        "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
+        "dual_w", "duality_gap", "num_constraints", "flagged_states",
+        ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
+        ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
+                         "twisted_top", "twisted_eigen", "twisted_averaging"]),
+        ("timings", ["solve", "oracle", "certify"]),
+    ],
+    "solve-congen": [
+        "report_version", "command", "model_digest", "method", "rounds",
+        "certified", "inner_tol", "lambda_bar",
+        "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
+        "dual_w", "duality_gap", "num_constraints", "flagged_states",
+        ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
+        ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
+                         "twisted_top", "twisted_eigen", "twisted_averaging"]),
+        ("timings", ["solve", "oracle", "certify"]),
+    ],
+    "oracle": [
+        "report_version", "command", "model_digest", "mode", "value", "per_state",
+        ("argmin", ["1", "2"]), "converged", ("timings", ["oracle"]),
+    ],
+    "oracle-policy": [
+        "report_version", "command", "model_digest", "mode", "policy_file",
+        "per_state", "lambda_max", "iterations", "converged", ("timings", ["oracle"]),
+    ],
+    "verify": [
+        "report_version", "command", "model_digest", "tolerance", "passed",
+        ("worst", ["check", "state", "residual"]),
+        "levels", "level_values", "residual_dp1", "residual_dp2",
+        "twisted_top", "twisted_eigen", "twisted_averaging", ("timings", ["certify"]),
+    ],
+}
+
+
+def test_report_layouts_are_pinned_to_the_version(tmp_path):
+    assert REPORT_VERSION == 2
+    model = write_two_state(tmp_path)
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))
+    solve = ["solve", "--model", str(model)]
+    runs = {
+        "solve-grid": solve,
+        "solve-congen": solve + ["--method", "congen"],
+        "oracle": ["oracle", "--model", str(model)],
+        "oracle-policy": ["oracle", "--model", str(model), "--policy", str(policy)],
+        "verify": ["verify", "--model", str(model),
+                   "--solution", str(tmp_path / "solve-grid.json")],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        layout = [(k, list(v)) if isinstance(v, dict) else k for k, v in report.items()]
+        assert layout == REPORT_LAYOUTS[name], name
 
 
 def test_example_supercritical(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,8 @@ from helpers import (
     corpus,
     primal_from_rows,
     random_model,
-    scalar_sampled_feasibility,
+    row_violations,
+    sampled_violations,
 )
 
 # actions at a state reach different successors, so reward tables carry
@@ -224,7 +224,24 @@ def test_sequence_two_state_chain():
     assert abs(rep.lambda_bar - target) <= 2e-2
     for early, late in zip(rep.beta_trace, rep.beta_trace[1:]):
         assert float((early - late).max()) <= 1e-7  # nondecreasing
-    assert rep.feasibility_violation <= 1e-3
+    # the reported violation is exact: a dense scan over the one free kernel
+    # entry comes within 1e-9 of it from below
+    for rho, r in ((0.8, rep), (0.2, solve_sequence(two_state_model(0.2), 2, 8, 1e-4))):
+        scan = _scanned_violation(rho, r.final.value, r.final.potentials)
+        assert 0.0 <= r.feasibility_violation - scan <= 1e-9
+
+
+def _scanned_violation(rho, beta, vvec):
+    """Worst constraint violation, clipped at 0, of the two-state chain by a
+    dense scan over q22: state 1 absorbs, so its only row is the Dirac row,
+    where the beta-violation is 0 and the V-violation -beta[0]."""
+    q22 = np.linspace(0.0, 1.0, 1_000_001)
+    kl = np.zeros_like(q22)
+    for q, p in ((q22, rho), (1.0 - q22, 1.0 - rho)):
+        kl += np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0) / p), 0.0)
+    v_viol = 1.0 - kl + (1.0 - q22) * vvec[0] + q22 * vvec[1] - vvec[1] - beta[1]
+    b_viol = (1.0 - q22) * beta[0] + q22 * beta[1] - beta[1]
+    return max(0.0, -float(beta[0]), float(v_viol.max()), float(b_viol.max()))
 
 
 def test_sequence_single_state_stops_immediately():
@@ -334,11 +351,31 @@ def test_saddle_point_spot_check():
         assert payoff.phi_max >= sol.lambda_bar - 3e-2
 
 
-@pytest.mark.parametrize("name,model", corpus(), ids=[n for n, _ in corpus()])
-def test_sampled_feasibility_matches_scalar_reference(name, model):
-    sol = solve_game(model, 3)
-    expect = scalar_sampled_feasibility(model, sol.value, sol.potentials, sol.minimizer.rows)
-    assert abs(game._sampled_feasibility(model, sol) - expect) <= 1e-12
+def _assert_exact_separation(model, beta, vvec, y):
+    """Each violation _separate reports is attained by the row it returns,
+    and no sampled kernel of the full strategy class violates more."""
+    sampled = sampled_violations(model, beta, vvec, y)
+    for i, (jbest, bviol, row, vviol) in enumerate(game._separate(model, beta, vvec, y)):
+        dirac = np.zeros(model.num_states)
+        dirac[jbest] = 1.0
+        assert row_violations(model, beta, vvec, y, i, dirac)[0] == bviol
+        if row is None:
+            assert vviol == -math.inf
+        else:
+            assert abs(row_violations(model, beta, vvec, y, i, row)[1] - vviol) <= 1e-12
+        assert (sampled[:, i, 0] <= bviol + 1e-12).all()
+        assert (sampled[:, i, 1] <= vviol + 1e-12).all()
+
+
+SEPARATION_MODELS = corpus() + [("jitter-106", random_model(106, 4, 3, kernel_jitter=0.28))]
+
+
+@pytest.mark.parametrize("method", ["n2", "n4", "congen"])
+@pytest.mark.parametrize("name,model", SEPARATION_MODELS,
+                         ids=[n for n, _ in SEPARATION_MODELS])
+def test_separation_is_exact_against_sampled_kernels(name, model, method):
+    sol = solve_congen(model) if method == "congen" else solve_game(model, int(method[1:]))
+    _assert_exact_separation(model, sol.value, sol.potentials, sol.minimizer.rows)
 
 
 @pytest.mark.parametrize("y", [
@@ -348,10 +385,9 @@ def test_sampled_feasibility_matches_scalar_reference(name, model):
     [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
     [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],
 ])
-def test_sampled_feasibility_neg_inf_rewards_match_scalar_reference(y):
-    model = DIFFERING_SUPPORTS
+def test_separation_neg_inf_rewards_against_sampled_kernels(y):
+    # any (beta, V, y) triple has an exact separation, not only LP solutions;
+    # unequal betas make the beta-family's worst row state-dependent
     rng = np.random.default_rng(3)
-    sol = replace(solve_game(model, 2), potentials=rng.uniform(0.0, 1.0, 3),
-                  minimizer=StationaryPolicy(np.array(y)))
-    expect = scalar_sampled_feasibility(model, sol.value, sol.potentials, sol.minimizer.rows)
-    assert abs(game._sampled_feasibility(model, sol) - expect) <= 1e-12
+    beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
+    _assert_exact_separation(DIFFERING_SUPPORTS, beta, vvec, np.array(y))
