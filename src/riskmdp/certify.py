@@ -41,10 +41,6 @@ class LevelPartition:
     levels: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
     def level_of(self) -> dict[int, int]:
         return {i: k for k, members in enumerate(self.levels) for i in members}
 
@@ -57,9 +53,6 @@ class TwistedResiduals:
     eigen: np.ndarray          # per state, |Lambda_i Psi_i - min_u sum phat e^c Psi|
     averaging: np.ndarray      # per state, |Lambda_i - min over tight actions of twisted avg|
     b_star: tuple[tuple[int, ...], ...]
-
-    def worst(self) -> float:
-        return max(self.top, float(self.eigen.max()), float(self.averaging.max()))
 
 
 @dataclass(frozen=True)

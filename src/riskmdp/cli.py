@@ -34,7 +34,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def canonical_json(obj) -> str:
@@ -152,7 +152,6 @@ def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
         "dual_w": _vec(sol.dual_w),
         "duality_gap": sol.duality_gap,
         "num_constraints": sol.num_constraints,
-        "flagged_states": [model.states[i] for i in sol.flagged_states],
     }
 
 

@@ -60,10 +60,7 @@ class GameSolution:
     maximizer: KernelMatrix            # q* assembled from dual weights
     dual_w: np.ndarray
     duality_gap: float
-    primal_residual: float
-    dual_residual: float
     num_constraints: int               # inequality rows of the implied primal
-    flagged_states: tuple[int, ...]
     certified: bool = True
     rounds: int | None = None
 
@@ -87,27 +84,30 @@ class ConvergenceReport:
         return float(self.final.value.max())
 
 
-def tilde_cost_table(model: MdpModel, i: int, rows: np.ndarray) -> np.ndarray:
-    """(num_rows, num_actions) table of KL-penalized rewards, -inf included."""
+def tilde_cost_table(model: MdpModel, i: int | np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(num_rows, num_actions) table of KL-penalized rewards, -inf included.
+
+    i is one state index, or an array with the state of each row.
+    """
     m = model.num_actions
     out = np.empty((rows.shape[0], m))
     safe_rows = np.where(rows > 0.0, rows, 1.0)
     logq = np.log(safe_rows)
     for u in range(m):
         p = model.kernel[u, i]
-        bad = (rows[:, p == 0.0] > 0.0).any(axis=1)
+        bad = ((rows > 0.0) & (p == 0.0)).any(axis=1)
         logp = np.log(np.where(p > 0.0, p, 1.0))
-        kl = (rows * (logq - logp[None, :])).sum(axis=1)
+        kl = (rows * (logq - logp)).sum(axis=1)
         out[:, u] = model.cost[i, u] - kl
         out[bad, u] = NEG_INF
     return out
 
 
-def _tables(model: MdpModel, rows_per_state):
-    """Per-state reward tables, -inf included, and the LP's copies with -SENTINEL."""
-    true_tables = [tilde_cost_table(model, i, rows_per_state[i])
-                   for i in range(model.num_states)]
-    return true_tables, [np.where(np.isneginf(t), -SENTINEL, t) for t in true_tables]
+def _tables(model: MdpModel, rows: np.ndarray, owner: np.ndarray):
+    """The reward table of the stacked rows, -inf included, and the LP's copy
+    with -SENTINEL."""
+    table = tilde_cost_table(model, owner, rows)
+    return table, np.where(np.isneginf(table), -SENTINEL, table)
 
 
 def _expected_reward(table: np.ndarray, y_row: np.ndarray) -> np.ndarray:
@@ -115,41 +115,41 @@ def _expected_reward(table: np.ndarray, y_row: np.ndarray) -> np.ndarray:
     return (np.where(y_row > 0.0, table, 0.0) * y_row).sum(axis=1)
 
 
-def _dual_from_rows(model: MdpModel, rows_per_state, ctabs) -> LinearProgram:
-    """max sum(w) over (mu >= 0, nu >= 0, w free).
+def _row_rewards(ctab: np.ndarray, owner: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_u y_i(u) * ctab(u) for each row, i its owner; one matrix-vector
+    product per state, so the sums do not depend on how the rows are stacked."""
+    out = np.empty(ctab.shape[0])
+    for i in range(y.shape[0]):
+        mine = owner == i
+        out[mine] = ctab[mine] @ y[i]
+    return out
+
+
+def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
+          ctab: np.ndarray) -> LinearProgram:
+    """max sum(w) over (mu >= 0, nu >= 0, w free), one (mu, nu) column pair
+    per stacked kernel row.
 
     Row order: s kernel-balance equalities (one per state, paired with V),
     s mass equalities (paired with beta), then s*|U| reward rows (paired
-    with the y variables).  The blocks are written into one dense matrix
-    whose nonzeros, read off row by row, are the triplets in (row, col)
-    order, so the constructor takes them as they are.
+    with the y variables).
     """
     s, m = model.num_states, model.num_actions
-    counts = [r.shape[0] for r in rows_per_state]
-    n_mu = sum(counts)
-    owner = np.repeat(np.arange(s), counts)  # the state of each mu column
+    n_mu = rows.shape[0]
     mu_cols = np.arange(n_mu)
-    # kernel balance, delta_ij - q_j, at state j's row of each mu column
-    balance = -np.concatenate(rows_per_state).T
-    balance[owner, mu_cols] += 1.0
     a = np.zeros((2 * s + s * m, 2 * n_mu + s))
-    a[:s, :n_mu] = balance
+    # kernel balance, delta_ij - q_j, at state j's row of each mu column
+    a[:s, :n_mu] -= rows.T
+    a[owner, mu_cols] += 1.0
     a[s + owner, mu_cols] = 1.0                    # mass balance, mu part
-    a[s:2 * s, n_mu:2 * n_mu] = balance           # mass balance, nu part
-    reward_rows = 2 * s + owner[:, None] * m + np.arange(m)
-    a[reward_rows, mu_cols[:, None]] = np.concatenate(ctabs)
-    a[2 * s:, 2 * n_mu:] = -np.repeat(np.eye(s), m, axis=0)
-    rows, cols = np.nonzero(a)
-    objective = np.zeros(a.shape[1])
-    objective[2 * n_mu:] = 1.0
-    lower = np.zeros(a.shape[1])
-    lower[2 * n_mu:] = -np.inf
-    rhs = np.zeros(a.shape[0])
-    rhs[s:2 * s] = 1.0
+    a[s:2 * s, n_mu:2 * n_mu] = a[:s, :n_mu]      # mass balance, nu part
+    a[2 * s + owner[:, None] * m + np.arange(m), mu_cols[:, None]] = ctab
+    a[2 * s + np.arange(s * m), 2 * n_mu + np.arange(s * m) // m] = -1.0
+    is_w = np.arange(a.shape[1]) >= 2 * n_mu
     return LinearProgram(
-        "max", objective, rows, cols, a[rows, cols],
-        ("==",) * (2 * s) + (">=",) * (s * m), rhs,
-        lower=lower, upper=np.full(a.shape[1], np.inf),
+        "max", is_w.astype(float), a, ("==",) * (2 * s) + (">=",) * (s * m),
+        np.repeat([0.0, 1.0, 0.0], [s, s, s * m]),
+        lower=np.where(is_w, -np.inf, 0.0), upper=np.full(a.shape[1], np.inf),
     )
 
 
@@ -157,47 +157,40 @@ def build_dual(model: MdpModel, grid: GridSpec) -> LinearProgram:
     """The finite-resolution game dual over the given dyadic grid."""
     if grid.num_states != model.num_states:
         raise ValueError("grid was built for a different model shape")
-    _, ctabs = _tables(model, grid.rows)
-    return _dual_from_rows(model, grid.rows, ctabs)
+    rows, owner = grid.stacked()
+    return _dual(model, rows, owner, _tables(model, rows, owner)[1])
 
 
-def _verify_pair(model, rows_per_state, ctabs, beta, vvec, y, mu, nu, w,
+def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
                  feas_tol=GAME_FEAS_TOL):
-    """Scaled feasibility residuals of both programs; raises on breach."""
+    """Checks the scaled feasibility residuals of both programs; raises on breach."""
     s, m = model.num_states, model.num_actions
-    primal_viol = 0.0
-    for i in range(s):
-        r = rows_per_state[i]
-        scale = np.maximum(1.0, np.abs(ctabs[i]).max(axis=1))
-        beta_resid = r @ beta - beta[i]
-        v_resid = ctabs[i] @ y[i] + r @ vvec - vvec[i] - beta[i]
-        primal_viol = max(primal_viol, float(beta_resid.max(initial=-np.inf)),
-                          float((v_resid / scale).max(initial=-np.inf)))
-    mu_mass = np.array([float(mu[i].sum()) for i in range(s)])
-    nu_mass = np.array([float(nu[i].sum()) for i in range(s)])
-    mu_inflow = np.zeros(s)
-    nu_inflow = np.zeros(s)
-    for i in range(s):
-        mu_inflow += rows_per_state[i].T @ mu[i]
-        nu_inflow += rows_per_state[i].T @ nu[i]
-    dual_viol = float(np.abs(mu_mass - mu_inflow).max())
-    dual_viol = max(dual_viol, float(np.abs(nu_mass - nu_inflow + mu_mass - 1.0).max()))
-    for i in range(s):
-        scale = np.maximum(1.0, np.abs(ctabs[i]).max(axis=0))
-        reward = ctabs[i].T @ mu[i]  # per action
-        dual_viol = max(dual_viol, float(((w[i] - reward) / scale).max()))
-        dual_viol = max(dual_viol, float(max(0.0, -mu[i].min(initial=0.0))),
-                        float(max(0.0, -nu[i].min(initial=0.0))))
+    # primal: one beta-row and one V-row per kernel row
+    beta_resid = rows @ beta - beta[owner]
+    v_resid = _row_rewards(ctab, owner, y) + rows @ vvec - vvec[owner] - beta[owner]
+    v_scale = np.maximum(1.0, np.abs(ctab).max(axis=1))
+    primal_viol = max(float(beta_resid.max()), float((v_resid / v_scale).max()))
+    # dual: kernel and mass balance per state, then one reward row per
+    # (state, action), scaled by the largest coefficient on it
+    mu_mass = np.bincount(owner, mu, minlength=s)
+    nu_mass = np.bincount(owner, nu, minlength=s)
+    reward = np.zeros((s, m))
+    np.add.at(reward, owner, ctab * mu[:, None])
+    r_scale = np.ones((s, m))
+    np.maximum.at(r_scale, owner, np.abs(ctab))
+    dual_viol = max(float(np.abs(mu_mass - rows.T @ mu).max()),
+                    float(np.abs(nu_mass - rows.T @ nu + mu_mass - 1.0).max()),
+                    float(((w[:, None] - reward) / r_scale).max()),
+                    -float(mu.min()), -float(nu.min()))
     if primal_viol > feas_tol or dual_viol > feas_tol:
         raise LpError(
             f"game LP verification failed: primal residual {primal_viol:.3e}, "
             f"dual residual {dual_viol:.3e}"
         )
-    return primal_viol, dual_viol
 
 
 def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
-                  counts, ctabs, beta, vvec, y):
+                  owner, ctab, beta, vvec, y):
     """Deterministic resolution of dual degeneracy.
 
     The occupation weights are underdetermined wherever a state carries no
@@ -209,102 +202,72 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
     the rows the potentials actually pin down.
     """
     s = model.num_states
-    n_mu = sum(counts)
-    # scores: negative V-row slack per (state, row), zero exactly at tight rows;
-    # the kernel-balance block holds rows < s and mu columns < n_mu
-    inside = (dual_lp.rows < s) & (dual_lp.cols < n_mu)
-    block = np.zeros((s, n_mu))
-    block[dual_lp.rows[inside], dual_lp.cols[inside]] = dual_lp.vals[inside]
-    qv = block.T @ vvec  # equals V_i - q.V per (i, row)
-    scores = (np.concatenate([ctabs[i] @ y[i] for i in range(s)])
-              - qv - np.repeat(beta, counts))
-    objective = np.concatenate([scores, scores, np.zeros(s)])
-    # the lock row comes after every dual row, so the triplets stay in order
-    locked = LinearProgram(
-        "max", objective,
-        np.concatenate([dual_lp.rows, np.full(s, dual_lp.num_constraints)]),
-        np.concatenate([dual_lp.cols, 2 * n_mu + np.arange(s)]),
-        np.concatenate([dual_lp.vals, np.ones(s)]),
-        dual_lp.relations + (">=",),
-        np.concatenate([dual_lp.rhs, [optimum - 1e-9]]),
-        lower=dual_lp.lower, upper=dual_lp.upper,
+    n_mu = owner.shape[0]
+    # scores: negative V-row slack per (state, row), zero exactly at tight rows
+    qv = dual_lp.matrix[:s, :n_mu].T @ vvec  # equals V_i - q.V per (i, row)
+    scores = _row_rewards(ctab, owner, y) - qv - beta[owner]
+    locked = replace(
+        dual_lp,
+        objective=np.concatenate([scores, scores, np.zeros(s)]),
+        matrix=np.vstack([dual_lp.matrix, dual_lp.objective]),
+        relations=dual_lp.relations + (">=",),
+        rhs=np.append(dual_lp.rhs, optimum - 1e-9),
     )
     return lp_solve(locked)
 
 
-def _solve_pair(model: MdpModel, rows_per_state, *, resolution) -> GameSolution:
+def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
+                resolution) -> GameSolution:
+    """Solve the game LP pair over stacked kernel rows; owner, nondecreasing,
+    is the state of each row, and every state owns at least one row."""
     s, m = model.num_states, model.num_actions
-    counts = [r.shape[0] for r in rows_per_state]
-    n_mu = sum(counts)
-    ctabs_true, ctabs = _tables(model, rows_per_state)
-    dual_lp = _dual_from_rows(model, rows_per_state, ctabs)
+    n_mu = rows.shape[0]
+    table, ctab = _tables(model, rows, owner)
+    dual_lp = _dual(model, rows, owner, ctab)
     try:
         sol = lp_solve(dual_lp)
     except LpError as exc:
         raise LpError(f"game LP solve failed (resolution={resolution}): {exc}") from exc
     if sol.status != "optimal":
         raise LpError(f"game LP at resolution {resolution} came back {sol.status}")
-
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
-    def split(x):
-        mu = tuple(x[offsets[i]:offsets[i + 1]].copy() for i in range(s))
-        nu = tuple(x[n_mu + offsets[i]:n_mu + offsets[i + 1]].copy() for i in range(s))
-        return mu, nu, x[2 * n_mu:].copy()
-
-    mu, nu, w = split(sol.x)
-
-    duals = sol.duals
-    vvec = duals[:s].copy()
-    beta = duals[s:2 * s].copy()
-    y = -duals[2 * s:].reshape(s, m)
-    y = np.clip(y, 0.0, None)
+    x = sol.x
+    vvec, beta = sol.duals[:s], sol.duals[s:2 * s]
+    y = np.clip(-sol.duals[2 * s:].reshape(s, m), 0.0, None)
     sums = y.sum(axis=1, keepdims=True)
     if np.any(sums <= 0.0):
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
 
-    if any(mu[i].sum() <= MU_MASS_TOL for i in range(s)):
+    if np.any(np.bincount(owner, x[:n_mu], minlength=s) <= MU_MASS_TOL):
         # the occupation weights at mass-free states are a degenerate face of
         # the dual optimum; reweighting them is an improvement pass, so any
         # numerical failure here falls back to the plain vertex
         try:
             polished = _polish_duals(model, dual_lp, float(sol.objective_value),
-                                     counts, ctabs, beta, vvec, y)
+                                     owner, ctab, beta, vvec, y)
         except LpError:
             polished = None
         if polished is not None and polished.status == "optimal":
-            mu, nu, w = split(polished.x)
+            x = polished.x
+    mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
     # attainable feasibility degrades with the coefficient range: sentinel
     # columns let the simplex take steps of that magnitude, so sub-threshold
     # movements accumulate up to range * pivot noise
-    has_sentinel = any(np.isneginf(t).any() for t in ctabs_true)
-    feas_tol = GAME_FEAS_TOL * (100.0 if has_sentinel else 1.0)
-    primal_viol, dual_viol = _verify_pair(
-        model, rows_per_state, ctabs, beta, vvec, y, mu, nu, w, feas_tol)
+    feas_tol = GAME_FEAS_TOL * (100.0 if np.isneginf(table).any() else 1.0)
+    _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w, feas_tol)
     gap = abs(float(beta.sum()) - float(w.sum()))
     if gap > GAME_GAP_TOL:
         raise LpError(f"strong duality violated: |sum(beta) - sum(w)| = {gap:.3e}")
 
-    # maximizer rows from the occupation weights; nu takes over where the
-    # mu mass vanishes, and a flagged nearest-row fallback covers the
-    # (theoretically unreachable) case of both masses vanishing
-    flagged = []
+    # maximizer rows from the occupation weights; nu takes over where the mu
+    # mass vanishes (x is clipped to its bounds, so nu >= 0, and the verified
+    # mass balance keeps mu mass + nu mass >= 1 - feas_tol at every state)
     qstar = np.zeros((s, s))
     for i in range(s):
-        if mu[i].sum() > MU_MASS_TOL:
-            alpha = mu[i] / mu[i].sum()
-        elif nu[i].sum() > MU_MASS_TOL:
-            alpha = nu[i] / nu[i].sum()
-        else:
-            flagged.append(i)
-            a = int(np.argmax(y[i]))
-            target = model.kernel[a, i]
-            dists = np.abs(rows_per_state[i] - target[None, :]).max(axis=1)
-            alpha = np.zeros(counts[i])
-            alpha[int(np.argmin(dists))] = 1.0
-        qstar[i] = alpha @ rows_per_state[i]
+        mine = owner == i
+        alpha = mu[mine] if mu[mine].sum() > MU_MASS_TOL else nu[mine]
+        qstar[i] = alpha / alpha.sum() @ rows[mine]
     maximizer = KernelMatrix.for_model(model, qstar)
 
     # purify the minimizer: among support actions, take the one whose
@@ -332,17 +295,14 @@ def _solve_pair(model: MdpModel, rows_per_state, *, resolution) -> GameSolution:
         maximizer=maximizer,
         dual_w=w,
         duality_gap=gap,
-        primal_residual=primal_viol,
-        dual_residual=dual_viol,
         num_constraints=2 * n_mu,
-        flagged_states=tuple(flagged),
     )
 
 
 def solve_game(model: MdpModel, resolution: int) -> GameSolution:
     """Solve the finite-resolution game LP pair and extract value and policies."""
-    grid = build_grid(model, resolution)
-    return _solve_pair(model, grid.rows, resolution=resolution)
+    rows, owner = build_grid(model, resolution).stacked()
+    return _solve_pair(model, rows, owner, resolution=resolution)
 
 
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
@@ -454,28 +414,26 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     uncertified.
     """
     s = model.num_states
-    seed = build_grid(model, 0)
-    working = [list(map(np.asarray, seed.rows[i])) for i in range(s)]
+    rows, owner = build_grid(model, 0).stacked()
     sol = None
     for round_no in range(1, max_rounds + 1):
-        rows_per_state = [np.array(w) for w in working]
-        sol = _solve_pair(model, rows_per_state, resolution=None)
+        sol = _solve_pair(model, rows, owner, resolution=None)
         cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
-        added = False
+        new_rows, new_owner = [], []
         for i, (jbest, bviol, row, vviol) in enumerate(cuts):
-            if bviol > inner_tol:
-                dirac = np.zeros(s)
-                dirac[jbest] = 1.0
-                if not _row_present(working[i], dirac):
-                    working[i].append(dirac)
-                    added = True
-            if vviol > inner_tol and not _row_present(working[i], row):
-                working[i].append(row)
-                added = True
-        if not added:
+            dirac = np.zeros(s)
+            dirac[jbest] = 1.0
+            known = rows[owner == i]
+            for cut, viol in ((dirac, bviol), (row, vviol)):
+                # a cut within 1e-12 of a row the state holds is not new
+                if viol > inner_tol and np.abs(known - cut).max(axis=1).min() > 1e-12:
+                    known = np.vstack([known, cut])
+                    new_rows.append(cut)
+                    new_owner.append(i)
+        if not new_rows:
             return replace(sol, certified=True, rounds=round_no)
+        # each state's cuts go after its old rows, Dirac before Gibbs
+        owner = np.concatenate([owner, new_owner])
+        order = np.argsort(owner, kind="stable")
+        rows, owner = np.vstack([rows, *new_rows])[order], owner[order]
     return replace(sol, certified=False, rounds=max_rounds)
-
-
-def _row_present(rows: list[np.ndarray], row: np.ndarray, tol: float = 1e-12) -> bool:
-    return any(np.abs(r - row).max() <= tol for r in rows)

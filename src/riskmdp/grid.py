@@ -77,6 +77,11 @@ class GridSpec:
     def total_rows(self) -> int:
         return sum(len(nums) for nums in self.numerators)
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """All rows stacked state by state, and the state owning each row."""
+        owner = np.repeat(np.arange(self.num_states), [len(r) for r in self.rows])
+        return np.concatenate(self.rows), owner
+
 
 def build_grid(model: MdpModel, resolution: int) -> GridSpec:
     """Enumerate the per-state dyadic action sets at the given resolution.

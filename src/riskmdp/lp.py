@@ -7,11 +7,11 @@ to Bland's rule after a run of degenerate pivots (anti-cycling).  Free
 variables are handled natively through their bounds, not by splitting, so
 dual extraction stays clean.
 
-Rows are scaled to unit max-norm internally: the scaled triplets are
-scattered once into the single dense working matrix (structural, slack and
+The constraint matrix comes in dense.  Rows are scaled to unit max-norm
+straight into the single dense working matrix (structural, slack and
 artificial columns side by side), and every product with the constraint
-matrix reads that matrix or the triplets.  feas_tol and gap_tol are absolute
-on the scaled problem and the scaling is undone on output.
+matrix reads that matrix or the input one.  feas_tol and gap_tol are
+absolute on the scaled problem and the scaling is undone on output.
 
 Dual sign convention (so that b.y equals the primal objective at optimum):
 
@@ -46,13 +46,11 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Sparse-triplet LP description. Default variable bounds are [0, +inf)."""
+    """Dense LP description. Default variable bounds are [0, +inf)."""
 
     sense: str
     objective: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    matrix: np.ndarray  # (num_constraints, num_vars)
     relations: tuple[str, ...]
     rhs: np.ndarray
     lower: np.ndarray
@@ -65,51 +63,38 @@ class LinearProgram:
         m = self.rhs.shape[0]
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bound arrays must match the variable count")
+        if self.matrix.shape != (m, n):
+            raise ValueError(f"matrix shape {self.matrix.shape} is not {(m, n)}")
         if len(self.relations) != m:
             raise ValueError("one relation per constraint required")
         if any(r not in RELATIONS for r in self.relations):
             raise ValueError(f"relations must be one of {RELATIONS}")
-        for name, a in (("objective", self.objective), ("vals", self.vals), ("rhs", self.rhs)):
+        for name, a in (("objective", self.objective), ("matrix", self.matrix),
+                        ("rhs", self.rhs)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
-        if len(self.rows) != len(self.cols) or len(self.cols) != len(self.vals):
-            raise ValueError("triplet arrays must have equal length")
-        if len(self.rows) and (self.rows.min() < 0 or self.rows.max() >= m):
-            raise ValueError("triplet row index out of range")
-        if len(self.cols) and (self.cols.min() < 0 or self.cols.max() >= n):
-            raise ValueError("triplet column index out of range")
-        keys = self.rows.astype(np.int64) * n + self.cols
-        # strictly increasing keys (what build produces) cannot repeat; only
-        # other orders need the sort-based check
-        if np.any(keys[1:] <= keys[:-1]) and len(np.unique(keys)) != len(keys):
-            raise ValueError("duplicate (row, col) triplets; coalesce first")
 
     @classmethod
     def build(cls, sense, objective, rows, cols, vals, relations, rhs,
               lower=None, upper=None) -> "LinearProgram":
-        """Construct with duplicate triplets coalesced by summation; the
-        result is sorted by (row, col) with zero entries dropped."""
+        """Construct from (row, col, value) triplets; duplicates are summed."""
         objective = np.asarray(objective, dtype=float)
-        n = objective.shape[0]
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        if len(rows):
-            keys = rows * n + cols
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-            summed = np.add.reduceat(vals[order], start)
-            uniq = keys[start]
-            rows, cols, vals = uniq // n, uniq % n, summed
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        n = objective.shape[0]
+        index = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+        vals = np.asarray(vals, dtype=float)
+        if len(index[0]) != len(index[1]) or len(index[1]) != len(vals):
+            raise ValueError("triplet arrays must have equal length")
+        matrix = np.zeros((rhs.shape[0], n))
+        # np.add.at would wrap a negative index onto a real entry
+        for name, ix, bound in zip(("row", "column"), index, matrix.shape):
+            if len(ix) and (ix.min() < 0 or ix.max() >= bound):
+                raise ValueError(f"triplet {name} index out of range")
+        np.add.at(matrix, index, vals)
         lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
         upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        return cls(sense=sense, objective=objective, rows=rows, cols=cols,
-                   vals=vals, relations=tuple(relations), rhs=rhs,
-                   lower=lower, upper=upper)
+        return cls(sense=sense, objective=objective, matrix=matrix,
+                   relations=tuple(relations), rhs=rhs, lower=lower, upper=upper)
 
     @property
     def num_vars(self) -> int:
@@ -118,11 +103,6 @@ class LinearProgram:
     @property
     def num_constraints(self) -> int:
         return self.rhs.shape[0]
-
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_constraints, self.num_vars))
-        a[self.rows, self.cols] = self.vals
-        return a
 
 
 @dataclass
@@ -318,18 +298,18 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
         return LpSolution(status="infeasible")
     sign = 1.0 if lp.sense == "min" else -1.0
 
-    # row scaling to unit max-norm, applied to the triplets
-    norms = np.zeros(m)
-    np.maximum.at(norms, lp.rows, np.abs(lp.vals))
-    norms[norms == 0.0] = 1.0
-    b_scaled = lp.rhs / norms
-
-    # the one dense copy: scaled structural columns, then slacks (<= rows
-    # get +slack, >= rows get -slack, both slack >= 0), then artificials
+    # the one dense copy: structural columns with rows scaled to unit
+    # max-norm, then slacks (<= rows get +slack, >= rows get -slack, both
+    # slack >= 0), then artificials; the norms are taken and the scaling done
+    # in place, so no other matrix-sized array is made
     ineq = [k for k, rel in enumerate(lp.relations) if rel != "=="]
     n_slack = len(ineq)
     a_full = np.zeros((m, n + n_slack + m))
-    a_full[lp.rows, lp.cols] = lp.vals / norms[lp.rows]
+    structural = a_full[:, :n]
+    norms = np.abs(lp.matrix, out=structural).max(axis=1, initial=0.0)
+    norms[norms == 0.0] = 1.0
+    b_scaled = lp.rhs / norms
+    np.divide(lp.matrix, norms[:, None], out=structural)
     for pos, k in enumerate(ineq):
         a_full[k, n + pos] = 1.0 if lp.relations[k] == "<=" else -1.0
 
@@ -402,8 +382,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     _, y_int = sim._reduced_costs()
     duals = sign * y_int / norms
     objective = float(lp.objective @ x)
-    reduced = lp.objective - np.bincount(lp.cols, weights=lp.vals * duals[lp.rows],
-                                         minlength=n)
+    reduced = lp.objective - lp.matrix.T @ duals
     # bound duals: variables pinned at finite nonzero bounds carry their
     # reduced cost into the dual objective
     bound_terms = float(np.sum(np.where(np.isfinite(x) & (reduced != 0.0),
@@ -411,7 +390,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     gap = abs(objective - (float(lp.rhs @ duals) + bound_terms))
 
     # residuals on the scaled problem
-    excess = a_full[:, :n] @ x - b_scaled
+    excess = structural @ x - b_scaled
     relations = np.array(lp.relations)
     viol = np.where(relations == "==", np.abs(excess),
                     np.maximum(np.where(relations == "<=", excess, -excess), 0.0))

@@ -82,7 +82,7 @@ def enumerate_lp_optimum(lp):
     (best objective, best x) or (None, None) when no feasible basis exists.
     """
     assert np.all(lp.lower == 0.0) and np.all(np.isposinf(lp.upper))
-    a = lp.dense_matrix()
+    a = lp.matrix
     m, n = a.shape
     cols = [a]
     slack_cost = []
@@ -190,49 +190,45 @@ def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:
     return float(q[np.argmax(b / (1.0 - q))])
 
 
-def primal_from_rows(model: MdpModel, rows_per_state) -> LinearProgram:
-    """The game primal: min sum(beta) over (V free, beta free, y >= 0 with
-    simplex rows), with the same sentineled reward tables as the dual.
+def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> LinearProgram:
+    """The game primal over stacked kernel rows (owner: the state of each,
+    nondecreasing): min sum(beta) over (V free, beta free, y >= 0 with
+    simplex rows), with the same sentineled reward table as the dual.
 
-    Row order: all beta-rows grouped by state, then all V-rows in the same
+    Row order: all beta-rows in stacked order, then all V-rows in the same
     order, then one simplex equality per state.
     """
-    _, ctabs = game._tables(model, rows_per_state)
+    _, ctab = game._tables(model, rows, owner)
     s, m = model.num_states, model.num_actions
-    counts = [r.shape[0] for r in rows_per_state]
-    n_ineq = sum(counts)
+    n_ineq = rows.shape[0]
     n_vars = 2 * s + s * m
     rows_ix, cols_ix, vals = [], [], []
-    base = 0
-    for i in range(s):
-        r = rows_per_state[i]
-        cnt = counts[i]
-        ridx = np.arange(base, base + cnt)
+    for k in range(n_ineq):
+        i = int(owner[k])
         touched = sorted(set(union_support(model, i)) | {i})
         for j in touched:
-            coef = (1.0 if j == i else 0.0) - r[:, j]
+            coef = (1.0 if j == i else 0.0) - rows[k, j]
             # beta-row: sum_j (delta_ij - q_j) beta_j >= 0
-            rows_ix.append(ridx)
-            cols_ix.append(np.full(cnt, s + j))
+            rows_ix.append(k)
+            cols_ix.append(s + j)
             vals.append(coef)
             # V-row shares the same kernel coefficients on V
-            rows_ix.append(n_ineq + ridx)
-            cols_ix.append(np.full(cnt, j))
+            rows_ix.append(n_ineq + k)
+            cols_ix.append(j)
             vals.append(coef)
         # V-row: + beta_i - sum_u ctilde(i,q,u) y_i(u)
-        rows_ix.append(n_ineq + ridx)
-        cols_ix.append(np.full(cnt, s + i))
-        vals.append(np.ones(cnt))
+        rows_ix.append(n_ineq + k)
+        cols_ix.append(s + i)
+        vals.append(1.0)
         for u in range(m):
-            rows_ix.append(n_ineq + ridx)
-            cols_ix.append(np.full(cnt, 2 * s + i * m + u))
-            vals.append(-ctabs[i][:, u])
-        base += cnt
+            rows_ix.append(n_ineq + k)
+            cols_ix.append(2 * s + i * m + u)
+            vals.append(-ctab[k, u])
     for i in range(s):
         for u in range(m):
-            rows_ix.append(np.array([2 * n_ineq + i]))
-            cols_ix.append(np.array([2 * s + i * m + u]))
-            vals.append(np.array([1.0]))
+            rows_ix.append(2 * n_ineq + i)
+            cols_ix.append(2 * s + i * m + u)
+            vals.append(1.0)
     objective = np.zeros(n_vars)
     objective[s:2 * s] = 1.0
     lower = np.zeros(n_vars)
@@ -241,15 +237,14 @@ def primal_from_rows(model: MdpModel, rows_per_state) -> LinearProgram:
     rhs = np.zeros(2 * n_ineq + s)
     rhs[2 * n_ineq:] = 1.0
     return LinearProgram.build(
-        "min", objective, np.concatenate(rows_ix), np.concatenate(cols_ix),
-        np.concatenate(vals), relations, rhs,
+        "min", objective, rows_ix, cols_ix, vals, relations, rhs,
         lower=lower, upper=np.full(n_vars, np.inf),
     )
 
 
 def build_primal(model: MdpModel, grid: GridSpec) -> LinearProgram:
     """The finite-resolution game primal over the given dyadic grid."""
-    return primal_from_rows(model, grid.rows)
+    return primal_from_rows(model, *grid.stacked())
 
 
 def row_violations(model: MdpModel, beta, vvec, y, i: int, q) -> tuple[float, float]:

@@ -48,7 +48,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -181,16 +181,17 @@ def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
 
 
 def test_verify_accepts_version_1_reports(tmp_path):
-    # verify reads only phi_star and potentials, which version 2 kept
+    # verify reads only phi_star and potentials, which every version kept;
+    # version 2 dropped feasibility_samples and version 3 flagged_states
     model = write_two_state(tmp_path)
     out = tmp_path / "report.json"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    report["report_version"] = 1
-    report["feasibility_samples"] = 50
-    legacy = tmp_path / "legacy.json"
-    legacy.write_text(json.dumps(report))
-    assert main(["verify", "--model", str(model), "--solution", str(legacy)]) == 0
+    report["flagged_states"] = []
+    for version, extra in ((2, {}), (1, {"feasibility_samples": 50})):
+        legacy = tmp_path / f"legacy-{version}.json"
+        legacy.write_text(json.dumps(dict(report, report_version=version, **extra)))
+        assert main(["verify", "--model", str(model), "--solution", str(legacy)]) == 0
 
 
 def test_non_utf8_files_exit_2(tmp_path, capsys):
@@ -214,7 +215,7 @@ REPORT_LAYOUTS = {
         "report_version", "command", "model_digest", "method", "resolutions",
         "beta_trace", "stopping_reason", "feasibility_violation", "lambda_bar",
         "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
-        "dual_w", "duality_gap", "num_constraints", "flagged_states",
+        "dual_w", "duality_gap", "num_constraints",
         ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
                          "twisted_top", "twisted_eigen", "twisted_averaging"]),
@@ -224,7 +225,7 @@ REPORT_LAYOUTS = {
         "report_version", "command", "model_digest", "method", "rounds",
         "certified", "inner_tol", "lambda_bar",
         "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
-        "dual_w", "duality_gap", "num_constraints", "flagged_states",
+        "dual_w", "duality_gap", "num_constraints",
         ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
                          "twisted_top", "twisted_eigen", "twisted_averaging"]),
@@ -248,7 +249,7 @@ REPORT_LAYOUTS = {
 
 
 def test_report_layouts_are_pinned_to_the_version(tmp_path):
-    assert REPORT_VERSION == 2
+    assert REPORT_VERSION == 3
     model = write_two_state(tmp_path)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from riskmdp import game
 from riskmdp.certify import two_state_model
 from riskmdp.grid import build_grid
-from riskmdp.lp import LinearProgram, solve as lp_solve
+from riskmdp.lp import solve as lp_solve
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.game import (
     build_dual,
@@ -43,16 +44,17 @@ def _congen_rows(model):
     rng = np.random.default_rng(7)
     vvec = rng.uniform(-1.0, 1.0, model.num_states)
     y = rng.dirichlet(np.ones(model.num_actions), model.num_states)
-    rows = [list(r) for r in build_grid(model, 0).rows]
-    for i in range(model.num_states):
-        rows[i].append(gibbs_row(model, i, y[i], vvec))
-    return [np.array(r) for r in rows]
+    rows, owner = build_grid(model, 0).stacked()
+    gibbs = [gibbs_row(model, i, y[i], vvec) for i in range(model.num_states)]
+    owner = np.concatenate([owner, np.arange(model.num_states)])
+    order = np.argsort(owner, kind="stable")
+    return np.vstack([rows, *gibbs])[order], owner[order]
 
 
 CONGEN_MODEL = random_model(42, 4, 3)
 TRANSPOSE_CASES = (
-    [(name, model, build_grid(model, 2).rows) for name, model in corpus()]
-    + [("differing-supports", DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2).rows),
+    [(name, model, build_grid(model, 2).stacked()) for name, model in corpus()]
+    + [("differing-supports", DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2).stacked()),
        ("congen-working-set", CONGEN_MODEL, _congen_rows(CONGEN_MODEL))]
 )
 
@@ -82,47 +84,40 @@ def test_primal_resolution_zero_has_dirac_rows_only():
     assert prog.relations.count(">=") == 2 * n_rows
 
 
-def _assert_dual_is_transpose_of_primal(model, rows):
+def _assert_dual_is_transpose_of_primal(model, rows, owner):
     s = model.num_states
-    n_ineq = sum(len(r) for r in rows)
-    prog_p = primal_from_rows(model, rows)
-    prog_d = game._dual_from_rows(model, rows, game._tables(model, rows)[1])
+    n_ineq = rows.shape[0]
+    prog_p = primal_from_rows(model, rows, owner)
+    prog_d = game._dual(model, rows, owner, game._tables(model, rows, owner)[1])
     # primal rows: [beta-rows, V-rows, simplex]; cols: [V, beta, y]
     # dual rows: [kernel-balance, mass, reward]; cols: [mu, nu, w]
     order = np.concatenate([np.arange(n_ineq, 2 * n_ineq), np.arange(n_ineq),
                             np.arange(2 * n_ineq, 2 * n_ineq + s)])
-    expected = prog_p.dense_matrix().T[:, order]
+    expected = prog_p.matrix.T[:, order]
     expected[2 * s:] *= -1.0
-    np.testing.assert_array_equal(prog_d.dense_matrix(), expected)
+    np.testing.assert_array_equal(prog_d.matrix, expected)
+    # no negative zeros: the solver's working matrix holds exactly the
+    # values of the triplet assembly it replaced
+    assert not np.signbit(prog_d.matrix[prog_d.matrix == 0.0]).any()
     # objective and right-hand sides swap
     np.testing.assert_array_equal(prog_d.rhs, prog_p.objective)
     np.testing.assert_array_equal(prog_d.objective, prog_p.rhs[order])
-    # the triplets come in strictly increasing (row, col) order with no
-    # stored zeros, which is the form build would give them
-    keys = prog_d.rows * prog_d.num_vars + prog_d.cols
-    assert np.all(keys[1:] > keys[:-1])
-    assert np.all(prog_d.vals != 0.0)
-    rebuilt = LinearProgram.build(prog_d.sense, prog_d.objective, prog_d.rows, prog_d.cols,
-                                  prog_d.vals, prog_d.relations, prog_d.rhs,
-                                  prog_d.lower, prog_d.upper)
-    for field in ("rows", "cols", "vals"):
-        np.testing.assert_array_equal(getattr(rebuilt, field), getattr(prog_d, field))
 
 
 def test_dual_is_exact_machine_transpose_of_primal():
     model = random_model(42, 3, 2)
-    _assert_dual_is_transpose_of_primal(model, build_grid(model, 2).rows)
+    _assert_dual_is_transpose_of_primal(model, *build_grid(model, 2).stacked())
 
 
 @pytest.mark.parametrize("model,rows", [c[1:] for c in TRANSPOSE_CASES],
                          ids=[c[0] for c in TRANSPOSE_CASES])
 def test_dual_transpose_of_primal_across_row_sets(model, rows):
-    _assert_dual_is_transpose_of_primal(model, rows)
+    _assert_dual_is_transpose_of_primal(model, *rows)
 
 
 def test_differing_supports_dual_carries_sentinels():
     lp = build_dual(DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2))
-    assert np.any(lp.vals == -game.SENTINEL)
+    assert np.any(lp.matrix == -game.SENTINEL)
 
 
 def test_primal_and_dual_objectives_agree():
@@ -298,6 +293,52 @@ def test_congen_constraint_count_is_small():
     assert abs(cg.lambda_bar - grid_sol.lambda_bar) <= 1e-3
 
 
+def test_congen_working_set_keeps_per_state_order(monkeypatch):
+    # the stacked working set holds its rows in the order per-state lists
+    # would: state by state, each state's old rows first, then its new cuts,
+    # the Dirac cut before the Gibbs cut.  The full Dirac seed already holds
+    # every beta-family cut, so the seed here keeps one Dirac row per state.
+    model = random_model(105, 4, 2)
+    build_grid_full, solve_pair, separate = game.build_grid, game._solve_pair, game._separate
+    seen, cuts_seen = [], []
+
+    def thin_seed(model, resolution):
+        grid = build_grid_full(model, resolution)
+        return replace(grid, rows=tuple(r[-1:] for r in grid.rows))
+
+    def record_pair(model, rows, owner, **kwargs):
+        seen.append((rows.copy(), owner.copy()))
+        return solve_pair(model, rows, owner, **kwargs)
+
+    def record_cuts(*args):
+        cuts_seen.append(separate(*args))
+        return cuts_seen[-1]
+
+    monkeypatch.setattr(game, "build_grid", thin_seed)
+    monkeypatch.setattr(game, "_solve_pair", record_pair)
+    monkeypatch.setattr(game, "_separate", record_cuts)
+    sol = solve_congen(model)
+    assert sol.certified and sol.rounds == len(seen) >= 3
+    for _, owner in seen:
+        assert np.all(np.diff(owner) >= 0)
+    busiest = both = 0
+    for (rows, owner), cuts, (nxt, nxt_owner) in zip(seen, cuts_seen, seen[1:]):
+        grown = 0
+        for i, (jbest, bviol, row, vviol) in enumerate(cuts):
+            listed = list(rows[owner == i])
+            dirac = np.zeros(model.num_states)
+            dirac[jbest] = 1.0
+            for cut, viol in ((dirac, bviol), (row, vviol)):
+                if viol > 1e-6 and not any(np.abs(r - cut).max() <= 1e-12 for r in listed):
+                    listed.append(cut)
+            np.testing.assert_array_equal(nxt[nxt_owner == i], np.array(listed))
+            added = len(listed) - int((owner == i).sum())
+            grown += added > 0
+            both += added == 2
+        busiest = max(busiest, grown)
+    assert busiest >= 3 and both >= 1
+
+
 def test_gibbs_row_pure_policy_reduction():
     model = random_model(56, 3, 2)
     vvec = np.array([0.3, -0.1, 0.6])
@@ -329,6 +370,17 @@ def test_tilde_cost_table_matches_scalar_oracle():
         for r, row in enumerate(grid.rows[i]):
             for u in range(3):
                 assert table[r, u] == pytest.approx(tilde_cost(model, i, row, u))
+
+
+@pytest.mark.parametrize("model", [random_model(57, 3, 3), DIFFERING_SUPPORTS],
+                         ids=["corpus-like", "differing-supports"])
+def test_tilde_cost_table_per_row_states_match_per_state_tables(model):
+    # one state per row gives, bit for bit, the tables of one state at a time
+    grid = build_grid(model, 2)
+    rows, owner = grid.stacked()
+    per_state = [tilde_cost_table(model, i, grid.rows[i]) for i in range(model.num_states)]
+    np.testing.assert_array_equal(tilde_cost_table(model, owner, rows),
+                                  np.concatenate(per_state))
 
 
 def test_saddle_point_spot_check():

@@ -71,26 +71,19 @@ def test_inconsistent_bounds_are_infeasible():
 
 
 def test_duplicate_triplets_are_coalesced():
-    prog = lp("min", [1.0], [(0, 0, 0.5), (0, 0, 0.5)], [">="], [3.0])
-    assert prog.vals.tolist() == [1.0]
-    with pytest.raises(ValueError, match="duplicate"):
-        LinearProgram(sense="min", objective=np.ones(1),
-                      rows=np.array([0, 0]), cols=np.array([0, 0]),
-                      vals=np.array([0.5, 0.5]), relations=("<=",),
-                      rhs=np.array([1.0]), lower=np.zeros(1), upper=np.full(1, np.inf))
+    prog = lp("min", [1.0, 1.0], [(0, 0, 0.5), (0, 1, 2.0), (0, 0, 0.5)], [">="], [3.0])
+    np.testing.assert_array_equal(prog.matrix, [[1.0, 2.0]])
 
 
-def _direct(rows, cols):
-    """Constructor call with the given triplet order and unit values."""
-    return LinearProgram(sense="min", objective=np.ones(3),
-                         rows=np.array(rows), cols=np.array(cols),
-                         vals=np.ones(len(rows)), relations=("<=", "<="),
-                         rhs=np.ones(2), lower=np.zeros(3), upper=np.full(3, np.inf))
+def _built(rows, cols):
+    """build with the given triplet order and unit values."""
+    return LinearProgram.build("min", np.ones(3), rows, cols, np.ones(len(rows)),
+                               ("<=", "<="), np.ones(2))
 
 
-def test_constructor_accepts_unsorted_unique_triplets():
-    prog = _direct([1, 0, 1, 0], [2, 1, 0, 0])
-    assert prog.dense_matrix().tolist() == [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+def test_build_accepts_unsorted_unique_triplets():
+    prog = _built([1, 0, 1, 0], [2, 1, 0, 0])
+    np.testing.assert_array_equal(prog.matrix, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("rows,cols", [
@@ -98,9 +91,42 @@ def test_constructor_accepts_unsorted_unique_triplets():
     ([0, 0, 1], [1, 1, 2]),        # sorted, duplicate adjacent
     ([1, 1], [0, 0]),
 ])
-def test_constructor_rejects_duplicate_triplets(rows, cols):
-    with pytest.raises(ValueError, match="duplicate"):
-        _direct(rows, cols)
+def test_build_sums_duplicate_triplets(rows, cols):
+    expected = np.zeros((2, 3))
+    for r, c in zip(rows, cols):
+        expected[r, c] += 1.0
+    np.testing.assert_array_equal(_built(rows, cols).matrix, expected)
+
+
+@pytest.mark.parametrize("rows,cols,which", [
+    ([2], [0], "row"), ([-1], [0], "row"), ([0], [3], "column"), ([0], [-1], "column"),
+    ([0, 1, -3], [0, 1, 2], "row"),
+])
+def test_build_rejects_out_of_range_triplets(rows, cols, which):
+    # np.add.at would wrap a negative index onto a real entry
+    with pytest.raises(ValueError, match=f"triplet {which} index out of range"):
+        _built(rows, cols)
+
+
+def _direct(matrix):
+    return LinearProgram(sense="min", objective=np.ones(3), matrix=matrix,
+                         relations=("<=", "<="), rhs=np.ones(2), lower=np.zeros(3),
+                         upper=np.full(3, np.inf))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2), (2, 4), (6,), (1, 2, 3)])
+def test_constructor_rejects_matrix_of_wrong_shape(shape):
+    with pytest.raises(ValueError, match="matrix shape"):
+        _direct(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_constructor_rejects_nonfinite_matrix(bad):
+    matrix = np.ones((2, 3))
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        _direct(matrix)
+    _direct(np.ones((2, 3)))  # the same program with finite entries is fine
 
 
 def _reference_dual_residual(sim, n, n_slack):
@@ -197,7 +223,7 @@ def test_random_lps_match_basis_enumeration(seed):
         assert sol.primal_residual <= FEAS_TOL
         assert sol.dual_residual <= 1e-7
         # complementary slackness: dual * constraint slack vanishes
-        ax = prog.dense_matrix() @ sol.x
+        ax = prog.matrix @ sol.x
         comp = np.abs(sol.duals * (ax - prog.rhs)).max()
         assert comp <= 1e-7
     else:

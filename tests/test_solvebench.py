@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import riskmdp
+from riskmdp.model import MdpModel
 
 from helpers import random_model
 
@@ -22,13 +25,20 @@ from tracing import Tracer
 from riskmdp import certify, cli, game, lp, oracle
 tracer = Tracer()
 tracer.install(cli, game, lp, oracle, certify)
-code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3]])
-print(json.dumps({"code": code, "spans": sorted({span[0] for span in tracer.spans})}))
+code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
+print(json.dumps({"code": code, "spans": sorted({span[0] for span in tracer.spans}),
+                  "counts": tracer.counts}))
 """
 
+# every wrapper but lp.build (the solve path assembles its LPs directly)
+# sits on a name a solve calls, under either method
+SOLVE_SPANS = {
+    "model.parse", "cli.emit", "grid.build", "game.tables", "oracle.tilde_cost",
+    "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
+}
 
-def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
-    model = random_model(11, 3, 2)
+
+def _traced_solve(tmp_path, model, *solve_args) -> dict:
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "states": list(model.states), "actions": list(model.actions),
@@ -40,15 +50,36 @@ def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(SOLVEBENCH), str(path), str(tmp_path / "report.json")],
+        [sys.executable, "-c", CHILD, str(SOLVEBENCH), str(path), str(tmp_path / "report.json"),
+         *solve_args],
         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
-    # every wrapper but lp.build (the solve path assembles its LPs directly)
-    # sits on a name a default solve calls
-    assert set(result["spans"]) == {
-        "model.parse", "cli.emit", "grid.build", "game.tables", "oracle.tilde_cost",
-        "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
-    }
+    return result
+
+
+def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
+    result = _traced_solve(tmp_path, random_model(11, 3, 2))
+    assert set(result["spans"]) == SOLVE_SPANS
+    assert result["counts"]["game.resolutions"] >= 2
+
+
+def test_tracer_sees_a_congen_solve_and_its_polish_solves(tmp_path):
+    # a lazy ring whose first state is sticky and dear: the worst case keeps
+    # the chain there, the other states carry no long-run mass, and the
+    # restricted LPs go through the dual polish, which the tracer recognises
+    # by its 2s + s*m + 1 rows
+    stay = np.array([0.95, 0.5, 0.6, 0.4])
+    kernel = np.zeros((2, 4, 4))
+    for u, shift in enumerate((0.0, 0.005)):
+        for i in range(4):
+            kernel[u, i, i] = stay[i] - shift
+            kernel[u, i, (i + 1) % 4] = 1.0 - stay[i] + shift
+    cost = np.array([[1.0, 1.01], [0.1, 0.12], [0.3, 0.2], [0.5, 0.4]])
+    model = MdpModel(("s0", "s1", "s2", "s3"), ("a0", "a1"), kernel, cost)
+    result = _traced_solve(tmp_path, model, "--method", "congen")
+    assert set(result["spans"]) == SOLVE_SPANS
+    assert result["counts"]["game.congen_rounds"] >= 2
+    assert result["counts"]["lp.polish_solves"] >= 1
