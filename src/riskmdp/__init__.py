@@ -13,7 +13,6 @@ from .certify import (
     build_certificate,
     build_partition,
     check_dp,
-    check_twisted,
     hat_kernel,
     poisson_insolvability,
     two_state_model,

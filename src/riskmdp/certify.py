@@ -8,26 +8,29 @@ actions of the level-restricted Gibbs value
 c(i,u) + log sum_j phat(j|i,u) exp(V_j).  Second in multiplicative form
 through Lambda = exp(Phi), Psi = exp(V), where the same equations read as a
 minimal eigenvalue problem with averaging under a reweighted ("twisted")
-kernel.  The level partition groups states by equal Phi and the restricted
-kernel phat keeps only within-level transitions.
+kernel.  Both forms are read from one log-space pass over the Gibbs values,
+and the multiplicative residuals are kept relative to their own scale, so
+neither form exponentiates a value.  The level partition groups states by
+equal Phi and the restricted kernel phat keeps only within-level transitions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError
-from .model import MdpModel, union_support
+from .model import MdpModel
 
 DEFAULT_LEVEL_TOL = 1e-6
 
 
 class CertificationError(RuntimeError):
     """The certificate cannot be built: the partition is inconsistent with
-    the kernel (a state cannot stay in its level under any action)."""
+    the kernel (a state cannot stay in its level under any action), or the
+    residuals are out of double range."""
 
 
 class AmbiguousLevelsError(CertificationError):
@@ -41,35 +44,33 @@ class LevelPartition:
     levels: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
 
-    def level_of(self) -> dict[int, int]:
-        return {i: k for k, members in enumerate(self.levels) for i in members}
-
-
-@dataclass(frozen=True)
-class TwistedResiduals:
-    """Residuals of the multiplicative-form equations."""
-
-    top: float                 # |Lambda* - max_i Lambda_i|
-    eigen: np.ndarray          # per state, |Lambda_i Psi_i - min_u sum phat e^c Psi|
-    averaging: np.ndarray      # per state, |Lambda_i - min over tight actions of twisted avg|
-    b_star: tuple[tuple[int, ...], ...]
-
 
 @dataclass(frozen=True)
 class DpCertificate:
-    phi_star: np.ndarray
-    v_vec: np.ndarray
+    """Residuals of both forms of the DP equations at a candidate (Phi, V).
+
+    The multiplicative residuals are relative to their own scale, e^{Phi_i +
+    V_i} for the eigenvalue equation and e^{Phi_i} for the averaging one, so
+    one tolerance judges all four arrays of `checks`.
+    """
+
     partition: LevelPartition
-    hat: np.ndarray            # restricted kernel, (actions, s, s)
+    hat: np.ndarray                # restricted kernel, (actions, s, s)
+    weights: np.ndarray            # twisted kernel phat e^V / sum phat e^V, (actions, s, s)
     residual_dp1: np.ndarray
     residual_dp2: np.ndarray
-    lambda_twisted: np.ndarray  # exp(phi_star)
-    psi: np.ndarray             # exp(v_vec)
-    residual_star: TwistedResiduals
-    level_tol: float
+    twisted_eigen: np.ndarray      # |expm1(best_i - Phi_i - V_i)|
+    twisted_averaging: np.ndarray  # |1 - min over tight u of sum_j w e^{Phi_j - Phi_i}|
+    b_star: np.ndarray             # tight actions, (s, actions) bool
 
     def worst_residual(self) -> float:
         return max(float(self.residual_dp1.max()), float(self.residual_dp2.max()))
+
+    def checks(self) -> dict[str, np.ndarray]:
+        """The per-state residual arrays that `verify` compares to its tolerance."""
+        return {"dp1": self.residual_dp1, "dp2": self.residual_dp2,
+                "twisted_eigen_rel": self.twisted_eigen,
+                "twisted_averaging_rel": self.twisted_averaging}
 
 
 def build_partition(phi_star, level_tol: float = DEFAULT_LEVEL_TOL) -> LevelPartition:
@@ -115,152 +116,74 @@ def hat_kernel(model: MdpModel, partition: LevelPartition) -> np.ndarray:
     every action cannot stay in its level, which contradicts the partition
     coming from a genuine solution; that is flagged as an error.
     """
-    s = model.num_states
-    level = partition.level_of()
-    if len(level) != s:
+    index = np.full(model.num_states, -1)
+    for k, members in enumerate(partition.levels):
+        index[list(members)] = k
+    if (index < 0).any():
         raise ValueError("partition does not cover the state space")
-    index = np.array([level[i] for i in range(s)])
     hat = np.where(index[:, None] == index[None, :], model.kernel, 0.0)
-    dead = [i for i in range(s) if hat[:, i, :].sum() == 0.0]
-    if dead:
+    dead = np.flatnonzero(~hat.any(axis=(0, 2)))
+    if dead.size:
         raise CertificationError(
-            f"states {dead} cannot remain in their level under any action; "
+            f"states {dead.tolist()} cannot remain in their level under any action; "
             "the candidate values are inconsistent with the kernel"
         )
     return hat
 
 
-def _dp2_rhs(model: MdpModel, hat: np.ndarray, v_vec: np.ndarray):
-    """Per (state, action) Gibbs value c(i,u) + log sum_j phat(j|i,u) e^{V_j};
-    -inf where the restricted row vanishes (no admissible kernel row)."""
-    s, m = model.num_states, model.num_actions
-    vals = np.full((s, m), -np.inf)
-    for i in range(s):
-        for u in range(m):
-            row = hat[u, i]
-            mask = row > 0.0
-            if not mask.any():
-                continue
-            z = np.log(row[mask]) + v_vec[mask]
-            top = z.max()
-            vals[i, u] = model.cost[i, u] + top + math.log(np.exp(z - top).sum())
-    return vals
-
-
 def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
-    """Residuals of the two nested equations at a candidate (Phi, V).
-
-    The first equation's maximizing row is a point mass, so its residual is
-    |Phi_i - max over the union support of Phi_j|.  The second equation's
-    inner maximum over level-feasible rows is the Gibbs closed form on the
-    restricted support; actions whose restricted row vanishes admit no
-    feasible row (their constraints are vacuous) and drop out of the min.
-    """
-    phi = np.asarray(phi_star, dtype=float)
-    hat = hat_kernel(model, build_partition(phi, tol))
-    return _dp_residuals(model, phi, np.asarray(v_vec, dtype=float), hat)
-
-
-def _dp_residuals(model: MdpModel, phi: np.ndarray, v: np.ndarray, hat: np.ndarray):
-    """check_dp's residuals from an already restricted kernel."""
-    s = model.num_states
-    residual_dp1 = np.empty(s)
-    for i in range(s):
-        supp = list(union_support(model, i))
-        residual_dp1[i] = abs(phi[i] - float(phi[supp].max()))
-    rhs = _dp2_rhs(model, hat, v)
-    residual_dp2 = np.empty(s)
-    for i in range(s):
-        best = float(rhs[i][np.isfinite(rhs[i])].min())
-        residual_dp2[i] = abs(phi[i] + v[i] - best)
-    return residual_dp1, residual_dp2
-
-
-def _overflow(x) -> CertificationError:
-    return CertificationError(
-        f"exp({x:.6g}) overflows; the multiplicative-form residuals cannot "
-        "be evaluated in double precision"
-    )
-
-
-def _exp(x: float) -> float:
-    """math.exp with overflow reported as a certification failure: past
-    about 709 the multiplicative form is out of double range."""
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise _overflow(x) from exc
-
-
-def _exp_array(x) -> np.ndarray:
-    """np.exp under the same overflow rule as _exp, with no RuntimeWarning."""
-    with np.errstate(over="raise"):
-        try:
-            return np.exp(x)
-        except FloatingPointError as exc:
-            raise _overflow(float(np.max(x))) from exc
-
-
-def check_twisted(model: MdpModel, certificate: DpCertificate) -> TwistedResiduals:
-    """Residuals of the multiplicative-form equations from a certificate.
-
-    Uses Lambda = exp(Phi) and Psi = exp(V): the eigenvalue equation
-    Lambda_i Psi_i = min_u sum_j phat(j|i,u) e^{c(i,u)} Psi_j, and the
-    averaging equation for Lambda under the twisted kernel
-    phat e^c Psi_j / (sum_k phat e^c Psi_k) over the tight actions.
-    """
-    s, m = model.num_states, model.num_actions
-    lam = certificate.lambda_twisted
-    psi = certificate.psi
-    hat = certificate.hat
-    tol = certificate.level_tol
-    top = abs(float(_exp_array(certificate.phi_star.max())) - float(lam.max()))
-    eigen = np.empty(s)
-    averaging = np.empty(s)
-    b_star = []
-    for i in range(s):
-        totals = np.full(m, np.inf)
-        for u in range(m):
-            denom = float(hat[u, i] @ psi) * _exp(model.cost[i, u])
-            if denom > 0.0:
-                totals[u] = denom
-        finite = np.isfinite(totals)
-        if not finite.any():
-            raise CertificationError(
-                f"state {i}: twisted weights have zero denominator for every action"
-            )
-        best = float(totals[finite].min())
-        eigen[i] = abs(lam[i] * psi[i] - best)
-        tight = tuple(int(u) for u in np.flatnonzero(finite & (totals <= best + tol)))
-        b_star.append(tight)
-        avg_best = math.inf
-        for u in tight:
-            weights = hat[u, i] * psi * _exp(model.cost[i, u]) / totals[u]
-            avg_best = min(avg_best, float(weights @ lam))
-        averaging[i] = abs(lam[i] - avg_best)
-    return TwistedResiduals(top=top, eigen=eigen, averaging=averaging,
-                            b_star=tuple(b_star))
+    """The additive-form residuals (dp1, dp2) of build_certificate."""
+    cert = build_certificate(model, phi_star, v_vec, tol)
+    return cert.residual_dp1, cert.residual_dp2
 
 
 def build_certificate(model: MdpModel, phi_star, v_vec,
                       level_tol: float = DEFAULT_LEVEL_TOL) -> DpCertificate:
-    """Assemble the full certificate: partition, restricted kernel, additive
-    residuals and multiplicative residuals."""
+    """Both forms of the DP residuals at (Phi, V), in one log-space pass over
+    (action, state, successor) arrays.
+
+    The first equation's maximizing row is a point mass, so dp1 is
+    |Phi_i - max of Phi over the union support|.  The second equation's inner
+    maximum over level-feasible rows is the Gibbs value
+    G(i,u) = c(i,u) + log sum_j phat(j|i,u) e^{V_j}; an action whose
+    restricted row vanishes admits no feasible row and drops out of the min
+    (G = +inf), and dp2 is |Phi_i + V_i - best_i| with best_i = min_u G(i,u).
+    Through Lambda = e^Phi and Psi = e^V the same numbers give the
+    multiplicative form: the eigenvalue residual relative to Lambda_i Psi_i is
+    |expm1(best_i - Phi_i - V_i)|, and the averaging residual relative to
+    Lambda_i compares 1 with the least twisted average of e^{Phi_j - Phi_i}
+    over the tight actions, those with e^G <= e^best + level_tol.  No
+    exponential of a value is formed; a residual that is still out of double
+    range raises CertificationError.
+    """
     phi = np.asarray(phi_star, dtype=float)
     v = np.asarray(v_vec, dtype=float)
     partition = build_partition(phi, level_tol)
     hat = hat_kernel(model, partition)
-    residual_dp1, residual_dp2 = _dp_residuals(model, phi, v, hat)
-    cert = DpCertificate(
-        phi_star=phi, v_vec=v, partition=partition, hat=hat,
-        residual_dp1=residual_dp1, residual_dp2=residual_dp2,
-        lambda_twisted=_exp_array(phi), psi=_exp_array(v),
-        residual_star=TwistedResiduals(
-            top=0.0, eigen=np.zeros(len(phi)), averaging=np.zeros(len(phi)),
-            b_star=tuple(() for _ in phi)),
-        level_tol=level_tol,
-    )
-    return replace(cert, residual_star=check_twisted(model, cert))
+    # log(0) marks the restricted support with -inf; an overflow shows up as
+    # a residual that is not finite, which is rejected below
+    with np.errstate(all="ignore"):
+        z = np.log(hat) + v
+        top = z.max(axis=2)
+        live = top > -np.inf                       # (actions, s): restricted row kept
+        shifted = np.exp(z - np.where(live, top, 0.0)[..., None])
+        total = shifted.sum(axis=2)
+        weights = shifted / np.where(live, total, 1.0)[..., None]
+        gibbs = np.where(live, model.cost.T + top + np.log(total), np.inf).T
+        best = gibbs.min(axis=1)
+        excess = phi + v - best
+        tight = best[:, None] + np.log(np.expm1(gibbs - best[:, None])) <= math.log(level_tol)
+        # e^{Phi_j - Phi_i} where some restricted row has mass, so within a level
+        ratio = np.exp(np.where(hat.any(axis=0), phi - phi[:, None], 0.0))
+        average = np.where(tight, (weights * ratio).sum(axis=2).T, np.inf).min(axis=1)
+        residuals = (np.abs(phi - np.where(model.support, phi, -np.inf).max(axis=1)),
+                     np.abs(excess), np.abs(np.expm1(-excess)), np.abs(1.0 - average))
+    if not np.isfinite(residuals).all():
+        raise CertificationError(
+            "the residuals are not finite in double precision; the candidate "
+            "values are out of range for the multiplicative form"
+        )
+    return DpCertificate(partition, hat, weights, *residuals, b_star=tight)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
     v_scale = np.maximum(1.0, np.abs(ctab).max(axis=1))
     primal_viol = max(float(beta_resid.max()), float((v_resid / v_scale).max()))
     # dual: kernel and mass balance per state, then one reward row per
-    # (state, action), scaled by the largest coefficient on it
+    # (state, action), scaled by the largest coefficient on it; mu, nu >= 0
+    # needs no check, since lp.solve clips x to its bounds
     mu_mass = np.bincount(owner, mu, minlength=s)
     nu_mass = np.bincount(owner, nu, minlength=s)
     reward = np.zeros((s, m))
@@ -180,8 +181,7 @@ def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
     np.maximum.at(r_scale, owner, np.abs(ctab))
     dual_viol = max(float(np.abs(mu_mass - rows.T @ mu).max()),
                     float(np.abs(nu_mass - rows.T @ nu + mu_mass - 1.0).max()),
-                    float(((w[:, None] - reward) / r_scale).max()),
-                    -float(mu.min()), -float(nu.min()))
+                    float(((w[:, None] - reward) / r_scale).max()))
     if primal_viol > feas_tol or dual_viol > feas_tol:
         raise LpError(
             f"game LP verification failed: primal residual {primal_viol:.3e}, "
@@ -406,33 +406,27 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                  max_rounds: int = 50) -> GameSolution:
     """Constraint-generation solve of the semi-infinite game programs.
 
-    Starts from the Dirac rows and alternates a restricted solve with exact
-    separation: Dirac rows for the beta-family (the maximum of q.beta over a
-    support simplex sits at a vertex) and weighted Gibbs rows for the
-    V-family.  Terminates when no constraint is violated by more than
-    inner_tol; hitting max_rounds returns the last iterate marked
-    uncertified.
+    Starts from the Dirac rows of every union-support successor, which hold
+    the beta-family's worst row at every state (the maximum of q.beta over a
+    support simplex sits at a vertex), and alternates a restricted solve with
+    exact separation of the V-family by weighted Gibbs rows.  Terminates when
+    no constraint is violated by more than inner_tol; hitting max_rounds
+    returns the last iterate marked uncertified.
     """
-    s = model.num_states
     rows, owner = build_grid(model, 0).stacked()
     sol = None
     for round_no in range(1, max_rounds + 1):
         sol = _solve_pair(model, rows, owner, resolution=None)
         cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
         new_rows, new_owner = [], []
-        for i, (jbest, bviol, row, vviol) in enumerate(cuts):
-            dirac = np.zeros(s)
-            dirac[jbest] = 1.0
-            known = rows[owner == i]
-            for cut, viol in ((dirac, bviol), (row, vviol)):
-                # a cut within 1e-12 of a row the state holds is not new
-                if viol > inner_tol and np.abs(known - cut).max(axis=1).min() > 1e-12:
-                    known = np.vstack([known, cut])
-                    new_rows.append(cut)
-                    new_owner.append(i)
+        for i, (_, _, row, viol) in enumerate(cuts):
+            # a cut within 1e-12 of a row the state holds is not new
+            if viol > inner_tol and np.abs(rows[owner == i] - row).max(axis=1).min() > 1e-12:
+                new_rows.append(row)
+                new_owner.append(i)
         if not new_rows:
             return replace(sol, certified=True, rounds=round_no)
-        # each state's cuts go after its old rows, Dirac before Gibbs
+        # each state's cut goes after its old rows
         owner = np.concatenate([owner, new_owner])
         order = np.argsort(owner, kind="stable")
         rows, owner = np.vstack([rows, *new_rows])[order], owner[order]

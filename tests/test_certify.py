@@ -10,13 +10,12 @@ from riskmdp.certify import (
     build_certificate,
     build_partition,
     check_dp,
-    check_twisted,
     hat_kernel,
     poisson_insolvability,
     two_state_model,
 )
 from riskmdp.errors import ModelError
-from riskmdp.game import solve_sequence
+from riskmdp.game import solve_congen, solve_sequence
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.oracle import growth_rate
 
@@ -107,11 +106,9 @@ def test_check_dp_detects_perturbation():
 def test_check_twisted_two_state_chain():
     model = two_state_model(0.8)
     cert = build_certificate(model, np.array([0.0, VAL08]), np.array([0.7, -0.3]))
-    tw = cert.residual_star
-    assert tw.top <= 1e-12
-    assert tw.eigen.max() <= 1e-12
-    assert tw.averaging.max() <= 1e-12
-    assert tw.b_star == ((0,), (0,))
+    assert cert.twisted_eigen.max() <= 1e-12
+    assert cert.twisted_averaging.max() <= 1e-12
+    assert cert.b_star.tolist() == [[True], [True]]
 
 
 def test_check_twisted_zero_cost_single_level():
@@ -119,9 +116,10 @@ def test_check_twisted_zero_cost_single_level():
                      kernel=np.array([[[0.25, 0.75], [0.5, 0.5]]]),
                      cost=np.zeros((2, 1)))
     cert = build_certificate(model, np.zeros(2), np.zeros(2))
-    np.testing.assert_allclose(cert.lambda_twisted, 1.0)
-    np.testing.assert_allclose(cert.psi, 1.0)
-    assert cert.residual_star.eigen.max() <= 1e-12
+    # with V = 0 the twisted kernel is the kernel itself
+    np.testing.assert_allclose(cert.weights, model.kernel, rtol=0, atol=1e-15)
+    assert cert.twisted_eigen.max() <= 1e-12
+    assert cert.twisted_averaging.max() <= 1e-12
 
 
 def test_twisted_residual_is_exp_image_of_additive_residual():
@@ -136,20 +134,44 @@ def test_twisted_residual_is_exp_image_of_additive_residual():
             model.cost[i, u] + math.log(float(hat[u, i] @ np.exp(v)))
             for u in range(2) if hat[u, i].sum() > 0.0
         )
-        expected = abs(math.exp(phi[i] + v[i]) - math.exp(rhs))
-        assert cert.residual_star.eigen[i] == pytest.approx(expected, abs=1e-8)
+        expected = abs(math.expm1(rhs - phi[i] - v[i]))
+        assert cert.twisted_eigen[i] == pytest.approx(expected, abs=1e-8)
 
 
 def test_twisted_weights_sum_to_one():
+    # the weights the averaging residual reads: phat e^V normalized per
+    # (action, state) row, zero off the restricted support
     model = random_model(63, 4, 3)
     sol = solve_sequence(model, 2, 6, 1e-4).final
     cert = build_certificate(model, sol.value, sol.potentials)
+    phi = sol.value
     for i in range(4):
+        averages = []
         for u in range(3):
-            row = cert.hat[u, i] * np.exp(model.cost[i, u]) * cert.psi
-            denom = row.sum()
-            if denom > 0.0:
-                assert abs(row.sum() / denom - 1.0) <= 1e-12
+            row = cert.hat[u, i] * np.exp(sol.potentials)
+            if row.sum() > 0.0:
+                assert abs(cert.weights[u, i].sum() - 1.0) <= 1e-12
+                np.testing.assert_allclose(cert.weights[u, i], row / row.sum(),
+                                           rtol=1e-12, atol=0)
+            else:
+                assert not cert.weights[u, i].any()
+            if cert.b_star[i, u]:
+                averages.append(float(cert.weights[u, i] @ np.exp(phi - phi[i])))
+        assert cert.twisted_averaging[i] == pytest.approx(abs(1.0 - min(averages)),
+                                                          abs=1e-15)
+
+
+@pytest.mark.parametrize("shift", [-1000.0, -745.0, 0.0, 709.0, 1000.0])
+def test_certificate_is_invariant_under_a_common_cost_and_value_shift(shift):
+    # adding K to every cost adds K to the value; no residual may notice,
+    # however far K puts e^{c} and e^{Phi} out of double range
+    model = random_model(64, 3, 3)
+    sol = solve_congen(model)
+    base = build_certificate(model, sol.value, sol.potentials).checks()
+    shifted_model = MdpModel(model.states, model.actions, model.kernel, model.cost + shift)
+    cert = build_certificate(shifted_model, sol.value + shift, sol.potentials)
+    for name, residual in cert.checks().items():
+        np.testing.assert_allclose(residual, base[name], rtol=0, atol=1e-9, err_msg=name)
 
 
 # -- end-to-end ---------------------------------------------------------------
@@ -168,7 +190,7 @@ def test_b_set_matches_partition_on_grid_rows():
     phi = np.array([0.0, VAL08])
     from riskmdp.grid import build_grid
     part = build_partition(phi)
-    level = part.level_of()
+    level = {i: k for k, members in enumerate(part.levels) for i in members}
     grid = build_grid(model, 3)
     for i in range(2):
         for row in grid.rows[i]:

@@ -48,7 +48,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 3
+    assert report["report_version"] == 4
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -106,24 +106,66 @@ def test_solve_methods_agree(tmp_path):
     assert abs(grid["lambda_bar"] - congen["lambda_bar"]) <= 1e-3
 
 
-@pytest.mark.parametrize("method", ["grid", "congen"])
-def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, recwarn, method):
-    # exp(cost) overflows double precision past about 709
+def write_costly(tmp_path, costs):
+    # the kernels shared by the large-cost models; exp(cost) is out of double
+    # range past about 709 and below about -745
     path = tmp_path / "costly.json"
     path.write_text(json.dumps({
         "states": ["a", "b"], "actions": ["x", "y"],
         "transitions": {"x": [[0.6, 0.4], [0.3, 0.7]], "y": [[0.5, 0.5], [0.2, 0.8]]},
-        "costs": [[790.0, 800.0], [795.0, 798.0]],
+        "costs": costs,
     }))
+    return path
+
+
+@pytest.mark.parametrize("method", ["grid", "congen"])
+def test_large_costs_give_a_report_not_a_traceback(tmp_path, capsys, recwarn, method):
+    path = write_costly(tmp_path, [[790.0, 800.0], [795.0, 798.0]])
     out = tmp_path / "report.json"
     code = main(["solve", "--model", str(path), "--method", method, "--out", str(out)])
-    assert code in {0, 2, 3, 4, 5}
+    assert code == 0
     report = json.loads(out.read_text())
-    assert "error" in report["certificate"]
-    assert main(["verify", "--model", str(path), "--solution", str(out)]) == 5
+    assert "error" not in report["certificate"]
+    # the grid's value sits about 1.1e-3 below the exact one at n=8, so its
+    # report is judged at a tolerance above that
+    tol = "1e-3" if method == "congen" else "1e-2"
+    assert main(["verify", "--model", str(path), "--solution", str(out), "--tol", tol]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "RuntimeWarning" not in captured.err
+    assert len(recwarn) == 0
+
+
+def test_costs_below_the_exp_range_certify_under_congen(tmp_path, capsys, recwarn):
+    path = write_costly(tmp_path, [[-810.0, -800.0], [-805.0, -802.0]])
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(path), "--method", "congen", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["oracle"]["gap"] <= 1e-7
+    assert main(["verify", "--model", str(path), "--solution", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert len(recwarn) == 0
+
+
+def test_verify_rejects_potentials_out_of_double_range(tmp_path, capsys, recwarn):
+    # one level, so state 1's Gibbs value carries e^{1e308} from state 0 and
+    # the relative eigenvalue residual is not finite: a certificate failure,
+    # not a report that cannot be written
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "actions": ["x"],
+        "transitions": {"x": [[0.5, 0.5], [0.5, 0.5]]}, "costs": [[0.0], [0.0]],
+    }))
+    solution = tmp_path / "report.json"
+    solution.write_text(json.dumps({"phi_star": [0.0, 0.0], "potentials": [1e308, 0.0]}))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--model", str(path), "--solution", str(solution),
+                 "--out", str(out)]) == 5
+    assert "not finite" in json.loads(out.read_text())["error"]
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
     assert len(recwarn) == 0
 
 
@@ -164,6 +206,19 @@ def test_oracle_guard_exit_3(tmp_path):
     assert main(["oracle", "--model", str(model)]) == 3
 
 
+@pytest.mark.parametrize("phi, v", [([0.0, 0.0], [0.0]), ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])],
+                         ids=["short-potentials", "extra-state"])
+def test_verify_rejects_reports_of_another_size(tmp_path, capsys, phi, v):
+    # a one-entry potentials vector must not broadcast over the states
+    model = write_two_state(tmp_path)
+    solution = tmp_path / "report.json"
+    solution.write_text(json.dumps({"phi_star": phi, "potentials": v}))
+    assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read solution report" in err
+    assert "Traceback" not in err
+
+
 def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
     model = write_two_state(tmp_path)
     out = tmp_path / "report.json"
@@ -182,15 +237,19 @@ def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
 
 def test_verify_accepts_version_1_reports(tmp_path):
     # verify reads only phi_star and potentials, which every version kept;
-    # version 2 dropped feasibility_samples and version 3 flagged_states
+    # version 2 dropped feasibility_samples, version 3 flagged_states and
+    # version 4 twisted_top (and made twisted_eigen/averaging relative)
     model = write_two_state(tmp_path)
     out = tmp_path / "report.json"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    report["flagged_states"] = []
-    for version, extra in ((2, {}), (1, {"feasibility_samples": 50})):
+    v3 = dict(report, report_version=3,
+              certificate=dict(report["certificate"], twisted_top=0.0))
+    v2 = dict(v3, report_version=2, flagged_states=[])
+    v1 = dict(v2, report_version=1, feasibility_samples=50)
+    for version, legacy_report in ((3, v3), (2, v2), (1, v1)):
         legacy = tmp_path / f"legacy-{version}.json"
-        legacy.write_text(json.dumps(dict(report, report_version=version, **extra)))
+        legacy.write_text(json.dumps(legacy_report))
         assert main(["verify", "--model", str(model), "--solution", str(legacy)]) == 0
 
 
@@ -218,7 +277,7 @@ REPORT_LAYOUTS = {
         "dual_w", "duality_gap", "num_constraints",
         ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
-                         "twisted_top", "twisted_eigen", "twisted_averaging"]),
+                         "twisted_eigen", "twisted_averaging"]),
         ("timings", ["solve", "oracle", "certify"]),
     ],
     "solve-congen": [
@@ -228,7 +287,7 @@ REPORT_LAYOUTS = {
         "dual_w", "duality_gap", "num_constraints",
         ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
-                         "twisted_top", "twisted_eigen", "twisted_averaging"]),
+                         "twisted_eigen", "twisted_averaging"]),
         ("timings", ["solve", "oracle", "certify"]),
     ],
     "oracle": [
@@ -243,13 +302,13 @@ REPORT_LAYOUTS = {
         "report_version", "command", "model_digest", "tolerance", "passed",
         ("worst", ["check", "state", "residual"]),
         "levels", "level_values", "residual_dp1", "residual_dp2",
-        "twisted_top", "twisted_eigen", "twisted_averaging", ("timings", ["certify"]),
+        "twisted_eigen", "twisted_averaging", ("timings", ["certify"]),
     ],
 }
 
 
 def test_report_layouts_are_pinned_to_the_version(tmp_path):
-    assert REPORT_VERSION == 3
+    assert REPORT_VERSION == 4
     model = write_two_state(tmp_path)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))

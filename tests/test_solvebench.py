@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps riskmdp names from outside the package
 (solvebench/tracing.py); a change that deletes or renames one of them breaks
 that run without failing any library test, so the wrappers are installed
-here on the live modules."""
+here on the live modules, around one solve and one verify of its report."""
 
 import json
 import os
@@ -26,8 +26,12 @@ from riskmdp import certify, cli, game, lp, oracle
 tracer = Tracer()
 tracer.install(cli, game, lp, oracle, certify)
 code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
-print(json.dumps({"code": code, "spans": sorted({span[0] for span in tracer.spans}),
-                  "counts": tracer.counts}))
+spans = sorted({span[0] for span in tracer.spans})
+tracer.spans.clear()
+verify_code = cli.main(["verify", "--model", sys.argv[2], "--solution", sys.argv[3]])
+print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts,
+                  "verify_code": verify_code,
+                  "verify_spans": sorted({span[0] for span in tracer.spans})}))
 """
 
 # every wrapper but lp.build (the solve path assembles its LPs directly)
@@ -36,6 +40,8 @@ SOLVE_SPANS = {
     "model.parse", "cli.emit", "grid.build", "game.tables", "oracle.tilde_cost",
     "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
 }
+# a verify rebuilds the certificate from the report
+VERIFY_SPANS = {"model.parse", "cli.emit", "certify.certificate"}
 
 
 def _traced_solve(tmp_path, model, *solve_args) -> dict:
@@ -57,12 +63,14 @@ def _traced_solve(tmp_path, model, *solve_args) -> dict:
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
+    assert set(result["verify_spans"]) == VERIFY_SPANS
     return result
 
 
 def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
     result = _traced_solve(tmp_path, random_model(11, 3, 2))
     assert set(result["spans"]) == SOLVE_SPANS
+    assert result["verify_code"] == 0
     assert result["counts"]["game.resolutions"] >= 2
 
 
