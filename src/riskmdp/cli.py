@@ -241,6 +241,8 @@ def cmd_verify(args, argv) -> int:
         v = np.asarray(solution["potentials"], dtype=float)
         if phi.shape != (model.num_states,) or v.shape != phi.shape:
             raise ValueError(f"phi_star and potentials need {model.num_states} values each")
+        if not (np.isfinite(phi).all() and np.isfinite(v).all()):
+            raise ValueError("phi_star and potentials must be finite")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cannot read solution report {args.solution}: {exc}") from exc
     t0 = time.perf_counter()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .extreal import NEG_INF
 from .grid import GridSpec, build_grid
-from .lp import LinearProgram, LpError, solve as lp_solve
+from .lp import LinearProgram, LpError, LpSolution, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
 from .oracle import tilde_cost
 
@@ -189,8 +189,8 @@ def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
         )
 
 
-def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
-                  owner, ctab, beta, vvec, y):
+def _polish_duals(model: MdpModel, dual_lp: LinearProgram, sol: LpSolution, owner,
+                  ctab, beta, vvec, y):
     """Deterministic resolution of dual degeneracy.
 
     The occupation weights are underdetermined wherever a state carries no
@@ -199,7 +199,8 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
     dual objective locked at its optimum, maximizing the occupation-weighted
     tightness of the V-constraints: legitimate mass sits on tight rows and
     scores zero, so the reweighting only moves the underdetermined part onto
-    the rows the potentials actually pin down.
+    the rows the potentials actually pin down.  The re-solve starts from
+    sol's optimal basis plus the lock row's slack, which sits at 1e-9.
     """
     s = model.num_states
     n_mu = owner.shape[0]
@@ -211,21 +212,29 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, optimum: float,
         objective=np.concatenate([scores, scores, np.zeros(s)]),
         matrix=np.vstack([dual_lp.matrix, dual_lp.objective]),
         relations=dual_lp.relations + (">=",),
-        rhs=np.append(dual_lp.rhs, optimum - 1e-9),
+        rhs=np.append(dual_lp.rhs, float(sol.objective_value) - 1e-9),
     )
-    return lp_solve(locked)
+    # the lock row's slack comes after the dual's slacks, where its first
+    # artificial was; every artificial moves up by one
+    lock_slack = dual_lp.num_vars + len(dual_lp.relations) - dual_lp.relations.count("==")
+    basis = np.append(np.where(sol.basis >= lock_slack, sol.basis + 1, sol.basis), lock_slack)
+    return lp_solve(locked, basis=basis)
 
 
 def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
-                resolution) -> GameSolution:
+                resolution, basis=None) -> tuple[GameSolution, np.ndarray]:
     """Solve the game LP pair over stacked kernel rows; owner, nondecreasing,
-    is the state of each row, and every state owns at least one row."""
+    is the state of each row, and every state owns at least one row.
+
+    basis, if given, is a starting basis of the dual (see lp.solve); the
+    dual's optimal basis is returned with the solution.
+    """
     s, m = model.num_states, model.num_actions
     n_mu = rows.shape[0]
     table, ctab = _tables(model, rows, owner)
     dual_lp = _dual(model, rows, owner, ctab)
     try:
-        sol = lp_solve(dual_lp)
+        sol = lp_solve(dual_lp, basis=basis)
     except LpError as exc:
         raise LpError(f"game LP solve failed (resolution={resolution}): {exc}") from exc
     if sol.status != "optimal":
@@ -243,8 +252,7 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
         # the dual optimum; reweighting them is an improvement pass, so any
         # numerical failure here falls back to the plain vertex
         try:
-            polished = _polish_duals(model, dual_lp, float(sol.objective_value),
-                                     owner, ctab, beta, vvec, y)
+            polished = _polish_duals(model, dual_lp, sol, owner, ctab, beta, vvec, y)
         except LpError:
             polished = None
         if polished is not None and polished.status == "optimal":
@@ -296,13 +304,13 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
         dual_w=w,
         duality_gap=gap,
         num_constraints=2 * n_mu,
-    )
+    ), sol.basis
 
 
 def solve_game(model: MdpModel, resolution: int) -> GameSolution:
     """Solve the finite-resolution game LP pair and extract value and policies."""
     rows, owner = build_grid(model, resolution).stacked()
-    return _solve_pair(model, rows, owner, resolution=resolution)
+    return _solve_pair(model, rows, owner, resolution=resolution)[0]
 
 
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
@@ -411,12 +419,14 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     support simplex sits at a vertex), and alternates a restricted solve with
     exact separation of the V-family by weighted Gibbs rows.  Terminates when
     no constraint is violated by more than inner_tol; hitting max_rounds
-    returns the last iterate marked uncertified.
+    returns the last iterate marked uncertified.  A cut is a new (mu, nu)
+    column pair of the dual, so each round's optimal basis stays feasible and
+    starts the next round's simplex.
     """
     rows, owner = build_grid(model, 0).stacked()
-    sol = None
+    sol = basis = None
     for round_no in range(1, max_rounds + 1):
-        sol = _solve_pair(model, rows, owner, resolution=None)
+        sol, basis = _solve_pair(model, rows, owner, resolution=None, basis=basis)
         cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
         new_rows, new_owner = [], []
         for i, (_, _, row, viol) in enumerate(cuts):
@@ -426,8 +436,15 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                 new_owner.append(i)
         if not new_rows:
             return replace(sol, certified=True, rounds=round_no)
-        # each state's cut goes after its old rows
+        # each state's cut goes after its old rows; the basis follows its
+        # mu and nu columns there, and w, slacks and artificials shift by the
+        # two new columns per cut
+        n_mu, added = owner.shape[0], len(new_rows)
         owner = np.concatenate([owner, new_owner])
         order = np.argsort(owner, kind="stable")
         rows, owner = np.vstack([rows, *new_rows])[order], owner[order]
+        place = np.argsort(order)[:n_mu]
+        basis = np.select([basis < n_mu, basis < 2 * n_mu],
+                          [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
+                          basis + 2 * added)
     return replace(sol, certified=False, rounds=max_rounds)

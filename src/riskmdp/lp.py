@@ -1,11 +1,11 @@
 """Self-contained linear programming kernel.
 
 Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b,   l <= x <= u
-with a bounded-variable revised simplex method: two-phase start, dense
-basis-inverse updates with periodic refactorization, and a permanent switch
-to Bland's rule after a run of degenerate pivots (anti-cycling).  Free
-variables are handled natively through their bounds, not by splitting, so
-dual extraction stays clean.
+with a bounded-variable revised simplex method: two-phase start (or phase 2
+straight from a given feasible basis), dense basis-inverse updates with
+periodic refactorization, and a permanent switch to Bland's rule after a run
+of degenerate pivots (anti-cycling).  Free variables are handled natively
+through their bounds, not by splitting, so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -121,6 +121,8 @@ class LpSolution:
     primal_residual: float | None = None
     dual_residual: float | None = None
     iterations: int = 0
+    basis: np.ndarray | None = None  # final basis, at "optimal" status
+    warm_started: bool = False  # phase 2 ran from the given basis
 
 
 class _Simplex:
@@ -139,6 +141,7 @@ class _Simplex:
         self.basis = np.zeros(self.m, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.at_upper = np.zeros(self.n, dtype=bool)
+        self.keep = np.zeros(self.n, dtype=bool)  # never chosen to leave
         self.binv = np.eye(self.m)
         self.iterations = 0
         self.bland = False
@@ -217,6 +220,7 @@ class _Simplex:
         zero_tol = max(PIVOT_TOL, 1e-11 * float(np.abs(w).max(initial=0.0)))
         delta = -direction * w  # change of basic values per unit step
         bvars = self.basis
+        delta[self.keep[bvars]] = 0.0
         theta = np.full(self.m, np.inf)
         grow = delta > zero_tol
         shrink = delta < -zero_tol
@@ -287,12 +291,53 @@ class _Simplex:
             self.iterations += 1
 
 
-def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP_TOL,
-          max_iters: int = 200_000) -> LpSolution:
+def solve(lp: LinearProgram, *, basis=None, feas_tol: float = FEAS_TOL,
+          gap_tol: float = GAP_TOL, max_iters: int = 200_000) -> LpSolution:
     """Solve an LP; returns primal and dual solutions with an optimality check.
+
+    basis, if given, holds m column indices into the working matrix
+    [structural | slack (one per inequality row, in row order) | artificial
+    (one per row)], such as the `basis` of an earlier solution.  Nonbasic
+    columns start at their usual bound; when the basis is nonsingular and
+    its point lies within bounds, phase 1 is skipped.  Otherwise, or on a
+    numerical breakdown from that start, the LP is solved cold.
 
     Raises LpError on numerical breakdown; infeasible/unbounded are statuses.
     """
+    if basis is not None:
+        try:
+            sol = _solve(lp, np.asarray(basis, dtype=np.intp), feas_tol, gap_tol, max_iters)
+            if sol is not None:
+                return sol
+        except LpError:
+            pass  # a breakdown from the given basis: solve cold
+    return _solve(lp, None, feas_tol, gap_tol, max_iters)
+
+
+def _warm_start(sim: _Simplex, basis: np.ndarray, feas_tol: float) -> bool:
+    """Install basis over the nonbasic start point; False when it is singular
+    or its basic point leaves the bounds or the rows by more than feas_tol."""
+    # (np.unique would import numpy.ma, 1.5 MB of resident memory)
+    in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
+    if in_range:
+        sim.in_basis[basis] = True
+    if not in_range or np.count_nonzero(sim.in_basis) != sim.m:
+        raise ValueError(f"basis must hold {sim.m} distinct column indices below {sim.n}")
+    sim.basis = basis.copy()
+    sim.at_upper[basis] = False
+    try:
+        sim._refactor()
+    except LpError:
+        return False
+    x = sim.x
+    return bool(np.all(np.isfinite(x))
+                and np.all(x >= sim.lower - feas_tol) and np.all(x <= sim.upper + feas_tol)
+                and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= feas_tol)
+
+
+def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution | None:
+    """One solve, from the given basis or (basis None) cold; None when the
+    given basis cannot start phase 2."""
     m, n = lp.num_constraints, lp.num_vars
     if np.any(lp.lower > lp.upper):
         return LpSolution(status="infeasible")
@@ -326,25 +371,33 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
     resid = b_scaled - a_full[:, : n + n_slack] @ x0
     art = np.arange(n + n_slack, n + n_slack + m)
     a_full[np.arange(m), art] = np.where(resid >= 0, 1.0, -1.0)
+    phase2_c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
 
     sim = _Simplex(
-        a=a_full, b=b_scaled,
-        c=np.concatenate([np.zeros(n + n_slack), np.ones(m)]),
+        a=a_full, b=b_scaled, c=phase2_c,
         lower=lower, upper=upper, feas_tol=feas_tol, max_iters=max_iters,
     )
     sim.x[: n + n_slack] = x0
-    sim.x[art] = np.abs(resid)
     sim.at_upper[np.flatnonzero(only_up)] = True
-    sim.basis = art.copy()
-    sim.in_basis[art] = True
-    sim.binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
+    if basis is not None:
+        # artificials are zero-fixed from the start: a basic one may only
+        # sit on a redundant row
+        sim.upper[art] = 0.0
+        if not _warm_start(sim, basis, feas_tol):
+            return None
+    else:
+        sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
+        sim.x[art] = np.abs(resid)
+        sim.basis = art.copy()
+        sim.in_basis[art] = True
+        sim.binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
 
-    status = sim.run()
-    phase1_obj = sim.x[art].sum()
-    if status == "unbounded" or not np.isfinite(phase1_obj):
-        raise LpError("phase-1 subproblem did not terminate cleanly")
-    if phase1_obj > feas_tol:
-        return LpSolution(status="infeasible", iterations=sim.iterations)
+        status = sim.run()
+        phase1_obj = sim.x[art].sum()
+        if status == "unbounded" or not np.isfinite(phase1_obj):
+            raise LpError("phase-1 subproblem did not terminate cleanly")
+        if phase1_obj > feas_tol:
+            return LpSolution(status="infeasible", iterations=sim.iterations)
 
     # drive artificials out of the basis where possible; rows where no real
     # column can pivot are redundant and keep a zero-fixed artificial
@@ -362,21 +415,26 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
             sim.x[j] = sim.x[bvar] / piv if abs(piv) > PIVOT_TOL else 0.0
             sim.x[bvar] = 0.0
             sim._recompute_basics()
-    sim.lower[art] = 0.0
     sim.upper[art] = 0.0
     sim.x[art[~sim.in_basis[art]]] = 0.0
+    # pivots keep a zero tableau row zero, so on the rows the artificials
+    # still hold every entry is rounding noise; pivoting one out there would
+    # leave a singular basis, so they stay basic
+    sim.keep[art] = True
 
-    sim.c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
+    sim.c = phase2_c
     sim.degen_run = 0
     status = sim.run()
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=sim.iterations)
+        return LpSolution(status="unbounded", iterations=sim.iterations,
+                          warm_started=basis is not None)
     # clean-up pass: rebuild the basis inverse and basic values from scratch,
     # then let the iteration polish anything the accumulated updates drifted
     sim._refactor()
     status = sim.run()
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=sim.iterations)
+        return LpSolution(status="unbounded", iterations=sim.iterations,
+                          warm_started=basis is not None)
 
     x = np.clip(sim.x[:n], lp.lower, lp.upper)
     _, y_int = sim._reduced_costs()
@@ -412,6 +470,7 @@ def solve(lp: LinearProgram, *, feas_tol: float = FEAS_TOL, gap_tol: float = GAP
         objective_value=objective, duality_gap=gap,
         primal_residual=primal_residual,
         dual_residual=dual_residual, iterations=sim.iterations,
+        basis=sim.basis.copy(), warm_started=basis is not None,
     )
     if primal_residual > 1e3 * feas_tol or gap > 1e3 * gap_tol:
         raise LpError(

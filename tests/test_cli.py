@@ -219,6 +219,21 @@ def test_verify_rejects_reports_of_another_size(tmp_path, capsys, phi, v):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"phi_star": [NaN, 0.0], "potentials": [0.0, 0.0]}',
+    '{"phi_star": [0.0, 0.0], "potentials": [0.0, Infinity]}',
+], ids=["nan-phi", "infinite-potential"])
+def test_verify_rejects_nonfinite_reports(tmp_path, capsys, text):
+    # Python's json reads NaN and Infinity; they are not values of a report
+    model = write_two_state(tmp_path)
+    solution = tmp_path / "report.json"
+    solution.write_text(text)
+    assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
     model = write_two_state(tmp_path)
     out = tmp_path / "report.json"
@@ -365,6 +380,43 @@ def test_solver_failure_exit_4(tmp_path, monkeypatch, capsys):
     model = write_two_state(tmp_path)
     assert main(["solve", "--model", str(model)]) == 4
     assert "solver failure" in capsys.readouterr().err
+
+
+SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
+# writes the benchmark's congen-ring model 6 of seed 1602 and solves it; with
+# "cold" every game LP starts cold, which is the path round 1 and every grid
+# LP take
+RING_1602_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import models
+from riskmdp import cli, game
+models.write_model(sys.argv[2], *models.generate("ring", 32, 3, 1602, 6))
+if sys.argv[4] == "cold":
+    solve = game.lp_solve
+    game.lp_solve = lambda program, basis=None: solve(program)
+sys.exit(cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3],
+                   "--method", "congen"]))
+"""
+
+
+@pytest.mark.parametrize("start", ["warm", "cold"])
+def test_congen_ring_seed_1602_model_6_solves_under_single_threaded_blas(tmp_path, start):
+    # under single-threaded BLAS, phase 2 of the cold round-5 LP met a
+    # rounding-noise entry (1.2e-8 against a column maximum of 979) on the
+    # row of the artificial that holds the dual's redundant kernel-balance
+    # row; pivoting that artificial out left a singular basis (exit 4)
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", RING_1602_CHILD, str(SOLVEBENCH), str(tmp_path / "model.json"),
+         str(tmp_path / "report.json"), start],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["certified"]
 
 
 def test_module_entry_point(tmp_path):

@@ -292,6 +292,56 @@ def test_congen_constraint_count_is_small():
     assert abs(cg.lambda_bar - grid_sol.lambda_bar) <= 1e-3
 
 
+def _recorded_lp_solves(monkeypatch):
+    """Route game's LP solves through a recorder of (program, basis, solution)."""
+    calls = []
+
+    def record(program, basis=None):
+        calls.append((program, basis, lp_solve(program, basis=basis)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(game, "lp_solve", record)
+    return calls
+
+
+WARM_CASES = corpus() + [("ring-16", random_model(3, 16, 3)),
+                         ("ring-12", random_model(8, 12, 2))]
+
+
+@pytest.mark.parametrize("model", [model for _, model in WARM_CASES],
+                         ids=[name for name, _ in WARM_CASES])
+def test_warm_started_congen_rounds_match_cold_solves(monkeypatch, model):
+    # each round after the first starts from the previous round's basis; its
+    # optimum sum(w) = sum(beta) is the one a cold start finds
+    calls = _recorded_lp_solves(monkeypatch)
+    sol = solve_congen(model)
+    assert sol.certified
+    s, m = model.num_states, model.num_actions
+    rounds = [(prog, basis, got) for prog, basis, got in calls
+              if prog.num_constraints == 2 * s + s * m]
+    assert len(rounds) == sol.rounds and rounds[0][1] is None
+    for prog, basis, got in rounds[1:]:
+        assert got.warm_started
+        cold = lp_solve(prog)
+        assert got.status == cold.status == "optimal"
+        assert abs(got.objective_value - cold.objective_value) <= 1e-9
+
+
+def test_congen_warm_starts_keep_pivots_low(monkeypatch):
+    # pivots do not depend on the machine: cold starts took 1,816 here, the
+    # warm starts 481; a silent fallback to cold starts would keep every
+    # value right and lose the gain
+    model = random_model(3, 32, 3)
+    calls = _recorded_lp_solves(monkeypatch)
+    sol = solve_congen(model)
+    assert sol.certified and sol.rounds >= 2
+    polish_rows = 2 * 32 + 32 * 3 + 1
+    assert any(prog.num_constraints == polish_rows for prog, _, _ in calls)
+    assert not calls[0][2].warm_started
+    assert all(got.warm_started for _, _, got in calls[1:])
+    assert sum(got.iterations for _, _, got in calls) < 700
+
+
 def test_congen_working_set_keeps_per_state_order(monkeypatch):
     # the stacked working set holds its rows in the order per-state lists
     # would: state by state, each state's old rows first, then its new Gibbs

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from riskmdp import lp as lp_module
-from riskmdp.lp import FEAS_TOL, GAP_TOL, LinearProgram, LpError, solve
+from riskmdp.lp import FEAS_TOL, GAP_TOL, LinearProgram, LpError, LpSolution, solve
 
 from helpers import enumerate_lp_optimum
 
@@ -263,3 +265,88 @@ def test_badly_scaled_rows():
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x[0] + sol.x[1], 2.0, atol=1e-8)
     np.testing.assert_allclose(sol.objective_value, 2.0, atol=1e-8)
+
+
+def _outcome(prog, basis=None):
+    """(status, objective) of a solve, or ("error",) on LpError."""
+    try:
+        sol = solve(prog, basis=basis)
+    except LpError:
+        return ("error",), None
+    return (sol.status, sol.objective_value), sol
+
+
+def _assert_same_solution(a, b):
+    for field in dataclasses.fields(LpSolution):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_warm_start_from_own_optimal_basis(seed):
+    prog = _random_instance(seed)
+    cold = solve(prog)
+    if cold.status != "optimal":
+        return
+    warm = solve(prog, basis=cold.basis)
+    assert warm.warm_started and warm.status == "optimal"
+    assert abs(warm.objective_value - cold.objective_value) <= GAP_TOL
+    assert warm.iterations <= cold.iterations
+
+
+def _with_columns(prog, rng, k):
+    """prog with k random columns appended after its structural ones."""
+    extra = rng.uniform(-1.0, 1.0, (prog.num_constraints, k)) \
+        * (rng.uniform(size=(prog.num_constraints, k)) < 0.7)
+    return LinearProgram(
+        prog.sense, np.append(prog.objective, rng.uniform(-1.0, 1.0, k)),
+        np.hstack([prog.matrix, extra]), prog.relations, prog.rhs,
+        np.append(prog.lower, np.where(rng.uniform(size=k) < 0.3, -np.inf, 0.0)),
+        np.append(prog.upper, np.where(rng.uniform(size=k) < 0.4, 1.2, np.inf)))
+
+
+def test_warm_start_after_adding_columns_matches_cold_solve():
+    # new columns start nonbasic at 0 and the old basis keeps its columns,
+    # shifted past them; a start whose old nonbasics sat at an upper bound
+    # is off that basis's point, so it may be infeasible and fall back
+    rng = np.random.default_rng(11)
+    warm_count = fallbacks = 0
+    for _ in range(300):
+        prog = _bounded_instance(rng)
+        k = int(rng.integers(1, 4))
+        grown = _with_columns(prog, rng, k)
+        first = _outcome(prog)[1]
+        if first is None or first.status != "optimal":
+            continue
+        basis = np.where(first.basis >= prog.num_vars, first.basis + k, first.basis)
+        (cold, _), (warm, sol) = _outcome(grown), _outcome(grown, basis)
+        assert warm[0] == cold[0]
+        if cold[0] == "optimal":
+            assert abs(warm[1] - cold[1]) <= GAP_TOL
+        if sol is not None:
+            warm_count += sol.warm_started
+            fallbacks += not sol.warm_started
+    assert warm_count >= 50 and fallbacks >= 20  # 83 and 65 when written
+
+
+def test_singular_or_infeasible_basis_falls_back_to_the_cold_solve():
+    # min x0 s.t. x0 >= 3, 0 * x1 >= -1: working columns [x0, x1 | two
+    # slacks | two artificials]; x1's column is zero
+    prog = lp("min", [1.0, 0.0], [(0, 0, 1.0), (1, 1, 0.0)], [">=", ">="], [3.0, -1.0])
+    cold = solve(prog)
+    assert cold.status == "optimal"
+    for basis in ([1, 3], [2, 3]):   # singular; slack -3 below its bound
+        sol = solve(prog, basis=basis)
+        assert not sol.warm_started
+        _assert_same_solution(sol, cold)
+    assert solve(prog, basis=cold.basis).warm_started
+
+
+@pytest.mark.parametrize("basis", [[0], [0, 0], [0, 6], [-1, 0]])
+def test_warm_start_rejects_malformed_basis(basis):
+    prog = lp("min", [1.0, 0.0], [(0, 0, 1.0), (1, 1, 1.0)], [">=", ">="], [3.0, 1.0])
+    with pytest.raises(ValueError, match="basis must hold 2 distinct column indices"):
+        solve(prog, basis=basis)
