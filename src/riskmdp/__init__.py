@@ -41,10 +41,7 @@ from .model import (
 from .oracle import (
     BruteForceResult,
     GrowthRates,
-    PayoffVector,
     brute_force_lambda_star,
-    cesaro_limit,
-    game_payoff,
     growth_rate,
     kl_divergence,
     tilde_cost,

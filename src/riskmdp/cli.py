@@ -34,7 +34,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 
 def canonical_json(obj) -> str:
@@ -99,6 +99,7 @@ def _brute_force(model: MdpModel) -> dict:
     bf = oracle.brute_force_lambda_star(model)
     return {
         "value": bf.value,
+        "bracket": list(bf.bracket),
         "per_state": _vec(bf.per_state),
         "argmin": _policy_map(model, bf.argmin),
         "converged": bf.converged,
@@ -379,7 +380,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (LpError, game.MonotonicityError, oracle.DegenerateChainError) as exc:
+    except (LpError, game.MonotonicityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

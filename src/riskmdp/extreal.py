@@ -6,23 +6,4 @@ is 0 * (-inf), which must be 0 here: a state or action that carries zero
 weight contributes nothing, even if its reward is -inf.
 """
 
-from __future__ import annotations
-
-from typing import Iterable
-
 NEG_INF = float("-inf")
-
-
-def weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
-    """Sum w_k * v_k under the convention 0 * (-inf) = 0.
-
-    Any strictly positive weight on a -inf value makes the result -inf.
-    """
-    total = 0.0
-    for w, v in zip(weights, values):
-        if w == 0.0:
-            continue
-        if v == NEG_INF:
-            return NEG_INF
-        total += w * v
-    return total

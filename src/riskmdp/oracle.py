@@ -1,16 +1,21 @@
 """Independent ground-truth computations for the game pipeline.
 
 Everything here is deliberately separate from the LP machinery: per-policy
-growth rates via log-space power iteration on the exponentiated-cost matrix,
-brute-force minimization over all pure policies, Cesaro limit matrices from
-the communicating-class structure, and the ergodic game payoff evaluated
-through invariant measures.  The LP solutions are verified against these.
+growth rates and the brute-force minimization over all pure policies, both
+read off Collatz-Wielandt brackets.  The LP solutions are verified against
+these.
 
-The power iteration stores each policy's log matrix only on the model's
-union-support columns (k per state, k the largest support size), so one
-step is k elementwise passes summed left to right in slot order, and a
-batch of policies sheds its converged members as it goes.  Growth rates of
-a single policy and the brute-force scan share that one code path.
+For any h > 0, min_i (Mh)_i/h_i <= rho(M) <= max_i (Mh)_i/h_i.  The
+iteration stores each policy's log matrix only on the model's union-support
+columns (k per state, k the largest support size), so one step is k
+elementwise passes summed left to right in slot order.  Each step tightens
+every chain's running bracket on log rho and then takes the damped step
+h <- (h + Mh / e^{max r}) / 2, which makes periodic chains converge.  On a
+reducible chain the entries between communicating classes are dropped and
+each class keeps its own bracket.  A chain stops once its brackets are
+RATE_TOL wide, and the brute force drops a policy as soon as its lower bound
+passes the best upper bound seen.  Growth rates of a single policy and the
+brute-force scan share that one code path.
 """
 
 from __future__ import annotations
@@ -21,18 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ModelError
-from .extreal import NEG_INF, weighted_sum
-from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, apply_policy
+from .extreal import NEG_INF
+from .model import MdpModel, PurePolicy, StationaryPolicy, apply_policy
 
 ENUMERATION_GUARD = 10**6
-BLOCK_ENTRIES = 2**22    # stored entries per brute-force batch (32 MB of float64)
+BLOCK_ENTRIES = 2**20    # stored log entries per brute-force batch (8 MB of float64)
 RATE_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
-RATE_WINDOW = 32
-
-
-class DegenerateChainError(RuntimeError):
-    """A numerically degenerate recurrent class (singular invariant system)."""
+LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,9 @@ class GrowthRates:
 
 
 @dataclass(frozen=True)
-class PayoffVector:
-    """Per-state ergodic payoffs of the game chain; -inf marks an absolute
-    continuity failure at a state with positive Cesaro weight."""
-
-    phi: np.ndarray
-    phi_max: float
-
-
-@dataclass(frozen=True)
 class BruteForceResult:
     value: float
+    bracket: tuple[float, float]
     argmin: PurePolicy
     per_state: np.ndarray
     converged: bool
@@ -140,93 +133,169 @@ def _support_matvec(logc: np.ndarray, cols: np.ndarray, ln: np.ndarray) -> np.nd
     return mx + np.log(total)
 
 
-def _batched_log_rates(logc: np.ndarray, cols: np.ndarray, rate_tol: float,
-                       max_iters: int, window: int):
-    """Growth-rate estimates for a batch of chains by log-space power iteration.
+def _support_graph(model: MdpModel, logc: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Boolean support graphs of the chains in logc: graph[i, j, p] says chain
+    p moves from i to j.  When every action at a state shares one support,
+    every policy's graph is the union support graph, returned once as
+    (s, s, 1); otherwise (s, s, P), read off logc's finite entries."""
+    kernel = model.kernel
+    if np.array_equal(kernel > 0.0, np.broadcast_to(model.support, kernel.shape)):
+        return model.support[:, :, None]
+    k, s, p = logc.shape
+    graph = np.zeros((s, s, p), dtype=bool)
+    for c in range(k):
+        graph[np.arange(s), cols[:, c]] |= logc[c] > NEG_INF
+    return graph
+
+
+def _communicating_classes(graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, reach) of a batch of (s, s, P) support graphs.
+
+    reach[i, j, p] says j can be reached from i in one or more steps
+    (Warshall's closure), and labels (s, P) names each state's communicating
+    class by its smallest member.
+    """
+    s = graph.shape[0]
+    reach = graph.copy()
+    for k in range(s):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1]
+    comm = reach & reach.transpose(1, 0, 2)
+    comm |= np.eye(s, dtype=bool)[:, :, None]
+    return comm.argmax(axis=1), reach
+
+
+def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
+              max_iters: int, best: float):
+    """Collatz-Wielandt brackets on log rho for a batch of chains.
 
     Each chain's log matrix is stored only on the union-support columns, state
     major: logc[c, i, p] is the log entry of chain p at (i, cols[i, c]), -inf
-    on padded slots, so a step costs k elementwise passes instead of a dense
-    (P, s, s) reduction, and padded slots add exactly 0.  Keeps iterates
-    normalized (running max subtracted) so all arithmetic stays O(1), and
-    damps with the average of two consecutive iterates so period-2 structure
-    cannot make the per-step estimate oscillate.  The estimate is the damped
-    per-step increment averaged over a sliding window; a chain converges when
-    successive estimates differ by less than rate_tol.  Converged chains are
-    written out, and once they make up half the batch it is compacted to the
-    rest (compacting at every convergence step copies the window more often
-    than it saves).  Every operation acts per chain, so a chain's result does
-    not depend on which others share its batch.  Returns (P, s) estimates,
-    per-chain iteration counts and converged flags.
+    on padded slots and between classes.  groups is None when every chain is
+    one class; otherwise (member, gid), where member[g, i, p] puts state i of
+    chain p in class g and gid[i, p] names that class (G for a state in
+    none), with a last axis of P or a shared 1.
+
+    Each step forms r = log(Mh) - log h, tightens every class's running
+    bracket [lo, hi] with the min and max of r over the class, and damps each
+    class by its own max r: h <- (h + Mh / e^{max r}) / 2, renormalized to a
+    maximum of 1.  A state in no class is damped by its chain's largest max r.
+    A chain finishes when every class bracket is at most rate_tol wide.  It
+    is dropped when its lower end (the largest lo over its classes) exceeds
+    best, the smallest upper end (the largest hi over its classes) seen so
+    far, which starts from the caller's value.  Stopped chains leave the batch
+    once they make up half of it.  Every operation acts per chain, so a
+    chain's brackets do not depend on which other chains share its batch.
+    Returns lo and hi (G, P) at each chain's last step, step counts, closed
+    flags and best.
     """
     _, s, p = logc.shape
+    g = 1 if groups is None else groups[0].shape[0]
     live = np.arange(p)
+    active = np.ones(p, dtype=bool)
     ln = np.zeros((s, p))
-    d_prev = None
-    buf = np.zeros((window, s, p))
-    buf_count = 0
-    est_prev = None
-    out = np.zeros((p, s))
-    iters = np.full(p, max_iters)
-    done = np.zeros(p, dtype=bool)
-    log2 = math.log(2.0)
+    lo, hi = np.full((g, p), -math.inf), np.full((g, p), math.inf)
+    out_lo, out_hi = np.empty((g, p)), np.empty((g, p))
+    steps = np.full(p, max_iters)
+    closed = np.zeros(p, dtype=bool)
     for step in range(1, max_iters + 1):
         lnew = _support_matvec(logc, cols, ln)
-        off = lnew.max(axis=0)
-        lnew_norm = lnew - off
-        damped = np.logaddexp(lnew_norm, ln - off) - log2
-        est = None
-        if d_prev is not None:
-            buf[buf_count % window] = damped - d_prev + off
-            buf_count += 1
-            if buf_count >= window:
-                est = buf.mean(axis=0)
-                if est_prev is not None:
-                    newly = ~done[live] & (np.abs(est - est_prev).max(axis=0) < rate_tol)
-                    if newly.any():
-                        out[live[newly]] = est[:, newly].T
-                        iters[live[newly]] = step
-                        done[live[newly]] = True
-                        keep = ~done[live]
-                        if not keep.any():
-                            return out, iters, done
-                        if 2 * (len(live) - keep.sum()) >= len(live):
-                            live, logc, buf = live[keep], logc[:, :, keep], buf[:, :, keep]
-                            est, damped, lnew_norm = est[:, keep], damped[:, keep], lnew_norm[:, keep]
-        est_prev = est
-        d_prev = damped
-        ln = lnew_norm
-    if buf_count >= window:
-        rest = ~done[live]
-        out[live[rest]] = buf.mean(axis=0)[:, rest].T
-    return out, iters, done
+        r = lnew - ln
+        if groups is None:
+            rmin, rmax = r.min(axis=0, keepdims=True), r.max(axis=0, keepdims=True)
+            shift = rmax
+        else:
+            member, gid = groups
+            rmin = np.array([np.where(mask, r, math.inf).min(axis=0) for mask in member])
+            rmax = np.array([np.where(mask, r, -math.inf).max(axis=0) for mask in member])
+            shift = np.take_along_axis(np.vstack([rmax, rmax.max(axis=0)]), gid, axis=0)
+        lo = np.maximum(lo, rmin)
+        hi = np.minimum(hi, rmax)
+        best = min(best, float(hi.max(axis=0)[active].min()))
+        done = (hi - lo <= rate_tol).all(axis=0)
+        stop = active & (done | (np.minimum(lo, hi).max(axis=0) > best))
+        if stop.any():
+            out_lo[:, live[stop]], out_hi[:, live[stop]] = lo[:, stop], hi[:, stop]
+            steps[live[stop]] = step
+            closed[live[stop]] = done[stop]
+            active &= ~stop
+            if not active.any():
+                return out_lo, out_hi, steps, closed, best
+            if 2 * active.sum() <= len(active):
+                live, logc, ln, lnew = live[active], logc[:, :, active], ln[:, active], lnew[:, active]
+                lo, hi, shift = lo[:, active], hi[:, active], shift[:, active]
+                if groups is not None and member.shape[2] > 1:
+                    groups = (member[:, :, active], gid[:, active])
+                active = active[active]
+        b = lnew - shift
+        ln = np.maximum(ln, b) + np.log1p(np.exp(-np.abs(ln - b))) - LOG2
+        ln -= ln.max(axis=0)
+    out_lo[:, live[active]], out_hi[:, live[active]] = lo[:, active], hi[:, active]
+    return out_lo, out_hi, steps, closed, best
+
+
+def _class_rates(logc: np.ndarray, cols: np.ndarray, graph: np.ndarray, rate_tol: float,
+                 max_iters: int, best: float = math.inf):
+    """Per-state growth rates and brackets of a batch of chains with support
+    graphs graph ((s, s, P), or (s, s, 1) shared).
+
+    A chain whose graph is strongly connected is bracketed as a whole.
+    Otherwise logc's entries between communicating classes are set to -inf,
+    which leaves rho unchanged, and every class on a cycle is bracketed on its
+    own; a state on no cycle (a rate of -inf) keeps its row and joins no
+    class.  A class's rate is its bracket's midpoint, and lam_i is the largest
+    rate over the classes reachable from i.  Returns lam (s, P), the chains'
+    brackets lo and hi (P,) (the largest lo and the largest hi over their
+    classes), step counts, closed flags and best, as _brackets gives them.
+    """
+    labels, reach = _communicating_classes(graph)
+    s = labels.shape[0]
+    groups = None
+    if labels.any():
+        cyclic = np.diagonal(reach).T
+        reps = np.unique(labels[cyclic])
+        member = (labels[None] == reps[:, None, None]) & cyclic[None]
+        groups = (member, np.where(cyclic, np.searchsorted(reps, labels), len(reps)))
+        np.copyto(logc, NEG_INF, where=(labels[cols.T] != labels[None]) & cyclic[None])
+    lo, hi, steps, closed, best = _brackets(logc, cols, groups, rate_tol, max_iters, best)
+    lo = np.minimum(lo, hi)
+    mid = (lo + hi) / 2.0
+    if groups is None:
+        lam = np.repeat(mid, s, axis=0)
+    else:
+        to = (reach | np.eye(s, dtype=bool)[:, :, None])[:, reps].transpose(1, 0, 2)
+        lam = np.where(to, mid[:, None], NEG_INF).max(axis=0)
+    return lam, lo.max(axis=0), hi.max(axis=0), steps, closed, best
 
 
 def growth_rate(model: MdpModel, policy: StationaryPolicy, *,
-                rate_tol: float = RATE_TOL, max_iters: int = MAX_POWER_ITERS,
-                window: int = RATE_WINDOW) -> GrowthRates:
+                rate_tol: float = RATE_TOL, max_iters: int = MAX_POWER_ITERS) -> GrowthRates:
     """Per-state growth rates lim (1/n) log E_i[exp(sum of costs)] under a
-    stationary policy, via power iteration on M(i,j) = exp(c_v(i)) p_v(j|i)."""
+    stationary policy: the largest log rho over the communicating classes of
+    M(i,j) = exp(c_v(i)) p_v(j|i) that i reaches, each read off its bracket.
+    converged says every class bracket closed within max_iters."""
     p_v, c_v = apply_policy(model, policy)
     cols, pad = _support_columns(model.support)
     prob = p_v[np.arange(model.num_states)[None, :], cols.T][:, :, None]
     logc = _log_entries(c_v[:, None], prob, pad)
-    est, iters, conv = _batched_log_rates(logc, cols, rate_tol, max_iters, window)
-    lam = est[0]
-    return GrowthRates(lam=lam, lambda_max=float(lam.max()),
-                       iterations=int(iters[0]), converged=bool(conv[0]))
+    lam, _, _, steps, closed, _ = _class_rates(
+        logc, cols, _support_graph(model, logc, cols), rate_tol, max_iters)
+    return GrowthRates(lam=lam[:, 0], lambda_max=float(lam.max()),
+                       iterations=int(steps[0]), converged=bool(closed[0]))
 
 
 def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
                             max_iters: int = MAX_POWER_ITERS) -> BruteForceResult:
-    """Exact minimum of max_i (growth rate) over all pure policies.
+    """Minimum of max_i (growth rate) over all pure policies, with a bracket.
 
     Enumerates the |U|^s pure policies (guarded) in lexicographic order, in
-    blocks of about BLOCK_ENTRIES stored entries so memory stays bounded (per
-    policy, s * k log entries on the support columns and s * RATE_WINDOW
-    window entries), runs the batched power iteration per block (each
-    policy's iteration is independent of its batch), and breaks value ties
-    by lexicographic policy order.
+    blocks of about BLOCK_ENTRIES stored entries (s * k log entries per
+    policy) so memory stays bounded, and brackets each block, dropping a
+    policy once its lower end exceeds the smallest upper end seen in any
+    block.  The argmin is the lexicographically first policy whose final lower
+    end is at most the smallest final upper end; value is the largest of its
+    class rates, per_state its per-state rates and bracket its [lo, hi], which
+    holds value.  converged says every such policy's bracket closed.  None of
+    this depends on the block size.
     """
     s, m = model.num_states, model.num_actions
     count = m**s
@@ -236,124 +305,23 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
             f"{ENUMERATION_GUARD}"
         )
     cols, pad = _support_columns(model.support)
-    block = max(1, BLOCK_ENTRIES // (s * (cols.shape[1] + RATE_WINDOW)))
+    block = max(1, BLOCK_ENTRIES // (s * cols.shape[1]))
     place = m ** np.arange(s - 1, -1, -1)   # the last state's action varies fastest
-    best_value, best_choice, best_est, converged = None, None, None, True
+    best, kept = math.inf, []
     for start in range(0, count, block):
         index = np.arange(start, min(start + block, count))
         choices = (index[:, None] // place[None, :]) % m
         logc = _pure_log_entries(model, choices, cols, pad)
-        est, _, conv = _batched_log_rates(logc, cols, rate_tol, max_iters, RATE_WINDOW)
-        converged &= bool(conv.all())
-        values = est.max(axis=1)
-        for k in range(len(values)):
-            if best_value is None or values[k] < best_value:
-                best_value, best_choice, best_est = values[k], choices[k], est[k]
+        lam, lo, hi, _, closed, best = _class_rates(
+            logc, cols, _support_graph(model, logc, cols), rate_tol, max_iters, best)
+        kept = [c for c in kept if c[0] <= best]
+        kept += [(lo[j], hi[j], closed[j], choices[j], lam[:, j])
+                 for j in np.flatnonzero(lo <= best)]
+    lo, hi, _, choice, lam = kept[0]
     return BruteForceResult(
-        value=float(best_value),
-        argmin=PurePolicy(tuple(int(u) for u in best_choice)),
-        per_state=best_est,
-        converged=converged,
+        value=float(lam.max()),
+        bracket=(float(lo), float(hi)),
+        argmin=PurePolicy(tuple(int(u) for u in choice)),
+        per_state=lam,
+        converged=all(c[2] for c in kept),
     )
-
-
-def _communicating_classes(p: np.ndarray):
-    """(classes, recurrent_flags) from the support graph of a stochastic matrix."""
-    s = p.shape[0]
-    reach = np.eye(s, dtype=bool) | (p > 0.0)
-    for _ in range(max(1, math.ceil(math.log2(max(s, 2))))):
-        reach = reach @ reach
-    comm = reach & reach.T
-    seen = np.zeros(s, dtype=bool)
-    classes = []
-    for i in range(s):
-        if seen[i]:
-            continue
-        members = tuple(int(j) for j in np.flatnonzero(comm[i]))
-        seen[list(members)] = True
-        classes.append(members)
-    recurrent = []
-    for members in classes:
-        inside = np.zeros(s, dtype=bool)
-        inside[list(members)] = True
-        leaks = p[list(members)][:, ~inside].sum()
-        recurrent.append(leaks == 0.0)
-    return classes, recurrent
-
-
-def cesaro_limit(kernel, tol: float = 1e-9) -> np.ndarray:
-    """Cesaro limit Q = lim (1/N) sum_k P^k of a row-stochastic matrix.
-
-    Solves each recurrent class's invariant distribution exactly and fills
-    absorption probabilities from transient states; the result satisfies
-    QP = PQ = QQ = Q within tol.
-    """
-    p = np.asarray(kernel, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("kernel must be square")
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-10):
-        raise ValueError("kernel must be row-stochastic")
-    s = p.shape[0]
-    classes, recurrent = _communicating_classes(p)
-    rec_classes = [c for c, r in zip(classes, recurrent) if r]
-    transient = sorted(set(range(s)) - {i for c, r in zip(classes, recurrent) if r for i in c})
-
-    pis = []
-    for members in rec_classes:
-        idx = list(members)
-        sub = p[np.ix_(idx, idx)]
-        mat = sub.T - np.eye(len(idx))
-        mat[-1, :] = 1.0
-        rhs = np.zeros(len(idx))
-        rhs[-1] = 1.0
-        try:
-            pi = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateChainError(
-                f"singular invariant system on recurrent class {members}"
-            ) from exc
-        if pi.min() < -1e-10:
-            raise DegenerateChainError(
-                f"invariant distribution on class {members} came out negative"
-            )
-        pis.append(np.clip(pi, 0.0, None) / pi.sum())
-
-    q = np.zeros((s, s))
-    for members, pi in zip(rec_classes, pis):
-        for i in members:
-            q[i, list(members)] = pi
-    if transient:
-        tt = p[np.ix_(transient, transient)]
-        mat = np.eye(len(transient)) - tt
-        for members, pi in zip(rec_classes, pis):
-            rhs = p[np.ix_(transient, list(members))].sum(axis=1)
-            try:
-                absorb = np.linalg.solve(mat, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateChainError(
-                    f"singular absorption system for transient states {transient}"
-                ) from exc
-            q[np.ix_(transient, list(members))] += np.outer(absorb, pi)
-
-    for name, resid in (("QP", q @ p - q), ("PQ", p @ q - q), ("QQ", q @ q - q)):
-        err = float(np.abs(resid).max())
-        if err > tol:
-            raise DegenerateChainError(f"Cesaro limit failed {name} = Q check: {err:.3e}")
-    return q
-
-
-def game_payoff(model: MdpModel, q: KernelMatrix, v: StationaryPolicy) -> PayoffVector:
-    """Per-state ergodic payoff Phi = Q ctilde_v for the game chain driven by q.
-
-    States with zero Cesaro weight contribute nothing even if their reward is
-    -inf; a -inf reward at a positively weighted state makes that start -inf.
-    """
-    rows = q.entries
-    ces = cesaro_limit(rows)
-    s = model.num_states
-    ctil = np.empty(s)
-    for i in range(s):
-        per_action = [tilde_cost(model, i, rows[i], u) for u in range(model.num_actions)]
-        ctil[i] = weighted_sum(v.rows[i], per_action)
-    phi = np.array([weighted_sum(ces[i], ctil) for i in range(s)])
-    return PayoffVector(phi=phi, phi_max=float(phi.max()))

@@ -2,24 +2,55 @@
 
 The oracles here intentionally re-derive results through routes the library
 does not use (basis enumeration for LPs, dense 1-d scans for the analytic
-chain, a dense log-space power iteration for the growth-rate oracle, the
-game's primal LP, Dirichlet-sampled kernels scored with scalar KL rewards
-against the exact separation) so that agreement is meaningful.
+chain, a dense bracket iteration for the growth-rate oracle, the game's
+primal LP, Dirichlet-sampled kernels scored with scalar KL rewards against
+the exact separation) so that agreement is meaningful.  The ergodic game
+payoff (Cesaro limits, invariant measures, the 0 * (-inf) = 0 weighted sum)
+lives here too: only tests and the acceptance gate evaluate it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from riskmdp import game
-from riskmdp.extreal import NEG_INF, weighted_sum
+from riskmdp.extreal import NEG_INF
 from riskmdp.grid import GridSpec
 from riskmdp.lp import LinearProgram
-from riskmdp.model import MdpModel, union_support
-from riskmdp.oracle import tilde_cost
+from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, union_support
+from riskmdp.oracle import _communicating_classes, tilde_cost
+
+
+def weighted_sum(weights, values) -> float:
+    """Sum w_k * v_k under the convention 0 * (-inf) = 0.
+
+    Any strictly positive weight on a -inf value makes the result -inf.
+    """
+    total = 0.0
+    for w, v in zip(weights, values):
+        if w == 0.0:
+            continue
+        if v == NEG_INF:
+            return NEG_INF
+        total += w * v
+    return total
+
+
+class DegenerateChainError(RuntimeError):
+    """A numerically degenerate recurrent class (singular invariant system)."""
+
+
+@dataclass(frozen=True)
+class PayoffVector:
+    """Per-state ergodic payoffs of the game chain; -inf marks an absolute
+    continuity failure at a state with positive Cesaro weight."""
+
+    phi: np.ndarray
+    phi_max: float
 
 
 def random_model(seed: int, s: int, m: int, kernel_jitter: float = 0.005) -> MdpModel:
@@ -134,49 +165,115 @@ def dense_log_matvec(logm: np.ndarray, ln: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(t - mx[..., None]).sum(axis=2))
 
 
-def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, window: int):
-    """Reference power iteration on dense (P, s, s) log matrices.
+def dense_classes(logm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, reach) of the support graphs of dense (P, s, s) log matrices,
+    by repeated boolean squaring: reach[p, i, j] says j is reachable from i in
+    one or more steps, labels (P, s) names each class by its smallest member."""
+    graph = (logm > NEG_INF).astype(np.int64)
+    s = graph.shape[1]
+    reach = graph
+    for _ in range(max(1, math.ceil(math.log2(max(s, 2))))):
+        reach = np.minimum(reach + reach @ reach, 1)
+    reach = reach.astype(bool)
+    comm = reach & reach.transpose(0, 2, 1) | np.eye(s, dtype=bool)
+    return comm.argmax(axis=2), reach
 
-    The same normalization, damping, window and stopping rule as the
-    library's support-column iteration, but with a dense log-sum-exp over
-    all s columns and every chain kept in the batch until the last one
-    converges.  Returns (P, s) estimates, iteration counts, converged flags.
+
+def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, best: float = math.inf):
+    """Reference bracket iteration on dense (P, s, s) log matrices.
+
+    The same class masking, brackets, damping, renormalization, stop rule and
+    prune rule as the library's support-column iteration, but with a dense
+    log-sum-exp over all s columns, classes named by their smallest member
+    (s slots per chain, unused ones empty), and every chain kept in the batch
+    until the last one stops.  Returns per-state rates (P, s), the chain
+    brackets lo and hi, step counts and closed flags.
     """
     p, s, _ = logm.shape
+    labels, reach = dense_classes(logm)
+    cyclic = np.diagonal(reach, axis1=1, axis2=2)
+    logm = np.where((labels[:, :, None] != labels[:, None, :]) & cyclic[:, :, None],
+                    NEG_INF, logm)
+    member = [(labels == v) & cyclic for v in range(s)]
+    slot = np.where(cyclic, labels, s)
     ln = np.zeros((p, s))
-    d_prev = None
-    buf = np.zeros((window, p, s))
-    buf_count = 0
-    est_prev = None
-    out = np.zeros((p, s))
-    iters = np.zeros(p, dtype=int)
-    done = np.zeros(p, dtype=bool)
-    log2 = math.log(2.0)
+    lo, hi = np.full((s, p), -math.inf), np.full((s, p), math.inf)
+    out_lo, out_hi = np.empty((s, p)), np.empty((s, p))
+    steps = np.full(p, max_iters)
+    closed = np.zeros(p, dtype=bool)
+    active = np.ones(p, dtype=bool)
     for step in range(1, max_iters + 1):
         lnew = dense_log_matvec(logm, ln)
-        off = lnew.max(axis=1)
-        lnew_norm = lnew - off[:, None]
-        damped = np.logaddexp(lnew_norm, ln - off[:, None]) - log2
-        if d_prev is not None:
-            inc = damped - d_prev + off[:, None]
-            buf[buf_count % window] = inc
-            buf_count += 1
-            if buf_count >= window:
-                est = buf.mean(axis=0)
-                if est_prev is not None:
-                    newly = ~done & (np.abs(est - est_prev).max(axis=1) < rate_tol)
-                    out[newly] = est[newly]
-                    iters[newly] = step
-                    done |= newly
-                    if done.all():
-                        return out, iters, done
-                est_prev = est
-        d_prev = damped
-        ln = lnew_norm
-    est = buf.mean(axis=0) if buf_count >= window else np.zeros((p, s))
-    out[~done] = est[~done]
-    iters[~done] = max_iters
-    return out, iters, done
+        r = lnew - ln
+        rmin = np.array([np.where(mask, r, math.inf).min(axis=1) for mask in member])
+        rmax = np.array([np.where(mask, r, -math.inf).max(axis=1) for mask in member])
+        lo = np.maximum(lo, rmin)
+        hi = np.minimum(hi, rmax)
+        best = min(best, float(hi.max(axis=0)[active].min()))
+        done = (hi - lo <= rate_tol).all(axis=0)
+        stop = active & (done | (np.minimum(lo, hi).max(axis=0) > best))
+        out_lo[:, stop], out_hi[:, stop] = lo[:, stop], hi[:, stop]
+        steps[stop] = step
+        closed[stop] = done[stop]
+        active &= ~stop
+        if not active.any():
+            break
+        shift = np.take_along_axis(np.vstack([rmax, rmax.max(axis=0)]).T, slot, axis=1)
+        b = lnew - shift
+        ln = np.maximum(ln, b) + np.log1p(np.exp(-np.abs(ln - b))) - math.log(2.0)
+        ln -= ln.max(axis=1)[:, None]
+    out_lo[:, active], out_hi[:, active] = lo[:, active], hi[:, active]
+    out_lo = np.minimum(out_lo, out_hi)
+    mid = (out_lo + out_hi) / 2.0
+    to = reach | np.eye(s, dtype=bool)
+    lam = np.array([[max((mid[labels[q, j], q] for j in range(s) if to[q, i, j] and cyclic[q, j]),
+                         default=NEG_INF) for i in range(s)] for q in range(p)])
+    return lam, out_lo.max(axis=0), out_hi.max(axis=0), steps, closed
+
+
+def class_log_rho(matrix: np.ndarray) -> float:
+    """log rho of a nonnegative matrix from numpy.linalg.eigvals, taken over
+    the diagonal block of each communicating class on a cycle (rho is the
+    largest of theirs), so a reducible matrix's defective eigenvalues do not
+    blur the reference."""
+    with np.errstate(divide="ignore"):
+        labels, reach = dense_classes(np.log(matrix)[None])
+    best = NEG_INF
+    for v in np.unique(labels[0]):
+        members = np.flatnonzero(labels[0] == v)
+        if reach[0, members[0], members[0]]:
+            block = matrix[np.ix_(members, members)]
+            best = max(best, math.log(np.abs(np.linalg.eigvals(block)).max()))
+    return best
+
+
+def pure_log_rho_min(model: MdpModel) -> float:
+    """Smallest class_log_rho of exp(c_v(i)) p_v(j|i) over all pure policies."""
+    s = model.num_states
+    states = np.arange(s)
+    return min(class_log_rho(np.exp(model.cost[states, v])[:, None] * model.kernel[v, states])
+               for v in map(np.array, itertools.product(range(model.num_actions), repeat=s)))
+
+
+def two_successor_model(seed: int, s: int, m: int, cost_scale: float = 10.0) -> MdpModel:
+    """Random model whose every (action, state) row has its own two successors
+    (a self-loop at s = 1), so supports differ across actions, split
+    U[0.05, 0.95]; costs U[0, cost_scale].  Large costs make some policies'
+    tilted matrices nearly periodic."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for u in range(m):
+        for i in range(s):
+            if s == 1:
+                kernel[u, i, 0] = 1.0
+                continue
+            a, b = rng.choice(s, size=2, replace=False)
+            x = rng.uniform(0.05, 0.95)
+            kernel[u, i, a] = x
+            kernel[u, i, b] = 1.0 - x
+    return MdpModel(states=tuple(f"s{i}" for i in range(s)),
+                    actions=tuple(f"a{u}" for u in range(m)),
+                    kernel=kernel, cost=rng.uniform(0.0, cost_scale, size=(s, m)))
 
 
 def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:
@@ -273,3 +370,83 @@ def sampled_violations(model: MdpModel, beta, vvec, y, count: int = 400,
             q[supp] = rng.dirichlet(np.ones(len(supp)))
             out[k, i] = row_violations(model, beta, vvec, y, i, q)
     return out
+
+
+def cesaro_limit(kernel, tol: float = 1e-9) -> np.ndarray:
+    """Cesaro limit Q = lim (1/N) sum_k P^k of a row-stochastic matrix.
+
+    Solves each recurrent class's invariant distribution exactly and fills
+    absorption probabilities from transient states; the result satisfies
+    QP = PQ = QQ = Q within tol.
+    """
+    p = np.asarray(kernel, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("kernel must be square")
+    if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-10):
+        raise ValueError("kernel must be row-stochastic")
+    s = p.shape[0]
+    labels = _communicating_classes((p > 0.0)[:, :, None])[0][:, 0]
+    classes = [tuple(int(j) for j in np.flatnonzero(labels == v)) for v in np.unique(labels)]
+    recurrent = [p[list(c)][:, labels != c[0]].sum() == 0.0 for c in classes]
+    rec_classes = [c for c, r in zip(classes, recurrent) if r]
+    transient = sorted(set(range(s)) - {i for c, r in zip(classes, recurrent) if r for i in c})
+
+    pis = []
+    for members in rec_classes:
+        idx = list(members)
+        sub = p[np.ix_(idx, idx)]
+        mat = sub.T - np.eye(len(idx))
+        mat[-1, :] = 1.0
+        rhs = np.zeros(len(idx))
+        rhs[-1] = 1.0
+        try:
+            pi = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateChainError(
+                f"singular invariant system on recurrent class {members}"
+            ) from exc
+        if pi.min() < -1e-10:
+            raise DegenerateChainError(
+                f"invariant distribution on class {members} came out negative"
+            )
+        pis.append(np.clip(pi, 0.0, None) / pi.sum())
+
+    q = np.zeros((s, s))
+    for members, pi in zip(rec_classes, pis):
+        for i in members:
+            q[i, list(members)] = pi
+    if transient:
+        tt = p[np.ix_(transient, transient)]
+        mat = np.eye(len(transient)) - tt
+        for members, pi in zip(rec_classes, pis):
+            rhs = p[np.ix_(transient, list(members))].sum(axis=1)
+            try:
+                absorb = np.linalg.solve(mat, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateChainError(
+                    f"singular absorption system for transient states {transient}"
+                ) from exc
+            q[np.ix_(transient, list(members))] += np.outer(absorb, pi)
+
+    for name, resid in (("QP", q @ p - q), ("PQ", p @ q - q), ("QQ", q @ q - q)):
+        err = float(np.abs(resid).max())
+        if err > tol:
+            raise DegenerateChainError(f"Cesaro limit failed {name} = Q check: {err:.3e}")
+    return q
+
+
+def game_payoff(model: MdpModel, q: KernelMatrix, v: StationaryPolicy) -> PayoffVector:
+    """Per-state ergodic payoff Phi = Q ctilde_v for the game chain driven by q.
+
+    States with zero Cesaro weight contribute nothing even if their reward is
+    -inf; a -inf reward at a positively weighted state makes that start -inf.
+    """
+    rows = q.entries
+    ces = cesaro_limit(rows)
+    s = model.num_states
+    ctil = np.empty(s)
+    for i in range(s):
+        per_action = [tilde_cost(model, i, rows[i], u) for u in range(model.num_actions)]
+        ctil[i] = weighted_sum(v.rows[i], per_action)
+    phi = np.array([weighted_sum(ces[i], ctil) for i in range(s)])
+    return PayoffVector(phi=phi, phi_max=float(phi.max()))

@@ -19,10 +19,10 @@ from riskmdp.certify import (
 )
 from riskmdp.game import solve_congen, solve_game, solve_sequence
 from riskmdp.model import KernelMatrix, StationaryPolicy
-from riskmdp.oracle import brute_force_lambda_star, game_payoff
+from riskmdp.oracle import brute_force_lambda_star
 
 from conftest import record_criterion as announce
-from helpers import scan_self_loop_weight
+from helpers import game_payoff, scan_self_loop_weight
 
 DEVIATION_SEED = 777
 

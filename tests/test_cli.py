@@ -48,7 +48,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 4
+    assert report["report_version"] == 5
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -252,8 +252,9 @@ def test_verify_roundtrip_and_perturbation(tmp_path, capsys):
 
 def test_verify_accepts_version_1_reports(tmp_path):
     # verify reads only phi_star and potentials, which every version kept;
-    # version 2 dropped feasibility_samples, version 3 flagged_states and
-    # version 4 twisted_top (and made twisted_eigen/averaging relative)
+    # version 2 dropped feasibility_samples, version 3 flagged_states,
+    # version 4 twisted_top (and made twisted_eigen/averaging relative) and
+    # version 5 added the oracle's bracket
     model = write_two_state(tmp_path)
     out = tmp_path / "report.json"
     assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
@@ -290,7 +291,7 @@ REPORT_LAYOUTS = {
         "beta_trace", "stopping_reason", "feasibility_violation", "lambda_bar",
         "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
         "dual_w", "duality_gap", "num_constraints",
-        ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
+        ("oracle", ["value", "bracket", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
                          "twisted_eigen", "twisted_averaging"]),
         ("timings", ["solve", "oracle", "certify"]),
@@ -300,14 +301,14 @@ REPORT_LAYOUTS = {
         "certified", "inner_tol", "lambda_bar",
         "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
         "dual_w", "duality_gap", "num_constraints",
-        ("oracle", ["value", "per_state", "argmin", "converged", "gap"]),
+        ("oracle", ["value", "bracket", "per_state", "argmin", "converged", "gap"]),
         ("certificate", ["levels", "level_values", "residual_dp1", "residual_dp2",
                          "twisted_eigen", "twisted_averaging"]),
         ("timings", ["solve", "oracle", "certify"]),
     ],
     "oracle": [
-        "report_version", "command", "model_digest", "mode", "value", "per_state",
-        ("argmin", ["1", "2"]), "converged", ("timings", ["oracle"]),
+        "report_version", "command", "model_digest", "mode", "value", "bracket",
+        "per_state", ("argmin", ["1", "2"]), "converged", ("timings", ["oracle"]),
     ],
     "oracle-policy": [
         "report_version", "command", "model_digest", "mode", "policy_file",
@@ -323,7 +324,7 @@ REPORT_LAYOUTS = {
 
 
 def test_report_layouts_are_pinned_to_the_version(tmp_path):
-    assert REPORT_VERSION == 4
+    assert REPORT_VERSION == 5
     model = write_two_state(tmp_path)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))

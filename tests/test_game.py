@@ -16,11 +16,12 @@ from riskmdp.game import (
     solve_sequence,
     tilde_cost_table,
 )
-from riskmdp.oracle import brute_force_lambda_star, game_payoff, growth_rate
+from riskmdp.oracle import brute_force_lambda_star, growth_rate
 
 from helpers import (
     build_primal,
     corpus,
+    game_payoff,
     primal_from_rows,
     random_model,
     row_violations,

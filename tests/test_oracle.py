@@ -9,19 +9,28 @@ from hypothesis import strategies as st
 from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
-from riskmdp.extreal import NEG_INF, weighted_sum
+from riskmdp.extreal import NEG_INF
 from riskmdp.grid import build_grid
 from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, apply_policy
 from riskmdp.oracle import (
     brute_force_lambda_star,
-    cesaro_limit,
-    game_payoff,
     growth_rate,
     kl_divergence,
     tilde_cost,
 )
 
-from helpers import corpus, dense_log_matrices, dense_log_rates, random_model
+from helpers import (
+    cesaro_limit,
+    class_log_rho,
+    corpus,
+    dense_log_matrices,
+    dense_log_rates,
+    game_payoff,
+    pure_log_rho_min,
+    random_model,
+    two_successor_model,
+    weighted_sum,
+)
 
 ONLY = StationaryPolicy(np.ones((2, 1)))
 
@@ -185,8 +194,9 @@ def _tied_model():
 
 @pytest.mark.parametrize("entries", [1, 20, 100, 1000])
 def test_brute_force_blocks_give_the_one_batch_result(model_corpus, monkeypatch, entries):
-    # 1000 entries make blocks of 7 to 14 policies; in most of them half the
-    # policies converge, and leave the batch, before the slowest one
+    # 20 and 100 entries make blocks of 2 to 25 policies, so policies are
+    # dropped against upper bounds found in earlier blocks; 1000 entries hold
+    # every corpus model in one block
     models = [model for _, model in model_corpus] + [_tied_model()]
     whole = [brute_force_lambda_star(model) for model in models]
     monkeypatch.setattr(oracle, "BLOCK_ENTRIES", entries)
@@ -274,13 +284,14 @@ def _policies(model, limit=128, seed=0):
 def _support_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
     cols, pad = oracle._support_columns(model.support)
     logc = oracle._pure_log_entries(model, choices, cols, pad)
-    return oracle._batched_log_rates(logc, cols, oracle.RATE_TOL, max_iters,
-                                     oracle.RATE_WINDOW)
+    graph = oracle._support_graph(model, logc, cols)
+    lam, lo, hi, steps, closed, _ = oracle._class_rates(logc, cols, graph, oracle.RATE_TOL,
+                                                        max_iters)
+    return lam.T, lo, hi, steps, closed
 
 
 def _dense_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
-    return dense_log_rates(dense_log_matrices(model, choices), oracle.RATE_TOL,
-                           max_iters, oracle.RATE_WINDOW)
+    return dense_log_rates(dense_log_matrices(model, choices), oracle.RATE_TOL, max_iters)
 
 
 BIT_FOR_BIT = {
@@ -309,32 +320,36 @@ def test_support_iteration_equals_dense_bit_for_bit(name):
     # the same nonzero terms in the same order
     model = BIT_FOR_BIT[name]
     choices = _policies(model)
-    est, iters, conv = _support_rates(model, choices)
-    ref_est, ref_iters, ref_conv = _dense_rates(model, choices)
-    assert np.array_equal(est, ref_est)
-    assert np.array_equal(iters, ref_iters)
-    assert np.array_equal(conv, ref_conv)
-    assert conv.all()
+    got = _support_rates(model, choices)
+    ref = _dense_rates(model, choices)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    _, lo, hi, _, closed = got
+    # every policy closed its bracket or was dropped against a better one
+    assert (closed | (lo > hi.min())).all()
+    assert closed[lo <= hi.min()].all()
 
 
 @pytest.mark.parametrize("quantile", [25, 75])
 def test_support_iteration_stopped_partway_equals_dense(quantile):
-    # half the batch converges before the slowest policy, so converged
-    # policies leave the batch while the rest keep iterating; stopping at the
-    # 25th percentile leaves converged policies in the batch (fewer than half
-    # have converged), at the 75th the batch has been compacted
+    # policies are dropped at many different steps, and the batch sheds them
+    # once half of it has stopped: at the 25th percentile of the step counts
+    # fewer than half have stopped, at the 75th more than half (the batch has
+    # been compacted), and in both some stopped chains were dropped while
+    # others are still iterating
     model = BIT_FOR_BIT["lazy-s10m2"]
     choices = _policies(model)
-    _, iters, _ = _support_rates(model, choices)
-    assert np.median(iters) < iters.max()
-    cut = int(np.percentile(iters, quantile))
-    est, got_iters, conv = _support_rates(model, choices, max_iters=cut)
-    ref_est, ref_iters, ref_conv = _dense_rates(model, choices, max_iters=cut)
-    assert 0.0 < conv.mean() < 1.0
-    assert (conv.mean() < 0.5) == (quantile < 50)
-    assert np.array_equal(est, ref_est)
-    assert np.array_equal(got_iters, ref_iters)
-    assert np.array_equal(conv, ref_conv)
+    steps = _support_rates(model, choices)[3]
+    cut = int(np.percentile(steps, quantile))
+    got = _support_rates(model, choices, max_iters=cut)
+    ref = _dense_rates(model, choices, max_iters=cut)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    _, _, _, got_steps, closed = got
+    stopped = got_steps < cut
+    assert (stopped.mean() < 0.5) == (quantile < 50)
+    assert (stopped & ~closed).any()
+    assert (~stopped & ~closed).any()
 
 
 @pytest.mark.parametrize("name", ["ring-s10m3", "differing-supports", "single-state"])
@@ -347,12 +362,12 @@ def test_growth_rate_equals_dense_reference(name):
         p_v, c_v = apply_policy(model, policy)
         with np.errstate(divide="ignore"):
             logm = c_v[:, None] + np.log(p_v)
-        est, iters, conv = dense_log_rates(logm[None], oracle.RATE_TOL,
-                                           oracle.MAX_POWER_ITERS, oracle.RATE_WINDOW)
+        lam, _, _, steps, closed = dense_log_rates(logm[None], oracle.RATE_TOL,
+                                                   oracle.MAX_POWER_ITERS)
         rates = growth_rate(model, policy)
-        assert np.array_equal(rates.lam, est[0])
-        assert rates.iterations == iters[0]
-        assert rates.converged == conv[0]
+        assert np.array_equal(rates.lam, lam[0])
+        assert rates.iterations == steps[0]
+        assert rates.converged == closed[0]
 
 
 @pytest.mark.parametrize("seed", [51, 52])
@@ -361,11 +376,12 @@ def test_support_iteration_close_to_dense_on_wide_rows(seed):
     # slot-order sum may round differently, within 1e-14
     model = _wide(seed, 10, 2)
     choices = _policies(model)
-    est, _, conv = _support_rates(model, choices)
-    ref_est, _, ref_conv = _dense_rates(model, choices)
-    assert conv.all() and ref_conv.all()
-    assert np.abs(est - ref_est).max() <= 1e-14
-    assert est.max(axis=1).argmin() == ref_est.max(axis=1).argmin()
+    lam, lo, hi, _, closed = _support_rates(model, choices)
+    ref_lam, ref_lo, ref_hi, _, ref_closed = _dense_rates(model, choices)
+    winner = np.flatnonzero(lo <= hi.min())[0]
+    assert closed[winner] and ref_closed[winner]
+    assert winner == np.flatnonzero(ref_lo <= ref_hi.min())[0]
+    assert np.abs(lam - ref_lam).max() <= 1e-14
 
 
 def test_brute_force_guard():
@@ -377,6 +393,93 @@ def test_brute_force_guard():
                      kernel=kernel, cost=np.zeros((s, m)))
     with pytest.raises(GuardError):
         brute_force_lambda_star(model)
+
+
+# -- certified brackets ---------------------------------------------------------
+
+def _assert_certified(bf, expected):
+    lo, hi = bf.bracket
+    assert bf.converged
+    assert hi - lo <= oracle.RATE_TOL
+    assert lo <= bf.value <= hi
+    assert bf.value == bf.per_state.max()
+    # eigvals rounds in the last bits of log rho
+    slack = 1e-13 * max(1.0, abs(expected))
+    assert lo - slack <= expected <= hi + slack
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, model in BIT_FOR_BIT.items() if model.num_actions**model.num_states <= 1024))
+def test_brute_force_bracket_holds_the_eigenvalue_minimum(name):
+    model = BIT_FOR_BIT[name]
+    _assert_certified(brute_force_lambda_star(model), pure_log_rho_min(model))
+
+
+def test_nearly_periodic_policies_converge():
+    # 2-successor rows and costs U[0, 10]: the windowed power iteration this
+    # bracket replaced ran 100,000 steps on 3 of these 16 policies without
+    # converging, and reported 5.2775409189 with converged false
+    model = two_successor_model(1, 4, 2)
+    bf = brute_force_lambda_star(model, max_iters=1000)
+    _assert_certified(bf, pure_log_rho_min(model))
+
+
+def test_pruning_bounds_the_work(monkeypatch):
+    # 1,024 policies take about 500 steps each to close; dropping policies
+    # against the best upper bound leaves 21,829 chain-steps here
+    steps = []
+    brackets = oracle._brackets
+
+    def counted(*args):
+        out = brackets(*args)
+        steps.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(oracle, "_brackets", counted)
+    brute_force_lambda_star(BIT_FOR_BIT["lazy-s10m2"])
+    assert sum(steps) <= 30_000
+
+
+def test_reducible_policy_rates_per_class():
+    # the trap's absorbing state 0 costs 0.9 or 0.95 per step: a policy whose
+    # ring 1..4 grows slower has per-state rates that differ by class
+    model = BIT_FOR_BIT["trap"]
+    for choice in itertools.product(range(2), repeat=5):
+        rates = growth_rate(model, StationaryPolicy.pure(choice, 2))
+        states = np.arange(5)
+        m = np.exp(model.cost[states, choice])[:, None] * model.kernel[list(choice), states]
+        absorbing = model.cost[0, choice[0]]
+        ring = class_log_rho(m[1:, 1:])
+        assert rates.converged
+        assert abs(rates.lam[0] - absorbing) <= 1e-12
+        np.testing.assert_allclose(rates.lam[1:], max(ring, absorbing), atol=1e-10)
+
+
+def _structured_model(kind, seed, s, m):
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for u in range(m):
+        for i in range(s):
+            if kind == "periodic":          # a deterministic cycle under every action
+                succ = [(i + 1) % s]
+            elif kind == "absorbing" and i == 0:
+                succ = [0]
+            elif kind == "disconnected":    # two closed blocks
+                block = range(0, s // 2) if i < s // 2 else range(s // 2, s)
+                succ = [int(rng.choice(block)), block[0] + (i + 1 - block[0]) % len(block)]
+            else:                           # "absorbing" elsewhere, "differing"
+                succ = list(rng.choice(s, size=min(2, s), replace=False))
+            np.add.at(kernel[u, i], succ, rng.uniform(0.05, 1.0, size=len(succ)))
+            kernel[u, i] /= kernel[u, i].sum()
+    return _named(kernel, rng.uniform(0.0, 10.0, size=(s, m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["periodic", "absorbing", "disconnected", "differing"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
+def test_bracket_holds_the_eigenvalue_minimum_property(kind, seed, s, m):
+    model = _structured_model(kind, seed, s, m)
+    _assert_certified(brute_force_lambda_star(model), pure_log_rho_min(model))
 
 
 # -- Cesaro limits ------------------------------------------------------------
