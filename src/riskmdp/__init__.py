@@ -12,7 +12,6 @@ from .certify import (
     analytic_example,
     build_certificate,
     build_partition,
-    check_dp,
     hat_kernel,
     poisson_insolvability,
     two_state_model,
@@ -21,12 +20,10 @@ from .errors import GuardError, ModelError
 from .game import (
     ConvergenceReport,
     GameSolution,
-    build_dual,
     solve_congen,
-    solve_game,
     solve_sequence,
 )
-from .grid import GridSpec, build_grid, enumerate_rows
+from .grid import GridSpec, build_grid, lattice_numerators
 from .lp import LinearProgram, LpError, LpSolution
 from .model import (
     KernelMatrix,

@@ -131,12 +131,6 @@ def hat_kernel(model: MdpModel, partition: LevelPartition) -> np.ndarray:
     return hat
 
 
-def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
-    """The additive-form residuals (dp1, dp2) of build_certificate."""
-    cert = build_certificate(model, phi_star, v_vec, tol)
-    return cert.residual_dp1, cert.residual_dp2
-
-
 def build_certificate(model: MdpModel, phi_star, v_vec,
                       level_tol: float = DEFAULT_LEVEL_TOL) -> DpCertificate:
     """Both forms of the DP residuals at (Phi, V), in one log-space pass over

@@ -34,7 +34,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 
 def canonical_json(obj) -> str:
@@ -164,6 +164,7 @@ def cmd_solve(args, argv) -> int:
         sol = rep.final
         method_block = {
             "resolutions": list(rep.resolutions),
+            "rounds": list(rep.rounds),
             "beta_trace": [_vec(b) for b in rep.beta_trace],
             "stopping_reason": rep.stopping_reason,
             "feasibility_violation": rep.feasibility_violation,

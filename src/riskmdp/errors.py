@@ -7,5 +7,5 @@ class ModelError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A combinatorial guard was exceeded (grid enumeration or policy
-    enumeration would be too large)."""
+    """A guard was exceeded (policy enumeration too large, or a grid
+    resolution past exact dyadic rows)."""

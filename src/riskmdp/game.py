@@ -1,18 +1,19 @@
 """The linear program of the single-controller ergodic game.
 
 The maximizing player picks a kernel row per state (restricted to a dyadic
-grid at finite resolution), the minimizing player picks an action
+lattice at finite resolution), the minimizing player picks an action
 distribution per state, and the payoff is the long-run average of the
 KL-penalized reward.  Only the maximizer moves the chain, which is what makes
 the exact LP formulation possible.
 
 The primal has variables (V, beta, y) with one beta-constraint and one
-V-constraint per (state, grid row); the dual has occupation-style weights
-(mu, nu) per (state, grid row) and a vector w with sum(beta) = sum(w) at the
-optimum.  Only the dual is built: its orientation is row-compact (2s + s|U|
-rows regardless of grid size), and the primal solution is read off its
-multipliers, which is exact at a simplex vertex.  The primal itself lives in
-tests/helpers.py, where the dual is checked to be its exact transpose.
+V-constraint per (state, kernel row); the dual has occupation-style weights
+(mu, nu) per (state, kernel row) and a vector w with sum(beta) = sum(w) at
+the optimum.  Only the dual is built, over kernel rows that pricing adds (one
+restricted master for both methods): it has 2s + s|U| rows, a new kernel row
+is a new (mu, nu) column pair, and the primal solution is read off its
+multipliers, exact at a simplex vertex.  The primal lives in tests/helpers.py,
+where the dual is checked to be its exact transpose.
 
 Unattainable rewards (absolute continuity failures) enter the LP through a
 large negative sentinel coefficient rather than -inf; such constraints are
@@ -22,13 +23,16 @@ semantics.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import GuardError
 from .extreal import NEG_INF
-from .grid import GridSpec, build_grid
-from .lp import LinearProgram, LpError, LpSolution, solve as lp_solve
+from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
+from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
 from .oracle import tilde_cost
 
@@ -74,6 +78,7 @@ class ConvergenceReport:
     """Value trace over a resolution sweep."""
 
     resolutions: tuple[int, ...]
+    rounds: tuple[int, ...]            # restricted-master LP solves per resolution
     beta_trace: tuple[np.ndarray, ...]
     final: GameSolution
     stopping_reason: str
@@ -151,14 +156,6 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
         np.repeat([0.0, 1.0, 0.0], [s, s, s * m]),
         lower=np.where(is_w, -np.inf, 0.0), upper=np.full(a.shape[1], np.inf),
     )
-
-
-def build_dual(model: MdpModel, grid: GridSpec) -> LinearProgram:
-    """The finite-resolution game dual over the given dyadic grid."""
-    if grid.num_states != model.num_states:
-        raise ValueError("grid was built for a different model shape")
-    rows, owner = grid.stacked()
-    return _dual(model, rows, owner, _tables(model, rows, owner)[1])
 
 
 def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
@@ -307,12 +304,6 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     ), sol.basis
 
 
-def solve_game(model: MdpModel, resolution: int) -> GameSolution:
-    """Solve the finite-resolution game LP pair and extract value and policies."""
-    rows, owner = build_grid(model, resolution).stacked()
-    return _solve_pair(model, rows, owner, resolution=resolution)[0]
-
-
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
     """Most violated semi-infinite constraint of each family, state by state.
 
@@ -336,9 +327,76 @@ def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray
     return cuts
 
 
+def _lattice_cut(model: MdpModel, i: int, y_row: np.ndarray, vvec: np.ndarray,
+                 beta_i: float, resolution: int):
+    """State i's most violated V-constraint on the resolution's lattice, as
+    the LP prices it (sentinel included); returns (row, violation).
+
+    The LP rewards a row sum_T y(u) (c(i,u) - KL(q || p_u)) - SENTINEL * (the
+    other positive weights), T the positive-weight actions whose supports it
+    respects: on T's common support, w_T (q.z - q.log q) plus a constant, with
+    w_T = sum_T y(u), z = (V + sum_T y(u) log p_u) / w_T.  Each T is tried
+    whose mask no other such support holds; T empty gives the Dirac rows.
+    """
+    active = np.flatnonzero(y_row > 0.0)
+    reach = model.kernel[active, i] > 0.0
+    best = None, NEG_INF
+    for size in range(len(active), 0, -1):
+        for subset in map(list, itertools.combinations(range(len(active)), size)):
+            mask = model.support[i] & reach[subset].all(axis=0)
+            if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
+                continue
+            acts = active[subset]
+            z = vvec[mask] + y_row[acts] @ np.log(model.kernel[acts, i][:, mask])
+            row = np.zeros(model.num_states)
+            row[mask] = lattice_numerators(z / y_row[acts].sum(), resolution) / 2.0**resolution
+            ctab = _tables(model, row[None, :], np.array([i]))[1]
+            viol = float(ctab[0] @ y_row) + float(row @ vvec) - vvec[i] - beta_i
+            if viol > best[1]:
+                best = row, viol
+    return best
+
+
+def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
+                       resolution=None, max_solves=None):
+    """Grow master = (rows, owner, solution, basis), the last two None
+    before the first solve, until price(beta, V, y), one (row, violation)
+    per state, adds no row: one violated by more than tol and further than
+    close (max-norm) from its state's rows.  A new row goes after its state's
+    old ones and the basis follows (w, slacks and artificials shift by two
+    per row), so it starts the next solve.  Returns the master, the solves
+    made, and whether pricing (rather than max_solves) ended them.
+    """
+    rows, owner, sol, basis = master
+    solves = int(sol is None)
+    if sol is None:
+        sol, basis = _solve_pair(model, rows, owner, resolution=resolution)
+    while True:
+        cuts = [(i, row) for i, (row, viol) in enumerate(price(sol.value, sol.potentials,
+                                                               sol.minimizer.rows))
+                if viol > tol and np.abs(rows[owner == i] - row).max(axis=1).min() > close]
+        if not cuts or solves == max_solves:
+            return (rows, owner, sol, basis), solves, not cuts
+        n_mu, added = owner.shape[0], len(cuts)
+        owner = np.concatenate([owner, [i for i, _ in cuts]])
+        order = np.argsort(owner, kind="stable")
+        rows, owner = np.vstack([rows, *(row for _, row in cuts)])[order], owner[order]
+        place = np.argsort(order)[:n_mu]
+        basis = np.select([basis < n_mu, basis < 2 * n_mu],
+                          [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
+                          basis + 2 * added)
+        sol, basis = _solve_pair(model, rows, owner, resolution=resolution, basis=basis)
+        solves += 1
+
+
 def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                    stop_tol: float = 1e-4) -> ConvergenceReport:
     """Sweep resolutions n_start..n_max, tracking the value trace.
+
+    One restricted master grows from the Dirac rows until no lattice row is
+    violated beyond the simplex's optimality tolerance: the LP over the whole
+    lattice, whose rows num_constraints counts.  Lattice n lies in lattice
+    n + 1, so n + 1 first prices n's master.  n past MAX_RESOLUTION: GuardError.
 
     The trace must be componentwise nondecreasing: refining the grid only
     enlarges the maximizer's strategy set, so the value can only go up.
@@ -349,14 +407,23 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     The final triple's worst violation, clipped at 0, is recorded on the
     report either way.
     """
-    if n_start > n_max:
-        raise ValueError("n_start must be <= n_max")
-    trace = []
-    sols = []
+    if not 0 <= n_start <= n_max:
+        raise ValueError("need 0 <= n_start <= n_max")
+    if n_max > MAX_RESOLUTION:
+        raise GuardError(f"resolution {n_max} exceeds {MAX_RESOLUTION}, the finest "
+                         "whose lattice rows are exact in double precision")
+    trace, sols, rounds = [], [], []
     reason = "n_max"
     slack = 10.0 * stop_tol
+    master = (*build_grid(model).stacked(), None, None)
+    sizes = [len(union_support(model, i)) for i in range(model.num_states)]
     for n in range(n_start, n_max + 1):
-        sol = solve_game(model, n)
+        master, solves, _ = _restricted_master(
+            model, master, lambda beta, vvec, y, n=n: [
+                _lattice_cut(model, i, y[i], vvec, beta[i], n) for i in range(model.num_states)],
+            OPT_TOL, 0.0, n)
+        implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes)  # rows of the lattice
+        sol = replace(master[2], resolution=n, num_constraints=2 * implied)
         if trace:
             drop = float((trace[-1] - sol.value).max())
             if drop > MONOTONE_TOL:
@@ -366,6 +433,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                 )
         trace.append(sol.value)
         sols.append(sol)
+        rounds.append(solves)
         cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
         worst = max(0.0, *(max(bviol, vviol) for _, bviol, _, vviol in cuts))
         # stop early only once the solution is also near-feasible for the
@@ -377,6 +445,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
 
     return ConvergenceReport(
         resolutions=tuple(s.resolution for s in sols),
+        rounds=tuple(rounds),
         beta_trace=tuple(trace),
         final=sols[-1],
         stopping_reason=reason,
@@ -412,39 +481,14 @@ def gibbs_row(model: MdpModel, i: int, y_row: np.ndarray, vvec: np.ndarray) -> n
 
 def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                  max_rounds: int = 50) -> GameSolution:
-    """Constraint-generation solve of the semi-infinite game programs.
-
-    Starts from the Dirac rows of every union-support successor, which hold
-    the beta-family's worst row at every state (the maximum of q.beta over a
-    support simplex sits at a vertex), and alternates a restricted solve with
-    exact separation of the V-family by weighted Gibbs rows.  Terminates when
+    """Constraint-generation solve of the semi-infinite game programs: the
+    restricted master priced by exact separation (_separate's Gibbs rows; a
+    cut within 1e-12 of a row its state holds is not new).  Terminates when
     no constraint is violated by more than inner_tol; hitting max_rounds
-    returns the last iterate marked uncertified.  A cut is a new (mu, nu)
-    column pair of the dual, so each round's optimal basis stays feasible and
-    starts the next round's simplex.
+    returns the last iterate marked uncertified.
     """
-    rows, owner = build_grid(model, 0).stacked()
-    sol = basis = None
-    for round_no in range(1, max_rounds + 1):
-        sol, basis = _solve_pair(model, rows, owner, resolution=None, basis=basis)
-        cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
-        new_rows, new_owner = [], []
-        for i, (_, _, row, viol) in enumerate(cuts):
-            # a cut within 1e-12 of a row the state holds is not new
-            if viol > inner_tol and np.abs(rows[owner == i] - row).max(axis=1).min() > 1e-12:
-                new_rows.append(row)
-                new_owner.append(i)
-        if not new_rows:
-            return replace(sol, certified=True, rounds=round_no)
-        # each state's cut goes after its old rows; the basis follows its
-        # mu and nu columns there, and w, slacks and artificials shift by the
-        # two new columns per cut
-        n_mu, added = owner.shape[0], len(new_rows)
-        owner = np.concatenate([owner, new_owner])
-        order = np.argsort(owner, kind="stable")
-        rows, owner = np.vstack([rows, *new_rows])[order], owner[order]
-        place = np.argsort(order)[:n_mu]
-        basis = np.select([basis < n_mu, basis < 2 * n_mu],
-                          [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
-                          basis + 2 * added)
-    return replace(sol, certified=False, rounds=max_rounds)
+    master, solves, done = _restricted_master(
+        model, (*build_grid(model).stacked(), None, None),
+        lambda *triple: [(row, viol) for _, _, row, viol in _separate(model, *triple)],
+        inner_tol, 1e-12, max_solves=max_rounds)
+    return replace(master[2], certified=done, rounds=solves)

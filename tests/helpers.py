@@ -3,8 +3,10 @@
 The oracles here intentionally re-derive results through routes the library
 does not use (basis enumeration for LPs, dense 1-d scans for the analytic
 chain, a dense bracket iteration for the growth-rate oracle, the game's
-primal LP, Dirichlet-sampled kernels scored with scalar KL rewards against
-the exact separation) so that agreement is meaningful.  The ergodic game
+primal LP, the fully enumerated dyadic grid and its dual, which the
+library's restricted master reproduces without building, Dirichlet-sampled
+kernels scored with scalar KL rewards against the exact separation) so that
+agreement is meaningful.  The ergodic game
 payoff (Cesaro limits, invariant measures, the 0 * (-inf) = 0 weighted sum)
 lives here too: only tests and the acceptance gate evaluate it.
 """
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskmdp import game
+from riskmdp.certify import DEFAULT_LEVEL_TOL, build_certificate
+from riskmdp.errors import GuardError
 from riskmdp.extreal import NEG_INF
 from riskmdp.grid import GridSpec
 from riskmdp.lp import LinearProgram
@@ -276,6 +280,26 @@ def two_successor_model(seed: int, s: int, m: int, cost_scale: float = 10.0) -> 
                     kernel=kernel, cost=rng.uniform(0.0, cost_scale, size=(s, m)))
 
 
+def wide_model(seed: int, index: int, s: int = 6, m: int = 2) -> MdpModel:
+    """The benchmark's wide family: i+1 and three other successors per state,
+    a Dirichlet(1) base row plus a uniform +-0.005 jitter per action and
+    entry, clipped below at 0.01 and renormalized; costs U[0, 1]; drawn from
+    default_rng([seed, index])."""
+    rng = np.random.default_rng([seed, index])
+    kernel = np.zeros((m, s, s))
+    for i in range(s):
+        others = [j for j in range(s) if j != (i + 1) % s]
+        picks = rng.choice(others, size=3, replace=False)
+        support = sorted([(i + 1) % s, *(int(j) for j in picks)])
+        base = rng.dirichlet(np.ones(4))
+        for u in range(m):
+            row = np.maximum(base + rng.uniform(-0.005, 0.005, size=4), 0.01)
+            kernel[u, i, support] = row / row.sum()
+    return MdpModel(states=tuple(f"s{i}" for i in range(s)),
+                    actions=tuple(f"a{u}" for u in range(m)),
+                    kernel=kernel, cost=rng.uniform(0.0, 1.0, size=(s, m)))
+
+
 def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:
     """Dense 1-d scan oracle for the subcritical self-loop weight.
 
@@ -285,6 +309,113 @@ def scan_self_loop_weight(rho: float, step: float = 1e-6) -> float:
     q = np.arange(step, 1.0, step)
     b = 1.0 - q * np.log(q / rho) - (1.0 - q) * np.log((1.0 - q) / (1.0 - rho))
     return float(q[np.argmax(b / (1.0 - q))])
+
+
+# Largest per-state row count build_grid will enumerate.
+ENUMERATION_GUARD = 10**6
+
+
+def enumerate_rows(support_size: int, resolution: int) -> list[tuple[int, ...]]:
+    """All compositions of 2^resolution into support_size nonnegative parts.
+
+    Returned in ascending lexicographic order; the count is
+    C(2^n + k - 1, k - 1) and is guarded before generation.
+    """
+    if support_size < 1:
+        raise ValueError("support_size must be >= 1")
+    if resolution < 0:
+        raise ValueError("resolution must be >= 0")
+    total = 2**resolution
+    count = math.comb(total + support_size - 1, support_size - 1)
+    if count > ENUMERATION_GUARD:
+        raise GuardError(
+            f"grid enumeration of {count} rows (support {support_size}, "
+            f"resolution {resolution}) exceeds guard {ENUMERATION_GUARD}"
+        )
+    out: list[tuple[int, ...]] = []
+    row = [0] * support_size
+
+    def fill(pos: int, remaining: int) -> None:
+        if pos == support_size - 1:
+            row[pos] = remaining
+            out.append(tuple(row))
+            return
+        for k in range(remaining + 1):
+            row[pos] = k
+            fill(pos + 1, remaining - k)
+
+    fill(0, total)
+    assert len(out) == count
+    return out
+
+
+@dataclass(frozen=True)
+class FullGrid(GridSpec):
+    """Every dyadic row of each state at one resolution.
+
+    numerators[i] lists integer tuples over supports[i]; rows[i] is the
+    matching (count, s) float matrix with zeros off the support.
+    """
+
+    resolution: int
+    num_states: int
+    supports: tuple[tuple[int, ...], ...]
+    numerators: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def row_count(self, i: int) -> int:
+        return len(self.numerators[i])
+
+
+def build_grid(model: MdpModel, resolution: int) -> FullGrid:
+    """Enumerate the per-state dyadic action sets at the given resolution:
+    the "same LP" reference of the library's restricted master.
+
+    The compositions depend only on the support size, so each distinct size
+    is enumerated once and shared by the states that have it.
+    """
+    s = model.num_states
+    scale = float(2**resolution)
+    by_size = {}
+    supports, numerators, rows = [], [], []
+    for i in range(s):
+        supp = union_support(model, i)
+        if len(supp) not in by_size:
+            nums = tuple(enumerate_rows(len(supp), resolution))
+            by_size[len(supp)] = nums, np.asarray(nums, dtype=float) / scale
+        nums, fractions = by_size[len(supp)]
+        mat = np.zeros((len(nums), s))
+        mat[:, supp] = fractions
+        mat.setflags(write=False)
+        supports.append(supp)
+        numerators.append(nums)
+        rows.append(mat)
+    return FullGrid(rows=tuple(rows), resolution=resolution, num_states=s,
+                    supports=tuple(supports), numerators=tuple(numerators))
+
+
+def build_dual(model: MdpModel, grid: FullGrid) -> LinearProgram:
+    """The game dual over every row of the grid, as the library assembles it."""
+    if grid.num_states != model.num_states:
+        raise ValueError("grid was built for a different model shape")
+    rows, owner = grid.stacked()
+    return game._dual(model, rows, owner, game._tables(model, rows, owner)[1])
+
+
+def solve_game(model: MdpModel, resolution: int) -> game.GameSolution:
+    """The library's solve of one resolution: a sweep from it to itself."""
+    return game.solve_sequence(model, resolution, resolution).final
+
+
+def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
+    """The game LP pair over the fully enumerated grid, solved cold."""
+    rows, owner = build_grid(model, resolution).stacked()
+    return game._solve_pair(model, rows, owner, resolution=resolution)[0]
+
+
+def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
+    """The additive-form residuals (dp1, dp2) of build_certificate."""
+    cert = build_certificate(model, phi_star, v_vec, tol)
+    return cert.residual_dp1, cert.residual_dp2
 
 
 def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> LinearProgram:
@@ -339,7 +470,7 @@ def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> Li
     )
 
 
-def build_primal(model: MdpModel, grid: GridSpec) -> LinearProgram:
+def build_primal(model: MdpModel, grid: FullGrid) -> LinearProgram:
     """The finite-resolution game primal over the given dyadic grid."""
     return primal_from_rows(model, *grid.stacked())
 

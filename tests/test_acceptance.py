@@ -17,12 +17,12 @@ from riskmdp.certify import (
     poisson_insolvability,
     two_state_model,
 )
-from riskmdp.game import solve_congen, solve_game, solve_sequence
+from riskmdp.game import solve_congen, solve_sequence
 from riskmdp.model import KernelMatrix, StationaryPolicy
 from riskmdp.oracle import brute_force_lambda_star
 
 from conftest import record_criterion as announce
-from helpers import game_payoff, scan_self_loop_weight
+from helpers import game_payoff, scan_self_loop_weight, solve_game
 
 DEVIATION_SEED = 777
 

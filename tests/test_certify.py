@@ -9,7 +9,6 @@ from riskmdp.certify import (
     analytic_example,
     build_certificate,
     build_partition,
-    check_dp,
     hat_kernel,
     poisson_insolvability,
     two_state_model,
@@ -19,7 +18,7 @@ from riskmdp.game import solve_congen, solve_sequence
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.oracle import growth_rate
 
-from helpers import random_model, scan_self_loop_weight
+from helpers import build_grid, check_dp, random_model, scan_self_loop_weight
 
 VAL08 = 1.0 + math.log(0.8)
 
@@ -188,7 +187,6 @@ def test_b_set_matches_partition_on_grid_rows():
     # rows supported inside a state's level attain the first equation's max
     model = two_state_model(0.8)
     phi = np.array([0.0, VAL08])
-    from riskmdp.grid import build_grid
     part = build_partition(phi)
     level = {i: k for k, members in enumerate(part.levels) for i in members}
     grid = build_grid(model, 3)

@@ -10,6 +10,7 @@ import pytest
 
 import riskmdp
 from riskmdp.cli import REPORT_VERSION, main
+from riskmdp.grid import MAX_RESOLUTION
 
 from helpers import random_model
 
@@ -48,7 +49,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 5
+    assert report["report_version"] == 6
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -80,7 +81,7 @@ def test_solve_bad_model_exit_2(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
-def test_solve_guard_violation_exit_3(tmp_path, capsys):
+def write_full_support(tmp_path):
     rng = np.random.default_rng(0)
     s = 5
     kernel = rng.dirichlet(np.ones(s), size=(1, s))  # full 5-state supports
@@ -90,8 +91,28 @@ def test_solve_guard_violation_exit_3(tmp_path, capsys):
         "transitions": {"a": kernel[0].tolist()},
         "costs": [[0.0]] * s,
     }))
-    assert main(["solve", "--model", str(path), "--n-start", "8"]) == 3
+    return path
+
+
+def test_solve_guard_violation_exit_3(tmp_path, capsys):
+    # past the finest resolution whose lattice rows are exact doubles
+    path = write_full_support(tmp_path)
+    n = str(MAX_RESOLUTION + 1)
+    assert main(["solve", "--model", str(path), "--n-start", n, "--n-max", n]) == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_solve_full_support_past_the_old_enumeration_guard(tmp_path):
+    # 2 * 5 * C(260, 4) = 1,860,435,850 implied rows at n=8, which the
+    # restricted master prices without building
+    path = write_full_support(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(path), "--n-start", "8", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["resolutions"] == [8]
+    assert report["num_constraints"] == 2 * 5 * math.comb(2**8 + 4, 4)
+    # the n=8 lattice value sits about 1e-3 below the exact 0
+    assert main(["verify", "--model", str(path), "--solution", str(out), "--tol", "1e-2"]) == 0
 
 
 def test_solve_methods_agree(tmp_path):
@@ -288,7 +309,7 @@ def test_non_utf8_files_exit_2(tmp_path, capsys):
 REPORT_LAYOUTS = {
     "solve-grid": [
         "report_version", "command", "model_digest", "method", "resolutions",
-        "beta_trace", "stopping_reason", "feasibility_violation", "lambda_bar",
+        "rounds", "beta_trace", "stopping_reason", "feasibility_violation", "lambda_bar",
         "phi_star", "potentials", "q_star", ("v_star", ["1", "2"]), "minimizer",
         "dual_w", "duality_gap", "num_constraints",
         ("oracle", ["value", "bracket", "per_state", "argmin", "converged", "gap"]),
@@ -324,7 +345,7 @@ REPORT_LAYOUTS = {
 
 
 def test_report_layouts_are_pinned_to_the_version(tmp_path):
-    assert REPORT_VERSION == 5
+    assert REPORT_VERSION == 6
     model = write_two_state(tmp_path)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))

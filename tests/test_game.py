@@ -2,30 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from riskmdp import game
 from riskmdp.certify import two_state_model
-from riskmdp.grid import build_grid
-from riskmdp.lp import solve as lp_solve
+from riskmdp.lp import OPT_TOL, LpError, solve as lp_solve
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.game import (
-    build_dual,
     gibbs_row,
     solve_congen,
-    solve_game,
     solve_sequence,
     tilde_cost_table,
 )
 from riskmdp.oracle import brute_force_lambda_star, growth_rate
 
 from helpers import (
+    build_dual,
+    build_grid,
     build_primal,
     corpus,
+    full_grid_solution,
     game_payoff,
     primal_from_rows,
     random_model,
     row_violations,
     sampled_violations,
+    solve_game,
+    two_successor_model,
+    wide_model,
 )
 
 # actions at a state reach different successors, so reward tables carry
@@ -488,3 +493,150 @@ def test_separation_neg_inf_rewards_against_sampled_kernels(y):
     rng = np.random.default_rng(3)
     beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
     _assert_exact_separation(DIFFERING_SUPPORTS, beta, vvec, np.array(y))
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 3])
+@pytest.mark.parametrize("y", [
+    [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    # weights the LP can leave as roundoff: the sentinel then costs a row
+    # off that action's support only about 1e-6, and such a row can win
+    [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12], [1e-12, 1.0 - 1e-12]],
+    [[0.3, 0.7], [1e-9, 1.0 - 1e-9], [1.0, 0.0]],
+])
+def test_lattice_cut_prices_as_the_lp(y, resolution):
+    # the priced violation is the largest the LP's own sentinel table gives
+    # any row of the enumerated lattice, and the priced row attains it
+    y = np.array(y)
+    rng = np.random.default_rng(resolution)
+    beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
+    grid = build_grid(DIFFERING_SUPPORTS, resolution)
+    for i in range(3):
+        rows = grid.rows[i]
+        ctab = game._tables(DIFFERING_SUPPORTS, rows, np.full(len(rows), i))[1]
+        scores = ctab @ y[i] + rows @ vvec - vvec[i] - beta[i]
+        row, viol = game._lattice_cut(DIFFERING_SUPPORTS, i, y[i], vvec, beta[i], resolution)
+        assert abs(viol - scores.max()) <= 1e-12
+        assert any(np.array_equal(row, r) for r in rows)
+
+
+def _full_grid_residual(model, n, sol):
+    """Worst violation of the full grid's primal constraints at sol's
+    (V, beta, y), each relative to the size of its terms."""
+    prog = primal_from_rows(model, *build_grid(model, n).stacked())
+    x = np.concatenate([sol.potentials, sol.value, sol.minimizer.rows.ravel()])
+    resid = (prog.matrix @ x - prog.rhs) / np.maximum(1.0, np.abs(prog.matrix) @ np.abs(x))
+    ineq = np.array(prog.relations) == ">="
+    return max(float(-resid[ineq].min()), float(np.abs(resid[~ineq]).max()))
+
+
+def _assert_sweep_equals_full_grid(model, n_start, fulls):
+    """The sweep's value trace is that of fulls, the full-grid LP solutions
+    of resolutions n_start, n_start + 1, ..."""
+    n_max = n_start + len(fulls) - 1
+    rep = solve_sequence(model, n_start, n_max, stop_tol=0.0)
+    assert rep.resolutions == tuple(range(n_start, n_max + 1))
+    assert len(rep.rounds) == len(rep.resolutions) and rep.rounds[0] >= 1
+    for n, beta, full in zip(rep.resolutions, rep.beta_trace, fulls):
+        # with sentinel coefficients the simplex's tolerances act on a 1e6
+        # coefficient range, and either solve can stop short of the optimum:
+        # where the minimizer left weights near 1e-5 on actions a row leaves,
+        # the two values were up to 2.4e-5 apart (either way round) with both
+        # triples feasible for every full-grid row
+        sentinel = np.any(build_dual(model, build_grid(model, n)).matrix == -game.SENTINEL)
+        tol = 1e-4 if sentinel else 1e-9
+        np.testing.assert_allclose(beta, full.value, rtol=tol, atol=tol, err_msg=f"n={n}")
+    # pricing left no row of the last lattice violated
+    assert _full_grid_residual(model, n_max, rep.final) <= OPT_TOL
+    assert rep.final.num_constraints == fulls[-1].num_constraints
+
+
+def _absorbing_model(seed, s, m):
+    """State 0 absorbs; every other state moves to 0 or one step down or
+    stays, with action-dependent splits; costs U[0, 1]."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    kernel[:, 0, 0] = 1.0
+    for u in range(m):
+        for i in range(1, s):
+            np.add.at(kernel[u, i], [0, i - 1, i], rng.dirichlet(np.ones(3)))
+    return MdpModel(tuple(f"s{i}" for i in range(s)), tuple(f"a{u}" for u in range(m)),
+                    kernel, rng.uniform(0.0, 1.0, (s, m)))
+
+
+def _periodic_model(seed, s, m):
+    """Period 2 for even s: every state moves one step up or down the cycle."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for u in range(m):
+        for i in range(s):
+            x = rng.uniform(0.1, 0.9)
+            kernel[u, i, (i + 1) % s] += x
+            kernel[u, i, (i - 1) % s] += 1.0 - x
+    return MdpModel(tuple(f"s{i}" for i in range(s)), tuple(f"a{u}" for u in range(m)),
+                    kernel, rng.uniform(0.0, 3.0, (s, m)))
+
+
+SINGLE_STATE = MdpModel(states=("s",), actions=("a", "b"),
+                        kernel=np.ones((2, 1, 1)), cost=np.array([[0.7, 0.4]]))
+SWEEP_CASES = corpus() + [
+    ("differing-supports", DIFFERING_SUPPORTS),
+    ("two-successor-3", two_successor_model(3, 3, 2)),
+    ("absorbing-4", _absorbing_model(5, 4, 2)),
+    ("periodic-4", _periodic_model(6, 4, 2)),
+    ("single-state", SINGLE_STATE),
+]
+
+
+@pytest.mark.parametrize("model", [model for _, model in SWEEP_CASES],
+                         ids=[name for name, _ in SWEEP_CASES])
+def test_restricted_sweep_equals_full_grid_lp(model):
+    _assert_sweep_equals_full_grid(model, 0, [full_grid_solution(model, n) for n in range(5)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["ring", "two-successor", "absorbing", "periodic"]),
+       seed=st.integers(0, 2**16), s=st.integers(1, 4), m=st.integers(1, 3),
+       n_start=st.integers(0, 2), span=st.integers(0, 2))
+def test_restricted_sweep_equals_full_grid_lp_property(kind, seed, s, m, n_start, span):
+    if kind == "ring":
+        model = random_model(seed, max(s, 2), m)
+    elif kind == "two-successor":
+        model = two_successor_model(seed, s, m)
+    elif kind == "absorbing":
+        model = _absorbing_model(seed, s, m)
+    else:
+        model = _periodic_model(seed, 2 * ((s + 1) // 2), m)
+    try:
+        fulls = [full_grid_solution(model, n) for n in range(n_start, min(4, n_start + span) + 1)]
+    except LpError:
+        reject()  # the reference LP itself breaks down on some sentinel models
+    try:
+        _assert_sweep_equals_full_grid(model, n_start, fulls)
+    except LpError:
+        # the simplex can break down on LPs with sentinel coefficients, a
+        # restricted master's as the full grid's (the Dirac rows of
+        # two_successor_model(34721, 4, 3), the n=2 master of seed 68); on a
+        # model without them the sweep must not fail
+        dirac = build_grid(model, 0)
+        assert np.any(build_dual(model, dirac).matrix == -game.SENTINEL)
+
+
+def test_wide_grid_master_stays_small(monkeypatch):
+    # the benchmark's wide model: the n=6 lattice has 287,430 kernel rows,
+    # the sweep's master ends with 56 in 11 LP solves (measured); a solve
+    # that enumerated the lattice would hold far more rows, and one that
+    # restarted each resolution from the Dirac rows makes 19 solves
+    model = wide_model(901, 0)
+    sizes = []
+    solve_pair = game._solve_pair
+
+    def record(model, rows, owner, **kwargs):
+        sizes.append(rows.shape[0])
+        return solve_pair(model, rows, owner, **kwargs)
+
+    monkeypatch.setattr(game, "_solve_pair", record)
+    rep = solve_sequence(model, 2, 6, stop_tol=0.0)
+    assert rep.final.num_constraints == 2 * 287_430
+    assert max(sizes) <= 56
+    assert len(sizes) == sum(rep.rounds) <= 11

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmdp import grid as lattice
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError
-from riskmdp.grid import build_grid, enumerate_rows
 from riskmdp.model import MdpModel
 
-from helpers import random_model
+from helpers import build_grid, enumerate_rows, random_model, solve_game
 
 
 def test_enumerate_rows_small_cases():
@@ -47,6 +47,9 @@ def test_grid_two_state_chain():
 def test_grid_resolution_zero_is_dirac_rows():
     model = random_model(21, 3, 2)
     grid = build_grid(model, 0)
+    # the library's seed rows are the enumerated n=0 grid, in the same order
+    for got, want in zip(lattice.build_grid(model).stacked(), grid.stacked()):
+        np.testing.assert_array_equal(got, want)
     for i in range(3):
         supp = grid.supports[i]
         assert grid.row_count(i) == len(supp)
@@ -84,6 +87,8 @@ def test_rows_per_state_when_support_sizes_repeat(n):
         assert np.array_equal(grid.rows[i], expected)
         assert not grid.rows[i].flags.writeable
     assert [len(grid.supports[i]) for i in range(4)] == [2, 2, 3, 2]
+    # a solve counts the rows of the grid it never builds
+    assert solve_game(model, n).num_constraints == 2 * grid.total_rows
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -106,3 +111,47 @@ def test_density_of_grid_rows(seed, n):
     target[supp] = rng.dirichlet(np.ones(len(supp)))
     dist = np.abs(grid.rows[i] - target[None, :]).max(axis=1).min()
     assert dist <= 2.0**-n * model.num_states
+
+
+def _lattice_objective(nums, z, total):
+    """sum_j q_j z_j - q_j log q_j of each row of numerators, q = nums / total."""
+    q = np.atleast_2d(np.asarray(nums, dtype=float)) / total
+    return (q * z).sum(axis=1) - (q * np.log(np.where(q > 0.0, q, 1.0))).sum(axis=1)
+
+
+def test_lattice_numerators_equal_enumeration():
+    # 300 seeded instances: support sizes 1-5 (k=1 included), resolutions
+    # 0-5 (N=1 included), a third of them with exactly tied z entries, where
+    # the greedy order gives the extra units to the lowest indices, so the
+    # result is the lexicographically largest optimal row
+    rng = np.random.default_rng(2024)
+    grids = {}
+    for case in range(300):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(0, 6 if k <= 3 else 5))
+        if case % 3 == 0:
+            z = rng.choice([0.0, 0.5], size=k) if case % 2 else np.zeros(k)
+        else:
+            z = rng.normal(0.0, 2.0, size=k)
+        if (k, n) not in grids:
+            grids[k, n] = enumerate_rows(k, n)
+        nums = grids[k, n]
+        values = _lattice_objective(nums, z, 2**n)
+        got = lattice.lattice_numerators(z, n)
+        assert got.sum() == 2**n and got.min() >= 0
+        assert _lattice_objective(got, z, 2**n)[0] >= values.max() - 1e-12, case
+        best = [r for r, v in zip(nums, values) if v >= values.max() - 1e-12]
+        assert tuple(int(c) for c in got) == max(best), case
+
+
+@pytest.mark.parametrize("n", [47, 51, 53])
+def test_lattice_numerators_end_where_rounding_ties_units(n):
+    # from n = 47 consecutive gains can tie or swap in doubles; at n = 51
+    # this z once made the same coordinate both the best unit out and the
+    # worst one held, and a swap of a unit with itself never ended
+    z = np.array([1.509515676777226, 2.3459080601269617, 2.938755386394278, -7.2092300902637145,
+                  2.7103209990888923, -3.142343329741574, 3.3422057242709187, 1.0099329838268958])
+    got = lattice.lattice_numerators(z, n)
+    assert int(got.sum()) == 2**n and got.min() >= 0
+    row = got / 2.0**n
+    assert row.sum() == 1.0 and np.array_equal(row * 2.0**n, got.astype(float))

@@ -10,7 +10,6 @@ from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF
-from riskmdp.grid import build_grid
 from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, apply_policy
 from riskmdp.oracle import (
     brute_force_lambda_star,
@@ -20,6 +19,7 @@ from riskmdp.oracle import (
 )
 
 from helpers import (
+    build_grid,
     cesaro_limit,
     class_log_rho,
     corpus,
