@@ -31,7 +31,6 @@ from .model import (
     PurePolicy,
     StationaryPolicy,
     apply_policy,
-    load_model,
     parse_model,
     union_support,
 )

@@ -63,9 +63,6 @@ class DpCertificate:
     twisted_averaging: np.ndarray  # |1 - min over tight u of sum_j w e^{Phi_j - Phi_i}|
     b_star: np.ndarray             # tight actions, (s, actions) bool
 
-    def worst_residual(self) -> float:
-        return max(float(self.residual_dp1.max()), float(self.residual_dp2.max()))
-
     def checks(self) -> dict[str, np.ndarray]:
         """The per-state residual arrays that `verify` compares to its tolerance."""
         return {"dp1": self.residual_dp1, "dp2": self.residual_dp2,

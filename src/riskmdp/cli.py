@@ -373,6 +373,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve" and not 0 <= args.n_start <= args.n_max:
+        parser.error("solve: need 0 <= --n-start <= --n-max")
     try:
         return args.func(args, ["riskmdp"] + argv)
     except ModelError as exc:

@@ -4,8 +4,11 @@ Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b,   l <= x <= u
 with a bounded-variable revised simplex method: two-phase start (or phase 2
 straight from a given feasible basis), dense basis-inverse updates with
 periodic refactorization, and a permanent switch to Bland's rule after a run
-of degenerate pivots (anti-cycling).  Free variables are handled natively
-through their bounds, not by splitting, so dual extraction stays clean.
+of degenerate pivots (anti-cycling).  The basis matrix is kept as state: a
+pivot replaces one of its columns, and only a refactorization gathers it
+anew.  The explicit inverse is updated in place by one rank-one step per
+pivot.  Free variables are handled natively through their bounds, not by
+splitting, so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -142,7 +145,10 @@ class _Simplex:
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.at_upper = np.zeros(self.n, dtype=bool)
         self.keep = np.zeros(self.n, dtype=bool)  # never chosen to leave
+        self.bmat = np.eye(self.m)  # a[:, basis], one column kept per pivot
         self.binv = np.eye(self.m)
+        self.outer = np.empty((self.m, self.m))  # rank-one update buffer
+        self.free = self.fixed = None  # column masks, set by run()
         self.iterations = 0
         self.bland = False
         self.degen_run = 0
@@ -151,9 +157,9 @@ class _Simplex:
     # -- basis linear algebra -------------------------------------------------
 
     def _refactor(self):
-        bmat = self.a[:, self.basis]
+        self.bmat = self.a[:, self.basis]
         try:
-            self.binv = np.linalg.inv(bmat)
+            self.binv = np.linalg.inv(self.bmat)
         except np.linalg.LinAlgError as exc:
             raise LpError(f"singular basis during refactorization: {exc}") from exc
         self.pivots_since_refactor = 0
@@ -163,55 +169,47 @@ class _Simplex:
         xn = self.x.copy()
         xn[self.basis] = 0.0
         rhs = self.b - self.a @ xn
-        bmat = self.a[:, self.basis]
         xb = self.binv @ rhs
         # iterative refinement: the explicit inverse alone loses kappa*eps
         for _ in range(2):
-            xb += self.binv @ (rhs - bmat @ xb)
+            xb += self.binv @ (rhs - self.bmat @ xb)
         self.x[self.basis] = xb
 
     # -- pricing ---------------------------------------------------------------
 
     def _reduced_costs(self):
         cb = self.c[self.basis]
-        bmat = self.a[:, self.basis]
         y = self.binv.T @ cb
         for _ in range(2):
-            y += self.binv.T @ (cb - bmat.T @ y)
+            y += self.binv.T @ (cb - self.bmat.T @ y)
         return self.c - self.a.T @ y, y
 
     def _choose_entering(self, d):
-        lo, up = self.lower, self.upper
-        nonbasic = ~self.in_basis
-        movable = nonbasic & (up > lo)
-        down_ok = movable & self.at_upper & (d > OPT_TOL)
-        up_ok = movable & ~self.at_upper & (d < -OPT_TOL)
-        # free nonbasic variables sit at 0 and may move either way
-        free = movable & np.isneginf(lo) & np.isposinf(up)
-        down_ok |= free & (d > OPT_TOL)
-        up_ok |= free & (d < -OPT_TOL)
-        eligible = down_ok | up_ok
-        if not eligible.any():
+        """The improving nonbasic column of largest |d| (the lowest-indexed
+        one under Bland's rule) and its direction; (None, 0) at optimality.
+        A column at its upper bound may only move down, one at its lower
+        bound only up, and a free one (at 0) either way."""
+        gain = np.where(self.free, np.abs(d), np.where(self.at_upper, d, -d))
+        gain[self.in_basis | self.fixed] = 0.0
+        j = int(np.argmax(gain > OPT_TOL) if self.bland else np.argmax(gain))
+        if not gain[j] > OPT_TOL:
             return None, 0
-        idx = np.flatnonzero(eligible)
-        if self.bland:
-            j = int(idx[0])
-        else:
-            j = int(idx[np.argmax(np.abs(d[idx]))])
-        direction = 1 if (d[j] < 0) else -1
-        return j, direction
+        return j, 1 if d[j] < 0 else -1
 
     # -- ratio test and pivot ---------------------------------------------------
 
     def _replace(self, r, j, w):
-        """Column j enters the basis at position r (w = binv @ a[:, j]), with
-        a rank-one update of the explicit inverse."""
+        """Column j enters the basis at position r (w = binv @ a[:, j]): it
+        becomes column r of the kept basis matrix, and the explicit inverse
+        takes its rank-one update in place."""
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
-        self.binv[r, :] /= w[r]
-        others = np.arange(self.m) != r
-        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        self.bmat[:, r] = self.a[:, j]
+        rr = self.binv[r] / w[r]
+        # einsum writes the outer product in half the time np.outer takes
+        self.binv -= np.einsum("i,j->ij", w, rr, out=self.outer)
+        self.binv[r] = rr
 
     def _step(self, j, direction):
         w = self.binv @ self.a[:, j]
@@ -221,14 +219,11 @@ class _Simplex:
         delta = -direction * w  # change of basic values per unit step
         bvars = self.basis
         delta[self.keep[bvars]] = 0.0
-        theta = np.full(self.m, np.inf)
-        grow = delta > zero_tol
-        shrink = delta < -zero_tol
-        room_up = self.upper[bvars] - self.x[bvars]
-        room_dn = self.x[bvars] - self.lower[bvars]
-        with np.errstate(invalid="ignore"):
-            theta[grow] = np.maximum(room_up[grow], 0.0) / delta[grow]
-            theta[shrink] = np.maximum(room_dn[shrink], 0.0) / (-delta[shrink])
+        xb = self.x[bvars]
+        room = np.where(delta > 0, self.upper[bvars] - xb, xb - self.lower[bvars])
+        size = np.abs(delta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(size > zero_tol, np.maximum(room, 0.0) / size, np.inf)
         flip = self.upper[j] - self.lower[j]  # inf unless both bounds finite
         limit = float(min(theta.min(initial=np.inf), flip))
         if not np.isfinite(limit):
@@ -278,6 +273,8 @@ class _Simplex:
 
     def run(self):
         """Iterate to optimality; returns 'optimal' or 'unbounded'."""
+        self.free = np.isneginf(self.lower) & np.isposinf(self.upper)
+        self.fixed = ~(self.upper > self.lower)
         while True:
             if self.iterations >= self.max_iters:
                 raise LpError(f"iteration limit {self.max_iters} exceeded")
@@ -389,6 +386,7 @@ def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution
         sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
         sim.x[art] = np.abs(resid)
         sim.basis = art.copy()
+        sim.bmat = sim.a[:, art]
         sim.in_basis[art] = True
         sim.binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
 

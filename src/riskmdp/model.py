@@ -128,11 +128,6 @@ class PurePolicy:
         if any(u < 0 for u in self.choice):
             raise ModelError("action indices must be nonnegative")
 
-    def as_stationary(self, num_actions: int) -> StationaryPolicy:
-        if any(u >= num_actions for u in self.choice):
-            raise ModelError("action index out of range")
-        return StationaryPolicy.pure(self.choice, num_actions)
-
 
 @dataclass(frozen=True)
 class KernelMatrix:
@@ -236,8 +231,3 @@ def read_model_document(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
-
-
-def load_model(path) -> MdpModel:
-    """Load and validate a model from a JSON file."""
-    return parse_model(read_model_document(path))

@@ -21,11 +21,12 @@ import numpy as np
 
 from riskmdp import game
 from riskmdp.certify import DEFAULT_LEVEL_TOL, build_certificate
-from riskmdp.errors import GuardError
+from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF
 from riskmdp.grid import GridSpec
 from riskmdp.lp import LinearProgram
-from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, union_support
+from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
+                           read_model_document, union_support)
 from riskmdp.oracle import _communicating_classes, tilde_cost
 
 
@@ -42,6 +43,23 @@ def weighted_sum(weights, values) -> float:
             return NEG_INF
         total += w * v
     return total
+
+
+def load_model(path) -> MdpModel:
+    """Load and validate a model from a JSON file."""
+    return parse_model(read_model_document(path))
+
+
+def as_stationary(pure: PurePolicy, num_actions: int) -> StationaryPolicy:
+    """The pure policy as a stationary one with 0/1 rows."""
+    if any(u >= num_actions for u in pure.choice):
+        raise ModelError("action index out of range")
+    return StationaryPolicy.pure(pure.choice, num_actions)
+
+
+def worst_residual(cert) -> float:
+    """The larger of a DpCertificate's worst dp1 and dp2 residuals."""
+    return max(float(cert.residual_dp1.max()), float(cert.residual_dp2.max()))
 
 
 class DegenerateChainError(RuntimeError):

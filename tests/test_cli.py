@@ -100,6 +100,20 @@ def test_solve_guard_violation_exit_3(tmp_path, capsys):
     n = str(MAX_RESOLUTION + 1)
     assert main(["solve", "--model", str(path), "--n-start", n, "--n-max", n]) == 3
     assert "guard" in capsys.readouterr().err
+    # from the default --n-start as well: the flags are consistent, only too fine
+    assert main(["solve", "--model", str(path), "--n-max", n]) == 3
+    assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--n-start", "9"], ["--n-start", "-1"],
+                                   ["--n-start", "5", "--n-max", "4"]])
+def test_solve_bad_n_start_is_a_usage_error(tmp_path, capsys, flags):
+    # above --n-max (default 8) or negative: argparse's usage exit 2, no traceback
+    path = write_two_state(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", str(path), *flags])
+    assert exc.value.code == 2
+    assert "--n-start" in capsys.readouterr().err
 
 
 def test_solve_full_support_past_the_old_enumeration_guard(tmp_path):

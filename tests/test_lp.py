@@ -350,3 +350,70 @@ def test_warm_start_rejects_malformed_basis(basis):
     prog = lp("min", [1.0, 0.0], [(0, 0, 1.0), (1, 1, 1.0)], [">=", ">="], [3.0, 1.0])
     with pytest.raises(ValueError, match="basis must hold 2 distinct column indices"):
         solve(prog, basis=basis)
+
+
+def _sentinel_instance(seed):
+    """A 5 x 8 LP with one -1e6 coefficient, boxed and free columns, and ==
+    rows that mostly have a zero right-hand side, so that phase 1 can end
+    with an artificial basic at zero; plus a second objective."""
+    rng = np.random.default_rng(seed)
+    m, n = 5, 8
+    a = rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.7)
+    a[rng.integers(m), rng.integers(n)] = -1e6
+    relations = [str(rng.choice(["<=", ">=", "==", "=="])) for _ in range(m)]
+    shift = {"<=": 0.3, ">=": -0.3, "==": 0.0}
+    b = a @ (rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.25)) \
+        + np.array([shift[r] for r in relations])
+    lower = np.where(rng.uniform(size=n) < 0.2, -np.inf, 0.0)
+    upper = np.where(rng.uniform(size=n) < 0.5, 1.2, np.inf)
+    prog = LinearProgram("min", rng.uniform(-1.0, 1.0, n), a, tuple(relations), b,
+                         lower, upper)
+    return prog, rng.uniform(-1.0, 1.0, n)
+
+
+def test_kept_basis_matrix_is_the_basis_after_every_update(monkeypatch):
+    # after every pivot, drive-out pivot, bound flip and refactorization the
+    # kept basis matrix is a[:, basis] bit for bit, and binv inverts it
+    events = []
+
+    class Checked(lp_module._Simplex):
+        stepping = False
+
+        def _check(self, event):
+            events.append(event)
+            assert self.bmat.tobytes() == self.a[:, self.basis].tobytes(), event
+            err = np.abs(self.binv @ self.a[:, self.basis] - np.eye(self.m)).max()
+            assert err <= 1e-8, (event, err)
+
+        def _refactor(self):
+            super()._refactor()
+            self._check("refactor")
+
+        def _replace(self, r, j, w):
+            super()._replace(r, j, w)
+            self._check("pivot" if self.stepping else "drive-out")
+
+        def _step(self, j, direction):
+            self.stepping = True
+            outcome = super()._step(j, direction)
+            self.stepping = False
+            if outcome == "flipped":
+                self._check("flip")
+            return outcome
+
+    monkeypatch.setattr(lp_module, "_Simplex", Checked)
+    seen = set()
+    for seed in (30, 1042):
+        prog, objective = _sentinel_instance(seed)
+        assert np.any(prog.matrix == -1e6)
+        events.clear()
+        cold = solve(prog)
+        assert cold.status == "optimal" and not cold.warm_started
+        out = events.index("drive-out")  # phase 1 left an artificial basic
+        assert "pivot" in events[:out] and "pivot" in events[out + 1:]
+        seen.update(events)
+        events.clear()
+        warm = solve(dataclasses.replace(prog, objective=objective), basis=cold.basis)
+        assert warm.warm_started and warm.status == "optimal" and "pivot" in events
+        seen.update(events)
+    assert seen == {"pivot", "drive-out", "flip", "refactor"}

@@ -13,12 +13,11 @@ from riskmdp.model import (
     PurePolicy,
     StationaryPolicy,
     apply_policy,
-    load_model,
     parse_model,
     union_support,
 )
 
-from helpers import random_model
+from helpers import as_stationary, load_model, random_model
 
 EX41 = {
     "states": ["1", "2"],
@@ -73,7 +72,7 @@ def test_negative_kernel_entry_rejected():
 def test_apply_pure_policy_selects_action_rows():
     model = random_model(7, 3, 2)
     pure = PurePolicy((1, 0, 1))
-    kernel, cost = apply_policy(model, pure.as_stationary(2))
+    kernel, cost = apply_policy(model, as_stationary(pure, 2))
     for i, u in enumerate(pure.choice):
         np.testing.assert_array_equal(kernel[i], model.kernel[u, i])
         assert cost[i] == model.cost[i, u]
