@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ModelError
 from .model import MdpModel
 
-DEFAULT_LEVEL_TOL = 1e-6
+LEVEL_TOL = 1e-6
+BISECT_TOL = 1e-10
 
 
 class CertificationError(RuntimeError):
@@ -70,9 +71,9 @@ class DpCertificate:
                 "twisted_averaging_rel": self.twisted_averaging}
 
 
-def build_partition(phi_star, level_tol: float = DEFAULT_LEVEL_TOL) -> LevelPartition:
+def build_partition(phi_star) -> LevelPartition:
     """Cluster states by value: consecutive sorted values join a level when
-    they differ by at most level_tol.
+    they differ by at most LEVEL_TOL.
 
     A chain whose links all fit the tolerance but whose total spread exceeds
     it admits two groupings; that ambiguity is reported, not resolved.
@@ -85,7 +86,7 @@ def build_partition(phi_star, level_tol: float = DEFAULT_LEVEL_TOL) -> LevelPart
     current = [int(order[0])]
     for k in range(1, len(order)):
         i = int(order[k])
-        if phi[i] - phi[int(current[-1])] <= level_tol:
+        if phi[i] - phi[int(current[-1])] <= LEVEL_TOL:
             current.append(i)
         else:
             levels.append(current)
@@ -94,9 +95,9 @@ def build_partition(phi_star, level_tol: float = DEFAULT_LEVEL_TOL) -> LevelPart
     values = []
     for members in levels:
         vals = phi[members]
-        if float(vals.max() - vals.min()) > level_tol:
+        if float(vals.max() - vals.min()) > LEVEL_TOL:
             raise AmbiguousLevelsError(
-                f"states {sorted(members)} chain together within {level_tol:g} "
+                f"states {sorted(members)} chain together within {LEVEL_TOL:g} "
                 f"but spread {float(vals.max() - vals.min()):.3e} exceeds it"
             )
         values.append(float(vals.mean()))
@@ -128,8 +129,7 @@ def hat_kernel(model: MdpModel, partition: LevelPartition) -> np.ndarray:
     return hat
 
 
-def build_certificate(model: MdpModel, phi_star, v_vec,
-                      level_tol: float = DEFAULT_LEVEL_TOL) -> DpCertificate:
+def build_certificate(model: MdpModel, phi_star, v_vec) -> DpCertificate:
     """Both forms of the DP residuals at (Phi, V), in one log-space pass over
     (action, state, successor) arrays.
 
@@ -143,13 +143,13 @@ def build_certificate(model: MdpModel, phi_star, v_vec,
     multiplicative form: the eigenvalue residual relative to Lambda_i Psi_i is
     |expm1(best_i - Phi_i - V_i)|, and the averaging residual relative to
     Lambda_i compares 1 with the least twisted average of e^{Phi_j - Phi_i}
-    over the tight actions, those with e^G <= e^best + level_tol.  No
+    over the tight actions, those with e^G <= e^best + LEVEL_TOL.  No
     exponential of a value is formed; a residual that is still out of double
     range raises CertificationError.
     """
     phi = np.asarray(phi_star, dtype=float)
     v = np.asarray(v_vec, dtype=float)
-    partition = build_partition(phi, level_tol)
+    partition = build_partition(phi)
     hat = hat_kernel(model, partition)
     # log(0) marks the restricted support with -inf; an overflow shows up as
     # a residual that is not finite, which is rejected below
@@ -163,7 +163,7 @@ def build_certificate(model: MdpModel, phi_star, v_vec,
         gibbs = np.where(live, model.cost.T + top + np.log(total), np.inf).T
         best = gibbs.min(axis=1)
         excess = phi + v - best
-        tight = best[:, None] + np.log(np.expm1(gibbs - best[:, None])) <= math.log(level_tol)
+        tight = best[:, None] + np.log(np.expm1(gibbs - best[:, None])) <= math.log(LEVEL_TOL)
         # e^{Phi_j - Phi_i} where some restricted row has mass, so within a level
         ratio = np.exp(np.where(hat.any(axis=0), phi - phi[:, None], 0.0))
         average = np.where(tight, (weights * ratio).sum(axis=2).T, np.inf).min(axis=1)
@@ -215,7 +215,7 @@ def _bias_gain_deriv(q: float, rho: float) -> float:
     return math.log(rho / q) + math.log((1.0 - q) / (1.0 - rho))
 
 
-def analytic_example(rho: float, bisect_tol: float = 1e-10) -> AnalyticExample:
+def analytic_example(rho: float) -> AnalyticExample:
     """Closed-form solution of the two-state chain.
 
     For log(rho) > -1 the expensive state keeps all its mass and the value
@@ -244,7 +244,7 @@ def analytic_example(rho: float, bisect_tol: float = 1e-10) -> AnalyticExample:
         raise RuntimeError(
             f"bisection bracket failed for rho={rho}: d({lo})={d(lo)}, d({hi})={d(hi)}"
         )
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if d(mid) > 0.0:
             lo = mid
@@ -263,8 +263,7 @@ class PoissonScan:
     reduction_impossible: bool
 
 
-def poisson_insolvability(rho: float, h_lo: float = -20.0, h_hi: float = 20.0,
-                          step: float = 0.1) -> PoissonScan:
+def poisson_insolvability(rho: float) -> PoissonScan:
     """Confirm the multiplicative fixed-point inequality has no solution.
 
     For log(rho) > -1 the candidate inequality at the expensive state reads
@@ -278,12 +277,11 @@ def poisson_insolvability(rho: float, h_lo: float = -20.0, h_hi: float = 20.0,
         raise ModelError(f"rho must lie in (0, 1), got {rho}")
     if math.log(rho) <= -1.0:
         raise ModelError("scan only applies to the supercritical regime (log rho > -1)")
-    count = int(round((h_hi - h_lo) / step)) + 1
-    h = np.linspace(h_lo, h_hi, count)
+    h = np.linspace(-20.0, 20.0, 401)                 # h1 and h2 in steps of 0.1
     shared = math.e * rho * np.exp(h)                  # e rho e^{h2}, per h2
     increment = math.e * (1.0 - rho) * np.exp(h)       # e (1-rho) e^{h1}, per h1
     lhs_minus_rhs = (shared - shared)[None, :] - increment[:, None]
     satisfying = int((lhs_minus_rhs >= 0.0).sum())
     reduction = bool((increment > 0.0).all())
     return PoissonScan(rho=rho, satisfying_pairs=satisfying,
-                       total_pairs=count * count, reduction_impossible=reduction)
+                       total_pairs=h.size**2, reduction_impossible=reduction)

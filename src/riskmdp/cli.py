@@ -115,8 +115,8 @@ def _oracle_block(model: MdpModel, lambda_solve: float):
     return block
 
 
-def _certificate_block(model: MdpModel, phi, v, level_tol=certify.DEFAULT_LEVEL_TOL):
-    cert = certify.build_certificate(model, phi, v, level_tol)
+def _certificate_block(model: MdpModel, phi, v):
+    cert = certify.build_certificate(model, phi, v)
     return cert, {
         "levels": [[model.states[i] for i in lvl] for lvl in cert.partition.levels],
         "level_values": _vec(cert.partition.values),
@@ -297,7 +297,7 @@ def cmd_example(args, argv) -> int:
             "insolvable": scan.satisfying_pairs == 0 and scan.reduction_impossible,
         }
     t0 = time.perf_counter()
-    rep = game.solve_sequence(model, 2, 8, 1e-4)
+    rep = game.solve_sequence(model)
     elapsed = time.perf_counter() - t0
     gap = abs(rep.lambda_bar - ana.lambda_bar)
     report = {

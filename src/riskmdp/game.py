@@ -38,7 +38,7 @@ from .oracle import tilde_cost
 
 SENTINEL = 1.0e6
 MU_MASS_TOL = 1e-10       # below this the nu-weights take over in extraction
-SUPPORT_TOL = 1e-9        # y entries above this count as support actions
+SUPPORT_TOL = 1e-9        # purification's candidate actions: y entries above this
 # verification bounds for the extracted pair; slightly looser than the LP
 # kernel's own tolerances because residuals are recomputed from unscaled
 # data and sentinel columns amplify roundoff
@@ -115,19 +115,11 @@ def _tables(model: MdpModel, rows: np.ndarray, owner: np.ndarray):
     return table, np.where(np.isneginf(table), -SENTINEL, table)
 
 
-def _expected_reward(table: np.ndarray, y_row: np.ndarray) -> np.ndarray:
-    """Per table row, sum_u y(u) * table(u) under the rule 0 * (-inf) = 0."""
-    return (np.where(y_row > 0.0, table, 0.0) * y_row).sum(axis=1)
-
-
-def _row_rewards(ctab: np.ndarray, owner: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_u y_i(u) * ctab(u) for each row, i its owner; one matrix-vector
-    product per state, so the sums do not depend on how the rows are stacked."""
-    out = np.empty(ctab.shape[0])
-    for i in range(y.shape[0]):
-        mine = owner == i
-        out[mine] = ctab[mine] @ y[i]
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row k (b may be one vector for every row), bit for
+    bit as those separate products: a stack of 1 x n by n x 1 products is
+    one dot product each, while a matrix-vector product may round otherwise."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
@@ -158,13 +150,12 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
     )
 
 
-def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w,
-                 feas_tol=GAME_FEAS_TOL):
+def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w, feas_tol):
     """Checks the scaled feasibility residuals of both programs; raises on breach."""
     s, m = model.num_states, model.num_actions
     # primal: one beta-row and one V-row per kernel row
     beta_resid = rows @ beta - beta[owner]
-    v_resid = _row_rewards(ctab, owner, y) + rows @ vvec - vvec[owner] - beta[owner]
+    v_resid = _rowdot(ctab, y[owner]) + rows @ vvec - vvec[owner] - beta[owner]
     v_scale = np.maximum(1.0, np.abs(ctab).max(axis=1))
     primal_viol = max(float(beta_resid.max()), float((v_resid / v_scale).max()))
     # dual: kernel and mass balance per state, then one reward row per
@@ -203,7 +194,7 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, sol: LpSolution, owne
     n_mu = owner.shape[0]
     # scores: negative V-row slack per (state, row), zero exactly at tight rows
     qv = dual_lp.matrix[:s, :n_mu].T @ vvec  # equals V_i - q.V per (i, row)
-    scores = _row_rewards(ctab, owner, y) - qv - beta[owner]
+    scores = _rowdot(ctab, y[owner]) - qv - beta[owner]
     locked = replace(
         dual_lp,
         objective=np.concatenate([scores, scores, np.zeros(s)]),
@@ -304,63 +295,90 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     ), sol.basis
 
 
+def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
+    """Each state's most-violating kernel row for the V-constraint family, (s, s).
+
+    A row leaving the support of an action y weighs (y(i,u) > 0) is worth
+    -inf, so the search at i lives on the intersection of their supports,
+    where q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)) is the exact
+    concave maximizer; an empty intersection gives a zero row.  Only the
+    intersection is exponentiated: V can carry sentinel-sized values.
+    """
+    mask = model.support & ((model.kernel > 0.0) | (y.T <= 0.0)[:, :, None]).all(axis=0)
+    z = np.tile(vvec, (len(y), 1))
+    for u, p in enumerate(model.kernel):
+        z += y[:, u, None] * np.log(np.where(p > 0.0, p, 1.0))
+    z -= np.where(mask, z, NEG_INF).max(axis=1, keepdims=True)
+    rows = np.exp(z, out=np.zeros_like(z), where=mask)
+    # a row's k terms are summed alone: zeros between them regroup numpy's pairwise sum
+    sizes = mask.sum(axis=1)
+    for k in set(sizes.tolist()) - {0}:
+        rows[sizes == k] /= rows[sizes == k][mask[sizes == k]].reshape(-1, k).sum(axis=1)[:, None]
+    return rows
+
+
+def _v_violations(model: MdpModel, rows, owner, beta, vvec, y) -> np.ndarray:
+    """Each stacked row's V-constraint violation at its owner, as the LP
+    prices it: -SENTINEL stands in for the -inf of an action y weighs."""
+    ctab = _tables(model, rows, owner)[1]
+    return _rowdot(ctab, y[owner]) + _rowdot(rows, vvec) - vvec[owner] - beta[owner]
+
+
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
-    """Most violated semi-infinite constraint of each family, state by state.
+    """Most violated semi-infinite constraint of each family at every state.
 
-    Returns one (jbest, beta_violation, row, v_violation) tuple per state i.
-    The beta-family's worst row is the Dirac row at the union-support
-    successor jbest maximizing beta (the maximum of q.beta over a support
-    simplex sits at a vertex), violated by beta[jbest] - beta[i]; the
-    V-family's worst row is gibbs_row, which is None, with violation -inf,
-    when every row is worth -inf at i.
+    Returns (jbest, beta_violation, rows, v_violation), one entry or row per
+    state i.  The beta-family's worst row is the Dirac row at the first
+    union-support successor jbest maximizing beta (the maximum of q.beta over
+    a support simplex sits at a vertex), violated by beta[jbest] - beta[i];
+    the V-family's is gibbs_rows', violated by -inf where that row is zero.
     """
-    cuts = []
-    for i in range(model.num_states):
-        supp = list(union_support(model, i))
-        jbest = supp[int(np.argmax(beta[supp]))]
-        row = gibbs_row(model, i, y[i], vvec)
-        viol = NEG_INF
-        if row is not None:
-            reward = float(_expected_reward(tilde_cost_table(model, i, row[None, :]), y[i])[0])
-            viol = reward + float(row @ vvec) - vvec[i] - beta[i]
-        cuts.append((jbest, float(beta[jbest] - beta[i]), row, viol))
-    return cuts
+    jbest = np.where(model.support, beta, NEG_INF).argmax(axis=1)
+    rows = gibbs_rows(model, y, vvec)
+    states = np.arange(model.num_states)
+    viol = np.where(rows.any(axis=1), _v_violations(model, rows, states, beta, vvec, y), NEG_INF)
+    return jbest, beta[jbest] - beta, rows, viol
 
 
-def _lattice_cut(model: MdpModel, i: int, y_row: np.ndarray, vvec: np.ndarray,
-                 beta_i: float, resolution: int):
-    """State i's most violated V-constraint on the resolution's lattice, as
-    the LP prices it (sentinel included); returns (row, violation).
+def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray,
+                  resolution: int):
+    """Each state's most violated V-constraint on the resolution's lattice, as
+    the LP prices it (sentinel included); returns (rows, violations).
 
-    The LP rewards a row sum_T y(u) (c(i,u) - KL(q || p_u)) - SENTINEL * (the
-    other positive weights), T the positive-weight actions whose supports it
-    respects: on T's common support, w_T (q.z - q.log q) plus a constant, with
-    w_T = sum_T y(u), z = (V + sum_T y(u) log p_u) / w_T.  Each T is tried
-    whose mask no other such support holds; T empty gives the Dirac rows.
+    At state i the LP rewards a row sum_T y(u) (c(i,u) - KL(q || p_u))
+    - SENTINEL * (the other positive weights), T the positive-weight actions
+    whose supports it respects: on T's common support, w_T (q.z - q.log q)
+    plus a constant, with w_T = sum_T y(u), z = (V + sum_T y(u) log p_u) / w_T.
+    Each T is tried, largest first, whose mask no other such support holds
+    (T empty gives the Dirac rows); one pass scores every state's candidates.
     """
-    active = np.flatnonzero(y_row > 0.0)
-    reach = model.kernel[active, i] > 0.0
-    best = None, NEG_INF
-    for size in range(len(active), 0, -1):
-        for subset in map(list, itertools.combinations(range(len(active)), size)):
-            mask = model.support[i] & reach[subset].all(axis=0)
-            if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
-                continue
-            acts = active[subset]
-            z = vvec[mask] + y_row[acts] @ np.log(model.kernel[acts, i][:, mask])
-            row = np.zeros(model.num_states)
-            row[mask] = lattice_numerators(z / y_row[acts].sum(), resolution) / 2.0**resolution
-            ctab = _tables(model, row[None, :], np.array([i]))[1]
-            viol = float(ctab[0] @ y_row) + float(row @ vvec) - vvec[i] - beta_i
-            if viol > best[1]:
-                best = row, viol
-    return best
+    s = model.num_states
+    cands = []
+    for i in range(s):
+        active = np.flatnonzero(y[i] > 0.0)
+        reach = model.kernel[active, i] > 0.0
+        for size in range(len(active), 0, -1):
+            for subset in map(list, itertools.combinations(range(len(active)), size)):
+                mask = model.support[i] & reach[subset].all(axis=0)
+                if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
+                    continue
+                acts = active[subset]
+                z = vvec[mask] + y[i, acts] @ np.log(model.kernel[acts, i][:, mask])
+                row = np.zeros(s)
+                row[mask] = lattice_numerators(z / y[i, acts].sum(), resolution) / 2.0**resolution
+                cands.append((i, row))
+    owner, rows = (np.array(c) for c in zip(*cands))
+    viol = _v_violations(model, rows, owner, beta, vvec, y)
+    # a stable sort by (state, -violation) heads each state's group with its first best
+    order = np.lexsort((-viol, owner))
+    best = order[np.searchsorted(owner[order], np.arange(s))]
+    return rows[best], viol[best]
 
 
 def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
                        resolution=None, max_solves=None):
     """Grow master = (rows, owner, solution, basis), the last two None
-    before the first solve, until price(beta, V, y), one (row, violation)
+    before the first solve, until price(beta, V, y), one row and violation
     per state, adds no row: one violated by more than tol and further than
     close (max-norm) from its state's rows.  A new row goes after its state's
     old ones and the basis follows (w, slacks and artificials shift by two
@@ -372,15 +390,15 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
     if sol is None:
         sol, basis = _solve_pair(model, rows, owner, resolution=resolution)
     while True:
-        cuts = [(i, row) for i, (row, viol) in enumerate(price(sol.value, sol.potentials,
-                                                               sol.minimizer.rows))
-                if viol > tol and np.abs(rows[owner == i] - row).max(axis=1).min() > close]
-        if not cuts or solves == max_solves:
-            return (rows, owner, sol, basis), solves, not cuts
-        n_mu, added = owner.shape[0], len(cuts)
-        owner = np.concatenate([owner, [i for i, _ in cuts]])
+        cut_rows, viol = price(sol.value, sol.potentials, sol.minimizer.rows)
+        near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
+        fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
+        if not fresh.size or solves == max_solves:
+            return (rows, owner, sol, basis), solves, not fresh.size
+        n_mu, added = owner.shape[0], fresh.size
+        owner = np.concatenate([owner, fresh])
         order = np.argsort(owner, kind="stable")
-        rows, owner = np.vstack([rows, *(row for _, row in cuts)])[order], owner[order]
+        rows, owner = np.vstack([rows, cut_rows[fresh]])[order], owner[order]
         place = np.argsort(order)[:n_mu]
         basis = np.select([basis < n_mu, basis < 2 * n_mu],
                           [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
@@ -414,13 +432,11 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                          "whose lattice rows are exact in double precision")
     trace, sols, rounds = [], [], []
     reason = "n_max"
-    slack = 10.0 * stop_tol
     master = (*build_grid(model).stacked(), None, None)
     sizes = [len(union_support(model, i)) for i in range(model.num_states)]
     for n in range(n_start, n_max + 1):
         master, solves, _ = _restricted_master(
-            model, master, lambda beta, vvec, y, n=n: [
-                _lattice_cut(model, i, y[i], vvec, beta[i], n) for i in range(model.num_states)],
+            model, master, lambda beta, vvec, y, n=n: _lattice_cuts(model, beta, vvec, y, n),
             OPT_TOL, 0.0, n)
         implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes)  # rows of the lattice
         sol = replace(master[2], resolution=n, num_constraints=2 * implied)
@@ -434,12 +450,12 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
         trace.append(sol.value)
         sols.append(sol)
         rounds.append(solves)
-        cuts = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
-        worst = max(0.0, *(max(bviol, vviol) for _, bviol, _, vviol in cuts))
+        _, bviol, _, vviol = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
+        worst = max(0.0, float(np.maximum(bviol, vviol).max()))
         # stop early only once the solution is also near-feasible for the
         # full strategy class; a converged value can hide coarse potentials
         if (len(trace) >= 2 and float(np.abs(trace[-1] - trace[-2]).max()) < stop_tol
-                and worst <= slack):
+                and worst <= 10.0 * stop_tol):
             reason = "stop_tol"
             break
 
@@ -453,42 +469,16 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     )
 
 
-def gibbs_row(model: MdpModel, i: int, y_row: np.ndarray, vvec: np.ndarray) -> np.ndarray | None:
-    """Most-violating kernel row for the V-constraint family at state i.
-
-    For the active actions of y the row must be absolutely continuous with
-    respect to every p(.|i,u), so the search lives on the intersection of
-    their supports, where the weighted Gibbs form
-    q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)) is the exact
-    concave maximizer.  Returns None when the intersection is empty (every
-    row is worth -inf there, so no constraint can be violated).
-    """
-    active = np.flatnonzero(y_row > SUPPORT_TOL)
-    mask = model.support[i].copy()
-    for u in active:
-        mask &= model.kernel[u, i] > 0.0
-    if not mask.any():
-        return None
-    z = vvec[mask].copy()
-    for u in active:
-        z += y_row[u] * np.log(model.kernel[u, i][mask])
-    z -= z.max()
-    weights = np.exp(z)
-    row = np.zeros(model.num_states)
-    row[mask] = weights / weights.sum()
-    return row
-
-
 def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                  max_rounds: int = 50) -> GameSolution:
     """Constraint-generation solve of the semi-infinite game programs: the
-    restricted master priced by exact separation (_separate's Gibbs rows; a
+    restricted master priced by exact separation (gibbs_rows, via _separate; a
     cut within 1e-12 of a row its state holds is not new).  Terminates when
     no constraint is violated by more than inner_tol; hitting max_rounds
     returns the last iterate marked uncertified.
     """
     master, solves, done = _restricted_master(
         model, (*build_grid(model).stacked(), None, None),
-        lambda *triple: [(row, viol) for _, _, row, viol in _separate(model, *triple)],
+        lambda *triple: _separate(model, *triple)[2:],
         inner_tol, 1e-12, max_solves=max_rounds)
     return replace(master[2], certified=done, rounds=solves)

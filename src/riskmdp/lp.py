@@ -13,7 +13,7 @@ splitting, so dual extraction stays clean.
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
 artificial columns side by side), and every product with the constraint
-matrix reads that matrix or the input one.  feas_tol and gap_tol are
+matrix reads that matrix or the input one.  FEAS_TOL and GAP_TOL are
 absolute on the scaled problem and the scaling is undone on output.
 
 Dual sign convention (so that b.y equals the primal objective at optimum):
@@ -38,6 +38,7 @@ PIVOT_TOL = 1e-10
 DEGEN_TOL = 1e-11
 BLAND_AFTER = 500  # consecutive degenerate pivots before switching rule
 REFACTOR_EVERY = 64
+MAX_ITERS = 200_000
 
 RELATIONS = ("<=", "==", ">=")
 
@@ -131,14 +132,12 @@ class LpSolution:
 class _Simplex:
     """Bounded-variable revised simplex on  min c.x, A x = b, l <= x <= u."""
 
-    def __init__(self, a, b, c, lower, upper, feas_tol, max_iters):
+    def __init__(self, a, b, c, lower, upper):
         self.a = a
         self.b = b
         self.c = c
         self.lower = lower
         self.upper = upper
-        self.feas_tol = feas_tol
-        self.max_iters = max_iters
         self.m, self.n = a.shape
         self.x = np.zeros(self.n)
         self.basis = np.zeros(self.m, dtype=int)
@@ -276,8 +275,8 @@ class _Simplex:
         self.free = np.isneginf(self.lower) & np.isposinf(self.upper)
         self.fixed = ~(self.upper > self.lower)
         while True:
-            if self.iterations >= self.max_iters:
-                raise LpError(f"iteration limit {self.max_iters} exceeded")
+            if self.iterations >= MAX_ITERS:
+                raise LpError(f"iteration limit {MAX_ITERS} exceeded")
             d, _ = self._reduced_costs()
             j, direction = self._choose_entering(d)
             if j is None:
@@ -288,8 +287,7 @@ class _Simplex:
             self.iterations += 1
 
 
-def solve(lp: LinearProgram, *, basis=None, feas_tol: float = FEAS_TOL,
-          gap_tol: float = GAP_TOL, max_iters: int = 200_000) -> LpSolution:
+def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     """Solve an LP; returns primal and dual solutions with an optimality check.
 
     basis, if given, holds m column indices into the working matrix
@@ -303,17 +301,17 @@ def solve(lp: LinearProgram, *, basis=None, feas_tol: float = FEAS_TOL,
     """
     if basis is not None:
         try:
-            sol = _solve(lp, np.asarray(basis, dtype=np.intp), feas_tol, gap_tol, max_iters)
+            sol = _solve(lp, np.asarray(basis, dtype=np.intp))
             if sol is not None:
                 return sol
         except LpError:
             pass  # a breakdown from the given basis: solve cold
-    return _solve(lp, None, feas_tol, gap_tol, max_iters)
+    return _solve(lp, None)
 
 
-def _warm_start(sim: _Simplex, basis: np.ndarray, feas_tol: float) -> bool:
+def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
     """Install basis over the nonbasic start point; False when it is singular
-    or its basic point leaves the bounds or the rows by more than feas_tol."""
+    or its basic point leaves the bounds or the rows by more than FEAS_TOL."""
     # (np.unique would import numpy.ma, 1.5 MB of resident memory)
     in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
     if in_range:
@@ -328,11 +326,11 @@ def _warm_start(sim: _Simplex, basis: np.ndarray, feas_tol: float) -> bool:
         return False
     x = sim.x
     return bool(np.all(np.isfinite(x))
-                and np.all(x >= sim.lower - feas_tol) and np.all(x <= sim.upper + feas_tol)
-                and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= feas_tol)
+                and np.all(x >= sim.lower - FEAS_TOL) and np.all(x <= sim.upper + FEAS_TOL)
+                and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= FEAS_TOL)
 
 
-def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution | None:
+def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     """One solve, from the given basis or (basis None) cold; None when the
     given basis cannot start phase 2."""
     m, n = lp.num_constraints, lp.num_vars
@@ -370,17 +368,14 @@ def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution
     a_full[np.arange(m), art] = np.where(resid >= 0, 1.0, -1.0)
     phase2_c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
 
-    sim = _Simplex(
-        a=a_full, b=b_scaled, c=phase2_c,
-        lower=lower, upper=upper, feas_tol=feas_tol, max_iters=max_iters,
-    )
+    sim = _Simplex(a=a_full, b=b_scaled, c=phase2_c, lower=lower, upper=upper)
     sim.x[: n + n_slack] = x0
     sim.at_upper[np.flatnonzero(only_up)] = True
     if basis is not None:
         # artificials are zero-fixed from the start: a basic one may only
         # sit on a redundant row
         sim.upper[art] = 0.0
-        if not _warm_start(sim, basis, feas_tol):
+        if not _warm_start(sim, basis):
             return None
     else:
         sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
@@ -394,7 +389,7 @@ def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution
         phase1_obj = sim.x[art].sum()
         if status == "unbounded" or not np.isfinite(phase1_obj):
             raise LpError("phase-1 subproblem did not terminate cleanly")
-        if phase1_obj > feas_tol:
+        if phase1_obj > FEAS_TOL:
             return LpSolution(status="infeasible", iterations=sim.iterations)
 
     # drive artificials out of the basis where possible; rows where no real
@@ -470,7 +465,7 @@ def _solve(lp: LinearProgram, basis, feas_tol, gap_tol, max_iters) -> LpSolution
         dual_residual=dual_residual, iterations=sim.iterations,
         basis=sim.basis.copy(), warm_started=basis is not None,
     )
-    if primal_residual > 1e3 * feas_tol or gap > 1e3 * gap_tol:
+    if primal_residual > 1e3 * FEAS_TOL or gap > 1e3 * GAP_TOL:
         raise LpError(
             f"optimality certificate failed: primal residual {primal_residual:.3e}, "
             f"duality gap {gap:.3e}"

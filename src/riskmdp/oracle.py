@@ -267,24 +267,22 @@ def _class_rates(logc: np.ndarray, cols: np.ndarray, graph: np.ndarray, rate_tol
     return lam, lo.max(axis=0), hi.max(axis=0), steps, closed, best
 
 
-def growth_rate(model: MdpModel, policy: StationaryPolicy, *,
-                rate_tol: float = RATE_TOL, max_iters: int = MAX_POWER_ITERS) -> GrowthRates:
+def growth_rate(model: MdpModel, policy: StationaryPolicy) -> GrowthRates:
     """Per-state growth rates lim (1/n) log E_i[exp(sum of costs)] under a
     stationary policy: the largest log rho over the communicating classes of
     M(i,j) = exp(c_v(i)) p_v(j|i) that i reaches, each read off its bracket.
-    converged says every class bracket closed within max_iters."""
+    converged says every class bracket closed within MAX_POWER_ITERS steps."""
     p_v, c_v = apply_policy(model, policy)
     cols, pad = _support_columns(model.support)
     prob = p_v[np.arange(model.num_states)[None, :], cols.T][:, :, None]
     logc = _log_entries(c_v[:, None], prob, pad)
     lam, _, _, steps, closed, _ = _class_rates(
-        logc, cols, _support_graph(model, logc, cols), rate_tol, max_iters)
+        logc, cols, _support_graph(model, logc, cols), RATE_TOL, MAX_POWER_ITERS)
     return GrowthRates(lam=lam[:, 0], lambda_max=float(lam.max()),
                        iterations=int(steps[0]), converged=bool(closed[0]))
 
 
-def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
-                            max_iters: int = MAX_POWER_ITERS) -> BruteForceResult:
+def brute_force_lambda_star(model: MdpModel) -> BruteForceResult:
     """Minimum of max_i (growth rate) over all pure policies, with a bracket.
 
     Enumerates the |U|^s pure policies (guarded) in lexicographic order, in
@@ -313,7 +311,7 @@ def brute_force_lambda_star(model: MdpModel, *, rate_tol: float = RATE_TOL,
         choices = (index[:, None] // place[None, :]) % m
         logc = _pure_log_entries(model, choices, cols, pad)
         lam, lo, hi, _, closed, best = _class_rates(
-            logc, cols, _support_graph(model, logc, cols), rate_tol, max_iters, best)
+            logc, cols, _support_graph(model, logc, cols), RATE_TOL, MAX_POWER_ITERS, best)
         kept = [c for c in kept if c[0] <= best]
         kept += [(lo[j], hi[j], closed[j], choices[j], lam[:, j])
                  for j in np.flatnonzero(lo <= best)]

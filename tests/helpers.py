@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskmdp import game
-from riskmdp.certify import DEFAULT_LEVEL_TOL, build_certificate
+from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF
-from riskmdp.grid import GridSpec
+from riskmdp.grid import GridSpec, lattice_numerators
 from riskmdp.lp import LinearProgram
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
                            read_model_document, union_support)
@@ -430,9 +430,9 @@ def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
     return game._solve_pair(model, rows, owner, resolution=resolution)[0]
 
 
-def check_dp(model: MdpModel, phi_star, v_vec, tol: float = DEFAULT_LEVEL_TOL):
+def check_dp(model: MdpModel, phi_star, v_vec):
     """The additive-form residuals (dp1, dp2) of build_certificate."""
-    cert = build_certificate(model, phi_star, v_vec, tol)
+    cert = build_certificate(model, phi_star, v_vec)
     return cert.residual_dp1, cert.residual_dp2
 
 
@@ -503,6 +503,58 @@ def row_violations(model: MdpModel, beta, vvec, y, i: int, q) -> tuple[float, fl
     if reward == NEG_INF:
         return bviol, NEG_INF
     return bviol, reward + float(q @ vvec) - vvec[i] - beta[i]
+
+
+def gibbs_row(model: MdpModel, i: int, y_row, vvec):
+    """State i's Gibbs row, state by state: the reference of game.gibbs_rows.
+
+    On the intersection of the supports of the actions y_row weighs (y > 0),
+    q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)); None when the
+    intersection is empty.
+    """
+    active = np.flatnonzero(y_row > 0.0)
+    mask = model.support[i].copy()
+    for u in active:
+        mask &= model.kernel[u, i] > 0.0
+    if not mask.any():
+        return None
+    z = vvec[mask].copy()
+    for u in active:
+        z += y_row[u] * np.log(model.kernel[u, i][mask])
+    z -= z.max()
+    weights = np.exp(z)
+    row = np.zeros(model.num_states)
+    row[mask] = weights / weights.sum()
+    return row
+
+
+def priced_violation(model: MdpModel, i: int, row, y_row, vvec, beta_i) -> float:
+    """State i's V-violation at one kernel row, as the LP prices it (the
+    sentinel included), from a one-row reward table."""
+    ctab = game._tables(model, row[None, :], np.array([i]))[1]
+    return float(ctab[0] @ y_row) + float(row @ vvec) - vvec[i] - beta_i
+
+
+def lattice_cut(model: MdpModel, i: int, y_row, vvec, beta_i, resolution: int):
+    """State i's most violated V-constraint on the resolution's lattice,
+    candidate by candidate: the reference of game._lattice_cuts.  Returns
+    (row, violation), the first best candidate on ties."""
+    active = np.flatnonzero(y_row > 0.0)
+    reach = model.kernel[active, i] > 0.0
+    best = None, NEG_INF
+    for size in range(len(active), 0, -1):
+        for subset in map(list, itertools.combinations(range(len(active)), size)):
+            mask = model.support[i] & reach[subset].all(axis=0)
+            if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
+                continue
+            acts = active[subset]
+            z = vvec[mask] + y_row[acts] @ np.log(model.kernel[acts, i][:, mask])
+            row = np.zeros(model.num_states)
+            row[mask] = lattice_numerators(z / y_row[acts].sum(), resolution) / 2.0**resolution
+            viol = priced_violation(model, i, row, y_row, vvec, beta_i)
+            if viol > best[1]:
+                best = row, viol
+    return best
 
 
 def sampled_violations(model: MdpModel, beta, vvec, y, count: int = 400,

@@ -36,13 +36,13 @@ def test_partition_constant_vector_is_single_level():
 
 
 def test_partition_clusters_by_tolerance():
-    part = build_partition([0.1, 0.1 + 5e-7, 0.9], 1e-6)
+    part = build_partition([0.1, 0.1 + 5e-7, 0.9])
     assert part.levels == ((0, 1), (2,))
 
 
 def test_partition_reports_ambiguous_chains():
     with pytest.raises(AmbiguousLevelsError):
-        build_partition([0.0, 0.6e-6, 1.2e-6], 1e-6)
+        build_partition([0.0, 0.6e-6, 1.2e-6])
 
 
 # -- restricted kernel --------------------------------------------------------

@@ -1,16 +1,22 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import riskmdp
 from riskmdp import game
 from riskmdp.certify import two_state_model
 from riskmdp.lp import OPT_TOL, LpError, solve as lp_solve
 from riskmdp.model import MdpModel, StationaryPolicy
 from riskmdp.game import (
-    gibbs_row,
+    gibbs_rows,
     solve_congen,
     solve_sequence,
     tilde_cost_table,
@@ -25,7 +31,10 @@ from helpers import (
     corpus,
     full_grid_solution,
     game_payoff,
+    gibbs_row,
+    lattice_cut,
     primal_from_rows,
+    priced_violation,
     random_model,
     row_violations,
     sampled_violations,
@@ -51,10 +60,10 @@ def _congen_rows(model):
     vvec = rng.uniform(-1.0, 1.0, model.num_states)
     y = rng.dirichlet(np.ones(model.num_actions), model.num_states)
     rows, owner = build_grid(model, 0).stacked()
-    gibbs = [gibbs_row(model, i, y[i], vvec) for i in range(model.num_states)]
+    gibbs = gibbs_rows(model, y, vvec)
     owner = np.concatenate([owner, np.arange(model.num_states)])
     order = np.argsort(owner, kind="stable")
-    return np.vstack([rows, *gibbs])[order], owner[order]
+    return np.vstack([rows, gibbs])[order], owner[order]
 
 
 CONGEN_MODEL = random_model(42, 4, 3)
@@ -335,8 +344,9 @@ def test_warm_started_congen_rounds_match_cold_solves(monkeypatch, model):
 
 
 def test_congen_warm_starts_keep_pivots_low(monkeypatch):
-    # pivots do not depend on the machine: cold starts took 1,816 here, the
-    # warm starts 481; a silent fallback to cold starts would keep every
+    # pivots do not depend on the machine, only on the BLAS thread count:
+    # cold starts took 1,816 here, the warm starts 481 with one thread and
+    # 479 with two; a silent fallback to cold starts would keep every
     # value right and lose the gain
     model = random_model(3, 32, 3)
     calls = _recorded_lp_solves(monkeypatch)
@@ -349,12 +359,37 @@ def test_congen_warm_starts_keep_pivots_low(monkeypatch):
     assert sum(got.iterations for _, _, got in calls) < 700
 
 
-def test_congen_pivot_path_is_pinned(monkeypatch):
-    # LP solves and pivots per solve, as measured: the pivot bookkeeping may
-    # get cheaper, but a pivot that changes its choice shows here
-    calls = _recorded_lp_solves(monkeypatch)
-    solve_congen(random_model(3, 32, 3))
-    assert [got.iterations for _, _, got in calls] == [253, 37, 96, 41, 34, 18]
+# prints the pivots of each LP solve of congen on random_model(3, 32, 3)
+PIVOT_PATH_CHILD = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from helpers import random_model
+from riskmdp import game
+solve, pivots = game.lp_solve, []
+def record(program, basis=None):
+    sol = solve(program, basis=basis)
+    pivots.append(sol.iterations)
+    return sol
+game.lp_solve = record
+game.solve_congen(random_model(3, 32, 3))
+print(json.dumps(pivots))
+"""
+
+
+def test_congen_pivot_path_is_pinned():
+    # LP solves and pivots per solve, as measured with one BLAS thread: the
+    # pivot bookkeeping may get cheaper, but a pivot that changes its choice
+    # shows here.  The path depends on the thread count (two threads took
+    # 253, 37, 96, 41, 34, 18), so the solve runs in a child with one.
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PIVOT_PATH_CHILD, str(Path(__file__).parent)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [253, 38, 92, 44, 36, 18]
 
 
 # the resolution-0 game LPs (the Dirac rows) of two_successor_model(seed, s, m),
@@ -402,13 +437,13 @@ def test_congen_working_set_keeps_per_state_order(monkeypatch):
         assert np.all(np.diff(owner) >= 0)
     busiest = 0
     for (rows, owner), cuts in zip(seen, cuts_seen):
-        for i, (jbest, _, _, _) in enumerate(cuts):
+        for i, (jbest, _, _, _) in enumerate(zip(*cuts)):
             dirac = np.zeros(model.num_states)
             dirac[jbest] = 1.0
             assert any(np.array_equal(r, dirac) for r in rows[owner == i])
     for (rows, owner), cuts, (nxt, nxt_owner) in zip(seen, cuts_seen, seen[1:]):
         grown = 0
-        for i, (_, _, row, viol) in enumerate(cuts):
+        for i, (_, _, row, viol) in enumerate(zip(*cuts)):
             listed = list(rows[owner == i])
             if viol > 1e-6 and not any(np.abs(r - row).max() <= 1e-12 for r in listed):
                 listed.append(row)
@@ -421,8 +456,8 @@ def test_congen_working_set_keeps_per_state_order(monkeypatch):
 def test_gibbs_row_pure_policy_reduction():
     model = random_model(56, 3, 2)
     vvec = np.array([0.3, -0.1, 0.6])
-    y = np.array([1.0, 0.0])
-    row = gibbs_row(model, 1, y, vvec)
+    y = np.array([[1.0, 0.0]] * 3)
+    row = gibbs_rows(model, y, vvec)[1]
     p = model.kernel[0, 1]
     mask = p > 0
     expect = np.zeros(3)
@@ -432,12 +467,15 @@ def test_gibbs_row_pure_policy_reduction():
     np.testing.assert_allclose(row, expect, atol=1e-12)
 
 
-def test_gibbs_row_empty_intersection_returns_none():
+def test_gibbs_rows_empty_intersection_gives_zero_row():
+    # every row is worth -inf at x, so its V-constraint cannot be violated
     model = MdpModel(states=("x", "y"), actions=("a", "b"),
                      kernel=np.array([[[1.0, 0.0], [1.0, 0.0]],
                                       [[0.0, 1.0], [1.0, 0.0]]]),
                      cost=np.zeros((2, 2)))
-    assert gibbs_row(model, 0, np.array([0.5, 0.5]), np.zeros(2)) is None
+    y = np.full((2, 2), 0.5)
+    np.testing.assert_array_equal(gibbs_rows(model, y, np.zeros(2)), [[0.0, 0.0], [1.0, 0.0]])
+    assert game._separate(model, np.zeros(2), np.zeros(2), y)[3][0] == -math.inf
 
 
 def test_tilde_cost_table_matches_scalar_oracle():
@@ -486,11 +524,11 @@ def _assert_exact_separation(model, beta, vvec, y):
     """Each violation _separate reports is attained by the row it returns,
     and no sampled kernel of the full strategy class violates more."""
     sampled = sampled_violations(model, beta, vvec, y)
-    for i, (jbest, bviol, row, vviol) in enumerate(game._separate(model, beta, vvec, y)):
+    for i, (jbest, bviol, row, vviol) in enumerate(zip(*game._separate(model, beta, vvec, y))):
         dirac = np.zeros(model.num_states)
         dirac[jbest] = 1.0
         assert row_violations(model, beta, vvec, y, i, dirac)[0] == bviol
-        if row is None:
+        if not row.any():
             assert vviol == -math.inf
         else:
             assert abs(row_violations(model, beta, vvec, y, i, row)[1] - vviol) <= 1e-12
@@ -540,13 +578,113 @@ def test_lattice_cut_prices_as_the_lp(y, resolution):
     rng = np.random.default_rng(resolution)
     beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
     grid = build_grid(DIFFERING_SUPPORTS, resolution)
-    for i in range(3):
+    cut_rows, viols = game._lattice_cuts(DIFFERING_SUPPORTS, beta, vvec, y, resolution)
+    for i, row, viol in zip(range(3), cut_rows, viols):
         rows = grid.rows[i]
         ctab = game._tables(DIFFERING_SUPPORTS, rows, np.full(len(rows), i))[1]
         scores = ctab @ y[i] + rows @ vvec - vvec[i] - beta[i]
-        row, viol = game._lattice_cut(DIFFERING_SUPPORTS, i, y[i], vvec, beta[i], resolution)
         assert abs(viol - scores.max()) <= 1e-12
         assert any(np.array_equal(row, r) for r in rows)
+
+
+# at a, x reaches a and b, y reaches all three; b and c absorb
+NARROW_ACTION = MdpModel(
+    states=("a", "b", "c"), actions=("x", "y"),
+    kernel=np.array([[[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                     [[0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]),
+    cost=np.array([[0.3, 0.2], [0.1, 0.1], [0.1, 0.1]]),
+)
+
+
+@pytest.mark.parametrize("weight", [1e-12, 1e-10])
+def test_tiny_weight_on_a_narrower_action_keeps_its_violation(weight):
+    # any positive weight on x makes every row leaving x's support worth
+    # -inf, so the worst V-row lives on the {a, b} face; a row built on the
+    # wider support scores -inf and hides the violation
+    beta, vvec = np.full(3, 0.1), np.array([0.0, 0.9, 0.0])
+    y = np.array([[weight, 1.0 - weight], [0.5, 0.5], [0.5, 0.5]])
+    _, _, rows, viol = game._separate(NARROW_ACTION, beta, vvec, y)
+    t = np.linspace(0.0, 1.0, 2_000_001)[1:-1]       # q = (t, 1 - t, 0)
+    reward = sum(y[0, u] * (NARROW_ACTION.cost[0, u]
+                            - t * np.log(t / p[0]) - (1.0 - t) * np.log((1.0 - t) / p[1]))
+                 for u, p in enumerate(NARROW_ACTION.kernel[:, 0]))
+    scan = float((reward + (1.0 - t) * vvec[1] - vvec[0] - beta[0]).max())
+    assert abs(viol[0] - scan) <= 1e-9
+    assert row_violations(NARROW_ACTION, beta, vvec, y, 0, rows[0])[1] == pytest.approx(
+        viol[0], abs=1e-12)
+
+
+def _random_triple(rng, model, scale=1.0):
+    """(beta, V, y) with exact zeros and 1e-12 weights in y; V of the given
+    scale (the sentinel's, 1e6, where V has absorbed it)."""
+    s, m = model.num_states, model.num_actions
+    beta = rng.uniform(-1.0, 1.0, s)
+    vvec = rng.uniform(-scale, scale, s)
+    y = rng.dirichlet(np.ones(m), s)
+    y[rng.random((s, m)) < 0.3] = 0.0
+    y[rng.random((s, m)) < 0.2] = 1e-12
+    y[~y.any(axis=1), 0] = 1.0
+    return beta, vvec, y / y.sum(axis=1, keepdims=True)
+
+
+# the 10-state wide models put 4-successor Gibbs rows where numpy sums a
+# full row pairwise
+PRICING_MODELS = corpus() + [("differing-supports", DIFFERING_SUPPORTS)] + [
+    (f"two-successor-{seed}", two_successor_model(seed, 4, 3)) for seed in range(10)] + [
+    (f"wide-10-{seed}", wide_model(seed, 0, s=10)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("model", [model for _, model in PRICING_MODELS],
+                         ids=[name for name, _ in PRICING_MODELS])
+def test_stacked_pricers_match_per_state_references(model):
+    # every state priced in one pass gives, bit for bit, the rows and
+    # violations of pricing one state (one lattice candidate) at a time
+    rng = np.random.default_rng(11)
+    s = model.num_states
+    for scale in (1.0, 1.0, 1.0, 1e6):
+        beta, vvec, y = _random_triple(rng, model, scale)
+        jbest, bviol, rows, viol = game._separate(model, beta, vvec, y)
+        for i in range(s):
+            supp = np.flatnonzero(model.support[i])
+            assert jbest[i] == supp[np.argmax(beta[supp])]
+            assert bviol[i] == beta[jbest[i]] - beta[i]
+            row = gibbs_row(model, i, y[i], vvec)
+            if row is None:
+                assert not rows[i].any() and viol[i] == -math.inf
+            else:
+                assert rows[i].tobytes() == row.tobytes()
+                assert viol[i] == priced_violation(model, i, row, y[i], vvec, beta[i])
+        for n in (0, 1, 3):
+            cut_rows, cut_viol = game._lattice_cuts(model, beta, vvec, y, n)
+            for i in range(s):
+                row, ref = lattice_cut(model, i, y[i], vvec, beta[i], n)
+                assert cut_rows[i].tobytes() == row.tobytes() and cut_viol[i] == ref
+
+
+def test_lattice_cuts_keep_the_first_best_on_ties():
+    # at a, x and y reach mirror-image supports; with V at b far below the
+    # sentinel, the Dirac rows at a (x's candidate, tried first) and at c
+    # (y's) tie as the best, and the first is kept
+    kernel = np.zeros((2, 3, 3))
+    kernel[:, [1, 2], [1, 2]] = 1.0
+    kernel[0, 0], kernel[1, 0] = [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]
+    model = MdpModel(("a", "b", "c"), ("x", "y"), kernel, np.full((3, 2), 0.1))
+    beta, vvec, y = np.zeros(3), np.array([0.0, -1e7, 0.0]), np.full((3, 2), 0.5)
+    for n in (0, 1, 3):
+        rows, viol = game._lattice_cuts(model, beta, vvec, y, n)
+        np.testing.assert_array_equal(rows[0], [1.0, 0.0, 0.0])
+        assert viol[0] == priced_violation(model, 0, np.array([0.0, 0.0, 1.0]), y[0], vvec, 0.0)
+
+
+def test_row_dot_equals_per_row_products():
+    # 1,800 random stacks, s = 3..64, entries up to the sentinel's size
+    rng = np.random.default_rng(5)
+    for _ in range(1800):
+        s, n = int(rng.integers(3, 65)), int(rng.integers(1, 40))
+        a = rng.normal(size=(n, s)) * rng.choice([1.0, game.SENTINEL], size=(n, s))
+        b, v = rng.normal(size=(n, s)), rng.normal(size=s)
+        assert game._rowdot(a, b).tobytes() == np.array([a[k] @ b[k] for k in range(n)]).tobytes()
+        assert game._rowdot(a, v).tobytes() == np.array([a[k] @ v for k in range(n)]).tobytes()
 
 
 def _full_grid_residual(model, n, sol):

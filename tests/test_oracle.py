@@ -415,12 +415,13 @@ def test_brute_force_bracket_holds_the_eigenvalue_minimum(name):
     _assert_certified(brute_force_lambda_star(model), pure_log_rho_min(model))
 
 
-def test_nearly_periodic_policies_converge():
+def test_nearly_periodic_policies_converge(monkeypatch):
     # 2-successor rows and costs U[0, 10]: the windowed power iteration this
     # bracket replaced ran 100,000 steps on 3 of these 16 policies without
     # converging, and reported 5.2775409189 with converged false
     model = two_successor_model(1, 4, 2)
-    bf = brute_force_lambda_star(model, max_iters=1000)
+    monkeypatch.setattr(oracle, "MAX_POWER_ITERS", 1000)
+    bf = brute_force_lambda_star(model)
     _assert_certified(bf, pure_log_rho_min(model))
 
 
