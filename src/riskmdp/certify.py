@@ -223,8 +223,11 @@ def analytic_example(rho: float) -> AnalyticExample:
     extracted self-loop weight is the maximizer of B(q)/(1-q), with
     B(q) = 1 - q log(q/rho) - (1-q) log((1-q)/(1-rho)): stationarity of the
     transient fixed point V = max_q [B(q) + q V].  The optimality condition
-    d(q) = B(q) + (1-q) B'(q) is strictly decreasing, so it is solved by
-    bisection on (0, 1).  The boundary log(rho) = -1 is excluded.
+    d(q) = B(q) + (1-q) B'(q) is strictly decreasing, with d(rho) = 1 and
+    d(q) -> 1 + log(rho) < 0 as q -> 1, so it is solved by bisection on
+    log q over [log rho, 0], to BISECT_TOL in log q; the root sits near
+    e * rho, below any fixed bracket in q for tiny rho.  The boundary
+    log(rho) = -1 is excluded.
     """
     if not 0.0 < rho < 1.0:
         raise ModelError(f"rho must lie in (0, 1), got {rho}")
@@ -239,18 +242,14 @@ def analytic_example(rho: float) -> AnalyticExample:
     def d(q: float) -> float:
         return _bias_gain(q, rho) + (1.0 - q) * _bias_gain_deriv(q, rho)
 
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if not (d(lo) > 0.0 > d(hi)):
-        raise RuntimeError(
-            f"bisection bracket failed for rho={rho}: d({lo})={d(lo)}, d({hi})={d(hi)}"
-        )
+    lo, hi = log_rho, 0.0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if d(mid) > 0.0:
+        if d(math.exp(mid)) > 0.0:
             lo = mid
         else:
             hi = mid
-    q22 = 0.5 * (lo + hi)
+    q22 = math.exp(0.5 * (lo + hi))
     return AnalyticExample(rho=rho, phi_star=np.zeros(2), q22=q22,
                            lambda_bar=0.0, supercritical=False)
 

@@ -10,12 +10,16 @@ iteration stores each policy's log matrix only on the model's union-support
 columns (k per state, k the largest support size), so one step is k
 elementwise passes summed left to right in slot order.  Each step tightens
 every chain's running bracket on log rho and then takes the damped step
-h <- (h + Mh / e^{max r}) / 2, which makes periodic chains converge.  On a
-reducible chain the entries between communicating classes are dropped and
-each class keeps its own bracket.  A chain stops once its brackets are
-RATE_TOL wide, and the brute force drops a policy as soon as its lower bound
-passes the best upper bound seen.  Growth rates of a single policy and the
-brute-force scan share that one code path.
+h <- (h + Mh / e^{max r}) / 2, which makes periodic chains converge.  After
+RESTART_STEP steps every chain still open restarts once from an estimate of
+its Perron vector, (I + B)^(2^SQUARINGS) applied to the ones vector on the
+dense matrix B; the bracket holds for any h > 0, so the restart changes how
+fast a bracket closes, never what it certifies.  On a reducible chain the
+entries between communicating classes are dropped and each class keeps its
+own bracket.  A chain stops once its brackets are RATE_TOL wide, and the
+brute force drops a policy as soon as its lower bound passes the best upper
+bound seen.  Growth rates of a single policy and the brute-force scan share
+that one code path.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ ENUMERATION_GUARD = 10**6
 BLOCK_ENTRIES = 2**20    # stored log entries per brute-force batch (8 MB of float64)
 RATE_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
+RESTART_STEP = 32   # a restart costs about what 32 batched steps cost a chain
+SQUARINGS = 10      # the Perron estimate is (I + B)^1024
 LOG2 = math.log(2.0)
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,52 @@ def _communicating_classes(graph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comm.argmax(axis=1), reach
 
 
+def _take(groups, index):
+    """groups restricted to the chains in index (unchanged when shared)."""
+    if groups is None or groups[0].shape[2] == 1:
+        return groups
+    member, gid = groups
+    return member[:, :, index], gid[:, index]
+
+
+def _class_max(x: np.ndarray, groups, rest: float) -> np.ndarray:
+    """Each state's class maximum of x (s, P): the chain maximum when groups
+    is None, the largest x over the state's class otherwise, and rest for a
+    state in no class."""
+    if groups is None:
+        return x.max(axis=0, keepdims=True)
+    member, gid = groups
+    top = np.where(member, x, -math.inf).max(axis=1)
+    return np.take_along_axis(np.vstack([top, np.full_like(top[:1], rest)]), gid, axis=0)
+
+
+def _perron_start(logc: np.ndarray, cols: np.ndarray, groups) -> np.ndarray:
+    """Log Perron-vector estimates (s, P) for the chains in logc, per class.
+
+    Each chain's matrix B is built densely in linear space, each class shifted
+    by its largest log entry, with the rows of states on no cycle zeroed; I is
+    added so periodic classes converge too.  (I + B) is squared SQUARINGS
+    times and rescaled after each squaring by its class maxima: the classes
+    do not touch, so separate scales leave each block's eigenvector
+    unchanged.  log h is the log of the row sums; a state on no cycle gets 0.
+    A row sum below the smallest normal float, where a vector spans more than
+    about 708 in log space and the squarings lose it to underflow, gives -inf.
+    """
+    k, s, p = logc.shape
+    shift = _class_max(logc.max(axis=0), groups, math.inf)   # zeroes rows on no cycle
+    mat = np.zeros((p, s, s))
+    rows = np.arange(s)
+    for c in range(k - 1, -1, -1):   # real slots overwrite the padded repeats
+        mat[:, rows, cols[:, c]] = np.exp(logc[c] - shift).T
+    mat[:, rows, rows] += 1.0
+    for _ in range(SQUARINGS):
+        mat = mat @ mat
+        mat /= _class_max(mat.max(axis=2).T, groups, 1.0).T[:, :, None]
+    total = mat.sum(axis=2).T
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(total < TINY, 0.0, total))
+
+
 def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
               max_iters: int, best: float):
     """Collatz-Wielandt brackets on log rho for a batch of chains.
@@ -179,6 +232,10 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
     bracket [lo, hi] with the min and max of r over the class, and damps each
     class by its own max r: h <- (h + Mh / e^{max r}) / 2, renormalized to a
     maximum of 1.  A state in no class is damped by its chain's largest max r.
+    After step RESTART_STEP every chain still active restarts from
+    _perron_start, in batches of at most BLOCK_ENTRIES dense entries, unless
+    its estimate has a non-finite entry; lo and hi keep their running max
+    and min across the restart.
     A chain finishes when every class bracket is at most rate_tol wide.  It
     is dropped when its lower end (the largest lo over its classes) exceeds
     best, the smallest upper end (the largest hi over its classes) seen so
@@ -197,6 +254,7 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
     out_lo, out_hi = np.empty((g, p)), np.empty((g, p))
     steps = np.full(p, max_iters)
     closed = np.zeros(p, dtype=bool)
+    chunk = max(1, BLOCK_ENTRIES // (s * s))
     for step in range(1, max_iters + 1):
         lnew = _support_matvec(logc, cols, ln)
         r = lnew - ln
@@ -223,12 +281,18 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
             if 2 * active.sum() <= len(active):
                 live, logc, ln, lnew = live[active], logc[:, :, active], ln[:, active], lnew[:, active]
                 lo, hi, shift = lo[:, active], hi[:, active], shift[:, active]
-                if groups is not None and member.shape[2] > 1:
-                    groups = (member[:, :, active], gid[:, active])
+                groups = _take(groups, active)
                 active = active[active]
         b = lnew - shift
         ln = np.maximum(ln, b) + np.log1p(np.exp(-np.abs(ln - b))) - LOG2
         ln -= ln.max(axis=0)
+        if step == RESTART_STEP:
+            chains = np.flatnonzero(active)
+            for a in range(0, len(chains), chunk):
+                part = chains[a:a + chunk]
+                start = _perron_start(logc[:, :, part], cols, _take(groups, part))
+                keep = np.isfinite(start).all(axis=0)
+                ln[:, part[keep]] = start[:, keep]
     out_lo[:, live[active]], out_hi[:, live[active]] = lo[:, active], hi[:, active]
     return out_lo, out_hi, steps, closed, best
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskmdp import game
+from riskmdp import game, oracle
 from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.extreal import NEG_INF
@@ -201,15 +201,37 @@ def dense_classes(logm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comm.argmax(axis=2), reach
 
 
+def dense_perron_start(logm: np.ndarray, labels: np.ndarray, cyclic: np.ndarray) -> np.ndarray:
+    """Reference restart on dense (P, s, s) log matrices with no entries
+    between classes: each class shifted by its largest entry, rows of states
+    on no cycle zeroed, I added, squared oracle.SQUARINGS times with each
+    class rescaled by its largest entry after each squaring; log h (P, s) is
+    the log of the row sums, -inf where a row sum is below the smallest
+    normal float."""
+    same = labels[:, :, None] == labels[:, None, :]
+
+    def class_max(x):
+        return np.where(same, x[:, None, :], -math.inf).max(axis=2)
+
+    shift = np.where(cyclic, class_max(logm.max(axis=2)), math.inf)
+    mat = np.exp(logm - shift[:, :, None]) + np.eye(logm.shape[1])
+    for _ in range(oracle.SQUARINGS):
+        mat = mat @ mat
+        mat /= class_max(mat.max(axis=2))[:, :, None]
+    total = mat.sum(axis=2)
+    with np.errstate(divide="ignore"):
+        return np.log(np.where(total < np.finfo(float).tiny, 0.0, total))
+
+
 def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, best: float = math.inf):
     """Reference bracket iteration on dense (P, s, s) log matrices.
 
-    The same class masking, brackets, damping, renormalization, stop rule and
-    prune rule as the library's support-column iteration, but with a dense
-    log-sum-exp over all s columns, classes named by their smallest member
-    (s slots per chain, unused ones empty), and every chain kept in the batch
-    until the last one stops.  Returns per-state rates (P, s), the chain
-    brackets lo and hi, step counts and closed flags.
+    The same class masking, brackets, damping, renormalization, restart,
+    stop rule and prune rule as the library's support-column iteration, but
+    with a dense log-sum-exp over all s columns, classes named by their
+    smallest member (s slots per chain, unused ones empty), and every chain
+    kept in the batch until the last one stops.  Returns per-state rates
+    (P, s), the chain brackets lo and hi, step counts and closed flags.
     """
     p, s, _ = logm.shape
     labels, reach = dense_classes(logm)
@@ -244,6 +266,10 @@ def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, best: flo
         b = lnew - shift
         ln = np.maximum(ln, b) + np.log1p(np.exp(-np.abs(ln - b))) - math.log(2.0)
         ln -= ln.max(axis=1)[:, None]
+        if step == oracle.RESTART_STEP:
+            start = dense_perron_start(logm, labels, cyclic)
+            keep = np.isfinite(start).all(axis=1)
+            ln[keep] = start[keep]
     out_lo[:, active], out_hi[:, active] = lo[:, active], hi[:, active]
     out_lo = np.minimum(out_lo, out_hi)
     mid = (out_lo + out_hi) / 2.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import riskmdp
+from riskmdp.certify import BISECT_TOL
 from riskmdp.cli import REPORT_VERSION, main
 from riskmdp.grid import MAX_RESOLUTION
 
@@ -399,6 +400,23 @@ def test_example_subcritical(tmp_path):
     assert 0.05 < report["q22"] < 0.95
     assert report["poisson"] is None
     assert 0.05 < report["lp_q22"] < 0.95
+
+
+@pytest.mark.parametrize("rho", ["1e-10", "1e-15", "1e-300"])
+def test_example_tiny_rho_exits_cleanly(tmp_path, rho):
+    # the self-loop weight sits near e * rho, below any fixed bracket in q
+    out = tmp_path / "ex.json"
+    code = main(["example", "--rho", rho, "--out", str(out)])
+    assert code in {0, 2, 3, 4, 5}
+    if code == 0:
+        report = json.loads(out.read_text())
+        r, q = float(rho), report["q22"]
+
+        def d(x):   # B(x) + (1 - x) B'(x), B(x) = 1 - KL((x, 1-x) || (r, 1-r))
+            gain = 1.0 - x * math.log(x / r) - (1.0 - x) * math.log((1.0 - x) / (1.0 - r))
+            return gain + (1.0 - x) * (math.log(r / x) + math.log((1.0 - x) / (1.0 - r)))
+
+        assert d(q * math.exp(-BISECT_TOL)) > 0.0 > d(q * math.exp(BISECT_TOL))
 
 
 def test_example_bad_rho_exit_2():

@@ -1,11 +1,17 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskmdp
 from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
@@ -304,6 +310,7 @@ BIT_FOR_BIT = {
     "trap": _trap(),
     "single-state": _single_state(),
     "differing-supports": _differing_supports(),
+    "two-successor-s4m2": two_successor_model(1, 4, 2),
 }
 
 
@@ -350,6 +357,18 @@ def test_support_iteration_stopped_partway_equals_dense(quantile):
     assert (stopped.mean() < 0.5) == (quantile < 50)
     assert (stopped & ~closed).any()
     assert (~stopped & ~closed).any()
+
+
+@pytest.mark.parametrize("name", ["differing-supports", "two-successor-s4m2", "trap", "wide-s6m2"])
+def test_early_restart_equals_dense_bit_for_bit(monkeypatch, name):
+    # a restart after the first step reaches every policy, so each one's
+    # Perron estimate (padded slots, per-class scales, states on no cycle) is
+    # compared with the dense reference's
+    monkeypatch.setattr(oracle, "RESTART_STEP", 1)
+    model = BIT_FOR_BIT[name]
+    choices = _policies(model)
+    for a, b in zip(_support_rates(model, choices), _dense_rates(model, choices)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", ["ring-s10m3", "differing-supports", "single-state"])
@@ -454,6 +473,105 @@ def test_reducible_policy_rates_per_class():
         assert rates.converged
         assert abs(rates.lam[0] - absorbing) <= 1e-12
         np.testing.assert_allclose(rates.lam[1:], max(ring, absorbing), atol=1e-10)
+
+
+def test_restart_closes_the_lazy_ring_in_one_step(monkeypatch):
+    # every policy still open after RESTART_STEP damped steps closes on the
+    # first step from its Perron estimate; without the restart this brute
+    # force runs 343 steps
+    calls = []
+    matvec = oracle._support_matvec
+
+    def counted(*args):
+        calls.append(1)
+        return matvec(*args)
+
+    monkeypatch.setattr(oracle, "_support_matvec", counted)
+    bf = brute_force_lambda_star(BIT_FOR_BIT["lazy-s10m2"])
+    assert len(calls) == oracle.RESTART_STEP + 1
+    assert bf.converged
+
+
+def test_restart_keeps_per_class_rates():
+    # the trap with a cheap absorbing state: the ring 1..4 grows faster than
+    # state 0 under some policies and slower under others, so each class is
+    # shifted and rescaled by its own maximum and closes one step after the
+    # restart at its own rate
+    trap = BIT_FOR_BIT["trap"]
+    cost = trap.cost.copy()
+    cost[0] = [0.01, 0.02]
+    model = _named(trap.kernel, cost)
+    states = np.arange(5)
+    faster = set()
+    for choice in itertools.product(range(2), repeat=5):
+        rates = growth_rate(model, StationaryPolicy.pure(choice, 2))
+        m = np.exp(model.cost[states, choice])[:, None] * model.kernel[list(choice), states]
+        absorbing = model.cost[0, choice[0]]
+        ring = class_log_rho(m[1:, 1:])
+        faster.add(ring > absorbing)
+        assert rates.converged and rates.iterations == oracle.RESTART_STEP + 1
+        assert rates.lam[0] == absorbing
+        np.testing.assert_allclose(rates.lam[1:], max(ring, absorbing), rtol=0, atol=1e-14)
+    assert faster == {True, False}
+
+
+def test_restart_closes_a_period_two_chain():
+    # a bipartite chain: B has the eigenvalue -rho(B), which adding I lifts
+    # off the Perron root, and the damped iteration is still open at the
+    # restart
+    kernel = np.array([[0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.9, 0.1],
+                       [0.6, 0.4, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]])
+    cost = np.array([0.0, 5.0, 2.0, 9.0])
+    rates = growth_rate(uncontrolled(kernel, cost), StationaryPolicy(np.ones((4, 1))))
+    assert rates.converged and rates.iterations == oracle.RESTART_STEP + 1
+    expected = class_log_rho(np.exp(cost)[:, None] * kernel)
+    assert abs(rates.lambda_max - expected) <= 1e-14 * abs(expected)
+
+
+def test_restart_falls_back_where_the_perron_vector_underflows(monkeypatch):
+    # state 1's Perron entry is about e^-720 of state 0's: the squarings lose
+    # it to underflow, so the chain keeps its damped iterate and takes
+    # exactly the steps it takes without a restart
+    model = uncontrolled([[0.5, 0.5], [0.5, 0.5]], [720.0, 0.0])
+    restarted = growth_rate(model, ONLY)
+    assert restarted.converged and restarted.iterations > oracle.RESTART_STEP + 1
+    assert abs(restarted.lambda_max - (720.0 + math.log(0.5))) <= oracle.RATE_TOL
+    monkeypatch.setattr(oracle, "RESTART_STEP", 0)
+    plain = growth_rate(model, ONLY)
+    assert plain.iterations == restarted.iterations
+    assert np.array_equal(plain.lam, restarted.lam)
+
+
+# prints the value and bracket of brute force on three models as hex floats
+BLAS_THREADS_CHILD = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_oracle import BIT_FOR_BIT
+from riskmdp.oracle import brute_force_lambda_star
+out = {}
+for name in ("lazy-s10m2", "ring-s10m3", "trap"):
+    bf = brute_force_lambda_star(BIT_FOR_BIT[name])
+    out[name] = [bf.value.hex(), bf.bracket[0].hex(), bf.bracket[1].hex()]
+print(json.dumps(out))
+"""
+
+
+def test_brute_force_is_the_same_with_one_and_two_blas_threads():
+    # the restart squares dense matrices with BLAS; its products must not
+    # depend on how many threads BLAS runs
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD,
+                               str(Path(__file__).parent)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    assert results[0] == results[1]
 
 
 def _structured_model(kind, seed, s, m):
