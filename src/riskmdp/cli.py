@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,6 +36,7 @@ EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
 REPORT_VERSION = 6
+TOLERANCES = {"solve": ("stop_tol", "inner_tol"), "verify": ("tol",)}
 
 
 def canonical_json(obj) -> str:
@@ -375,6 +377,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and not 0 <= args.n_start <= args.n_max:
         parser.error("solve: need 0 <= --n-start <= --n-max")
+    if args.command == "solve" and args.max_rounds < 1:
+        parser.error("solve: --max-rounds must be at least 1")
+    for name in TOLERANCES.get(args.command, ()):
+        if not 0.0 <= getattr(args, name) < math.inf:
+            parser.error(f"{args.command}: --{name.replace('_', '-')} must be finite and >= 0")
     try:
         return args.func(args, ["riskmdp"] + argv)
     except ModelError as exc:

@@ -12,8 +12,10 @@ V-constraint per (state, kernel row); the dual has occupation-style weights
 the optimum.  Only the dual is built, over kernel rows that pricing adds (one
 restricted master for both methods): it has 2s + s|U| rows, a new kernel row
 is a new (mu, nu) column pair, and the primal solution is read off its
-multipliers, exact at a simplex vertex.  The primal lives in tests/helpers.py,
-where the dual is checked to be its exact transpose.
+multipliers, exact at a simplex vertex.  Pricing a round needs only those
+multipliers; the strategies are extracted (dual polish, maximizer rows,
+purification) once per solve, from the round it returns.  The primal lives
+in tests/helpers.py, where the dual is checked to be its exact transpose.
 
 Unattainable rewards (absolute continuity failures) enter the LP through a
 large negative sentinel coefficient rather than -inf; such constraints are
@@ -30,11 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GuardError
-from .extreal import NEG_INF
 from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
 from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
-from .oracle import tilde_cost
+from .oracle import NEG_INF, tilde_cost
 
 SENTINEL = 1.0e6
 MU_MASS_TOL = 1e-10       # below this the nu-weights take over in extraction
@@ -150,9 +151,13 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
     )
 
 
-def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w, feas_tol):
-    """Checks the scaled feasibility residuals of both programs; raises on breach."""
+def _verify_pair(model, rows, owner, ctab, beta, vvec, y, x, feas_tol) -> float:
+    """Checks the scaled feasibility residuals of both programs and strong
+    duality at the dual point x = (mu, nu, w); raises on breach, returns the
+    duality gap."""
     s, m = model.num_states, model.num_actions
+    n_mu = owner.shape[0]
+    mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
     # primal: one beta-row and one V-row per kernel row
     beta_resid = rows @ beta - beta[owner]
     v_resid = _rowdot(ctab, y[owner]) + rows @ vvec - vvec[owner] - beta[owner]
@@ -175,6 +180,10 @@ def _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w, feas_tol):
             f"game LP verification failed: primal residual {primal_viol:.3e}, "
             f"dual residual {dual_viol:.3e}"
         )
+    gap = abs(float(beta.sum()) - float(w.sum()))
+    if gap > GAME_GAP_TOL:
+        raise LpError(f"strong duality violated: |sum(beta) - sum(w)| = {gap:.3e}")
+    return gap
 
 
 def _polish_duals(model: MdpModel, dual_lp: LinearProgram, sol: LpSolution, owner,
@@ -209,52 +218,73 @@ def _polish_duals(model: MdpModel, dual_lp: LinearProgram, sol: LpSolution, owne
     return lp_solve(locked, basis=basis)
 
 
+@dataclass(frozen=True)
+class _Round:
+    """One restricted-master LP solve: the multipliers pricing reads, and
+    what extraction needs of the LP and its optimal vertex."""
+
+    beta: np.ndarray
+    vvec: np.ndarray
+    y: np.ndarray                      # the minimizer, rows normalized
+    dual_lp: LinearProgram
+    sol: LpSolution
+    ctab: np.ndarray
+    feas_tol: float
+    gap: float                         # verified at the vertex
+
+
 def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
-                resolution, basis=None) -> tuple[GameSolution, np.ndarray]:
+                resolution, basis=None, factor=None) -> _Round:
     """Solve the game LP pair over stacked kernel rows; owner, nondecreasing,
     is the state of each row, and every state owns at least one row.
 
-    basis, if given, is a starting basis of the dual (see lp.solve); the
-    dual's optimal basis is returned with the solution.
+    basis and factor, if given, start the dual's solve (see lp.solve).  The
+    pair is verified at the dual's optimal vertex.
     """
     s, m = model.num_states, model.num_actions
-    n_mu = rows.shape[0]
     table, ctab = _tables(model, rows, owner)
     dual_lp = _dual(model, rows, owner, ctab)
     try:
-        sol = lp_solve(dual_lp, basis=basis)
+        sol = lp_solve(dual_lp, basis=basis, factor=factor)
     except LpError as exc:
         raise LpError(f"game LP solve failed (resolution={resolution}): {exc}") from exc
     if sol.status != "optimal":
         raise LpError(f"game LP at resolution {resolution} came back {sol.status}")
-    x = sol.x
     vvec, beta = sol.duals[:s], sol.duals[s:2 * s]
     y = np.clip(-sol.duals[2 * s:].reshape(s, m), 0.0, None)
     sums = y.sum(axis=1, keepdims=True)
     if np.any(sums <= 0.0):
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
+    # attainable feasibility degrades with the coefficient range: sentinel
+    # columns let the simplex take steps of that magnitude, so sub-threshold
+    # movements accumulate up to range * pivot noise
+    feas_tol = GAME_FEAS_TOL * (100.0 if np.isneginf(table).any() else 1.0)
+    gap = _verify_pair(model, rows, owner, ctab, beta, vvec, y, sol.x, feas_tol)
+    return _Round(beta, vvec, y, dual_lp, sol, ctab, feas_tol, gap)
 
+
+def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
+             resolution=None) -> GameSolution:
+    """The game solution of a round: the dual weights, polished where a state
+    carries no long-run mass, the maximizer rows read off them and the
+    purified minimizer."""
+    s, m = model.num_states, model.num_actions
+    n_mu = rows.shape[0]
+    beta, vvec, y = rnd.beta, rnd.vvec, rnd.y
+    x, gap = rnd.sol.x, rnd.gap
     if np.any(np.bincount(owner, x[:n_mu], minlength=s) <= MU_MASS_TOL):
         # the occupation weights at mass-free states are a degenerate face of
         # the dual optimum; reweighting them is an improvement pass, so any
         # numerical failure here falls back to the plain vertex
         try:
-            polished = _polish_duals(model, dual_lp, sol, owner, ctab, beta, vvec, y)
+            polished = _polish_duals(model, rnd.dual_lp, rnd.sol, owner, rnd.ctab, beta, vvec, y)
         except LpError:
             polished = None
         if polished is not None and polished.status == "optimal":
             x = polished.x
+            gap = _verify_pair(model, rows, owner, rnd.ctab, beta, vvec, y, x, rnd.feas_tol)
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
-
-    # attainable feasibility degrades with the coefficient range: sentinel
-    # columns let the simplex take steps of that magnitude, so sub-threshold
-    # movements accumulate up to range * pivot noise
-    feas_tol = GAME_FEAS_TOL * (100.0 if np.isneginf(table).any() else 1.0)
-    _verify_pair(model, rows, owner, ctab, beta, vvec, y, mu, nu, w, feas_tol)
-    gap = abs(float(beta.sum()) - float(w.sum()))
-    if gap > GAME_GAP_TOL:
-        raise LpError(f"strong duality violated: |sum(beta) - sum(w)| = {gap:.3e}")
 
     # maximizer rows from the occupation weights; nu takes over where the mu
     # mass vanishes (x is clipped to its bounds, so nu >= 0, and the verified
@@ -292,7 +322,7 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
         dual_w=w,
         duality_gap=gap,
         num_constraints=2 * n_mu,
-    ), sol.basis
+    )
 
 
 def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
@@ -377,25 +407,26 @@ def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.nda
 
 def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
                        resolution=None, max_solves=None):
-    """Grow master = (rows, owner, solution, basis), the last two None
-    before the first solve, until price(beta, V, y), one row and violation
-    per state, adds no row: one violated by more than tol and further than
-    close (max-norm) from its state's rows.  A new row goes after its state's
-    old ones and the basis follows (w, slacks and artificials shift by two
-    per row), so it starts the next solve.  Returns the master, the solves
-    made, and whether pricing (rather than max_solves) ended them.
+    """Grow master = (rows, owner, round), the round None before the first
+    solve, until price(beta, V, y), one row and violation per state, adds no
+    row: one violated by more than tol and further than close (max-norm)
+    from its state's rows.  A new row goes after its state's old ones and
+    the round's basis follows (w, slacks and artificials shift by two per
+    row), so it starts the next solve, with the round's factor.  Only the
+    latest round is kept.  Returns the master, the solves made, and whether
+    pricing (rather than max_solves) ended them.
     """
-    rows, owner, sol, basis = master
-    solves = int(sol is None)
-    if sol is None:
-        sol, basis = _solve_pair(model, rows, owner, resolution=resolution)
+    rows, owner, rnd = master
+    solves = int(rnd is None)
+    if rnd is None:
+        rnd = _solve_pair(model, rows, owner, resolution=resolution)
     while True:
-        cut_rows, viol = price(sol.value, sol.potentials, sol.minimizer.rows)
+        cut_rows, viol = price(rnd.beta, rnd.vvec, rnd.y)
         near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
-            return (rows, owner, sol, basis), solves, not fresh.size
-        n_mu, added = owner.shape[0], fresh.size
+            return (rows, owner, rnd), solves, not fresh.size
+        n_mu, added, basis = owner.shape[0], fresh.size, rnd.sol.basis
         owner = np.concatenate([owner, fresh])
         order = np.argsort(owner, kind="stable")
         rows, owner = np.vstack([rows, cut_rows[fresh]])[order], owner[order]
@@ -403,7 +434,8 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
         basis = np.select([basis < n_mu, basis < 2 * n_mu],
                           [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
                           basis + 2 * added)
-        sol, basis = _solve_pair(model, rows, owner, resolution=resolution, basis=basis)
+        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis,
+                          factor=rnd.sol.factor)
         solves += 1
 
 
@@ -430,27 +462,26 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     if n_max > MAX_RESOLUTION:
         raise GuardError(f"resolution {n_max} exceeds {MAX_RESOLUTION}, the finest "
                          "whose lattice rows are exact in double precision")
-    trace, sols, rounds = [], [], []
+    trace, resolutions, rounds = [], [], []
     reason = "n_max"
-    master = (*build_grid(model).stacked(), None, None)
+    master = (*build_grid(model).stacked(), None)
     sizes = [len(union_support(model, i)) for i in range(model.num_states)]
     for n in range(n_start, n_max + 1):
         master, solves, _ = _restricted_master(
             model, master, lambda beta, vvec, y, n=n: _lattice_cuts(model, beta, vvec, y, n),
             OPT_TOL, 0.0, n)
-        implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes)  # rows of the lattice
-        sol = replace(master[2], resolution=n, num_constraints=2 * implied)
+        rnd = master[2]
         if trace:
-            drop = float((trace[-1] - sol.value).max())
+            drop = float((trace[-1] - rnd.beta).max())
             if drop > MONOTONE_TOL:
                 raise MonotonicityError(
                     f"value decreased by {drop:.3e} from resolution "
-                    f"{sols[-1].resolution} to {n}"
+                    f"{resolutions[-1]} to {n}"
                 )
-        trace.append(sol.value)
-        sols.append(sol)
+        trace.append(rnd.beta)
+        resolutions.append(n)
         rounds.append(solves)
-        _, bviol, _, vviol = _separate(model, sol.value, sol.potentials, sol.minimizer.rows)
+        _, bviol, _, vviol = _separate(model, rnd.beta, rnd.vvec, rnd.y)
         worst = max(0.0, float(np.maximum(bviol, vviol).max()))
         # stop early only once the solution is also near-feasible for the
         # full strategy class; a converged value can hide coarse potentials
@@ -459,11 +490,12 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
             reason = "stop_tol"
             break
 
+    implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes)  # rows of the lattice
     return ConvergenceReport(
-        resolutions=tuple(s.resolution for s in sols),
+        resolutions=tuple(resolutions),
         rounds=tuple(rounds),
         beta_trace=tuple(trace),
-        final=sols[-1],
+        final=replace(_extract(model, *master, n), num_constraints=2 * implied),
         stopping_reason=reason,
         feasibility_violation=worst,
     )
@@ -478,7 +510,7 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     returns the last iterate marked uncertified.
     """
     master, solves, done = _restricted_master(
-        model, (*build_grid(model).stacked(), None, None),
+        model, (*build_grid(model).stacked(), None),
         lambda *triple: _separate(model, *triple)[2:],
         inner_tol, 1e-12, max_solves=max_rounds)
-    return replace(master[2], certified=done, rounds=solves)
+    return replace(_extract(model, *master), certified=done, rounds=solves)

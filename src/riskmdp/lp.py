@@ -7,8 +7,11 @@ periodic refactorization, and a permanent switch to Bland's rule after a run
 of degenerate pivots (anti-cycling).  The basis matrix is kept as state: a
 pivot replaces one of its columns, and only a refactorization gathers it
 anew.  The explicit inverse is updated in place by one rank-one step per
-pivot.  Free variables are handled natively through their bounds, not by
-splitting, so dual extraction stays clean.
+pivot.  A refactorization with no pivot or bound flip since the last one
+is skipped, and a warm start whose basis matrix is bit for bit the final
+one of an earlier solve takes that solve's inverse (its `factor`) instead
+of inverting again.  Free variables are handled natively through their
+bounds, not by splitting, so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -127,6 +130,9 @@ class LpSolution:
     iterations: int = 0
     basis: np.ndarray | None = None  # final basis, at "optimal" status
     warm_started: bool = False  # phase 2 ran from the given basis
+    # (basis matrix, its inverse) at the final basis, on the scaled working
+    # matrix, when no pivot followed the last refactorization
+    factor: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _Simplex:
@@ -152,17 +158,28 @@ class _Simplex:
         self.bland = False
         self.degen_run = 0
         self.pivots_since_refactor = 0
+        self.refactored = False  # nothing moved since the last _refactor
 
     # -- basis linear algebra -------------------------------------------------
 
-    def _refactor(self):
+    def _refactor(self, factor=None):
+        """Gather the basis matrix, invert it and recompute the basic values;
+        a no-op right after another refactorization, which would give the
+        same bits.  factor, an earlier solve's (basis matrix, inverse), is
+        taken instead of inverting when its matrix is bit for bit this one."""
+        if self.refactored:
+            return
         self.bmat = self.a[:, self.basis]
-        try:
-            self.binv = np.linalg.inv(self.bmat)
-        except np.linalg.LinAlgError as exc:
-            raise LpError(f"singular basis during refactorization: {exc}") from exc
+        if factor is not None and _same_bits(factor[0], self.bmat):
+            self.binv = factor[1].copy()  # pivots update it in place
+        else:
+            try:
+                self.binv = np.linalg.inv(self.bmat)
+            except np.linalg.LinAlgError as exc:
+                raise LpError(f"singular basis during refactorization: {exc}") from exc
         self.pivots_since_refactor = 0
         self._recompute_basics()
+        self.refactored = True
 
     def _recompute_basics(self):
         xn = self.x.copy()
@@ -201,6 +218,7 @@ class _Simplex:
         """Column j enters the basis at position r (w = binv @ a[:, j]): it
         becomes column r of the kept basis matrix, and the explicit inverse
         takes its rank-one update in place."""
+        self.refactored = False
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
@@ -234,6 +252,7 @@ class _Simplex:
             self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
             self.at_upper[j] = direction > 0
             self.x[bvars] += delta * flip
+            self.refactored = False
             step = flip
             pivoted = False
         else:
@@ -287,7 +306,7 @@ class _Simplex:
             self.iterations += 1
 
 
-def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
+def solve(lp: LinearProgram, *, basis=None, factor=None) -> LpSolution:
     """Solve an LP; returns primal and dual solutions with an optimality check.
 
     basis, if given, holds m column indices into the working matrix
@@ -295,13 +314,16 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     (one per row)], such as the `basis` of an earlier solution.  Nonbasic
     columns start at their usual bound; when the basis is nonsingular and
     its point lies within bounds, phase 1 is skipped.  Otherwise, or on a
-    numerical breakdown from that start, the LP is solved cold.
+    numerical breakdown from that start, the LP is solved cold.  factor, such
+    as the `factor` of the solution that basis came from, spares the warm
+    start its inversion when the basis matrix is unchanged; it is ignored
+    otherwise.
 
     Raises LpError on numerical breakdown; infeasible/unbounded are statuses.
     """
     if basis is not None:
         try:
-            sol = _solve(lp, np.asarray(basis, dtype=np.intp))
+            sol = _solve(lp, np.asarray(basis, dtype=np.intp), factor)
             if sol is not None:
                 return sol
         except LpError:
@@ -309,9 +331,14 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     return _solve(lp, None)
 
 
-def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
-    """Install basis over the nonbasic start point; False when it is singular
-    or its basic point leaves the bounds or the rows by more than FEAS_TOL."""
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _warm_start(sim: _Simplex, basis: np.ndarray, factor) -> bool:
+    """Install basis over the nonbasic start point (factor as in solve); False
+    when it is singular or its basic point leaves the bounds or the rows by
+    more than FEAS_TOL."""
     # (np.unique would import numpy.ma, 1.5 MB of resident memory)
     in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
     if in_range:
@@ -321,7 +348,7 @@ def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
     sim.basis = basis.copy()
     sim.at_upper[basis] = False
     try:
-        sim._refactor()
+        sim._refactor(factor)
     except LpError:
         return False
     x = sim.x
@@ -330,7 +357,7 @@ def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
                 and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= FEAS_TOL)
 
 
-def _solve(lp: LinearProgram, basis) -> LpSolution | None:
+def _solve(lp: LinearProgram, basis, factor=None) -> LpSolution | None:
     """One solve, from the given basis or (basis None) cold; None when the
     given basis cannot start phase 2."""
     m, n = lp.num_constraints, lp.num_vars
@@ -375,7 +402,7 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
         # artificials are zero-fixed from the start: a basic one may only
         # sit on a redundant row
         sim.upper[art] = 0.0
-        if not _warm_start(sim, basis):
+        if not _warm_start(sim, basis, factor):
             return None
     else:
         sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
@@ -409,7 +436,9 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
             sim.x[bvar] = 0.0
             sim._recompute_basics()
     sim.upper[art] = 0.0
-    sim.x[art[~sim.in_basis[art]]] = 0.0
+    idle = art[~sim.in_basis[art]]
+    sim.refactored &= not sim.x[idle].any()  # zeroing them moves the point
+    sim.x[idle] = 0.0
     # pivots keep a zero tableau row zero, so on the rows the artificials
     # still hold every entry is rounding noise; pivoting one out there would
     # leave a singular basis, so they stay basic
@@ -421,8 +450,9 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=sim.iterations,
                           warm_started=basis is not None)
-    # clean-up pass: rebuild the basis inverse and basic values from scratch,
-    # then let the iteration polish anything the accumulated updates drifted
+    # clean-up pass: rebuild the basis inverse and basic values from scratch
+    # (unless nothing moved since the last rebuild), then let the iteration
+    # polish anything the accumulated updates drifted
     sim._refactor()
     status = sim.run()
     if status == "unbounded":
@@ -464,6 +494,7 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
         primal_residual=primal_residual,
         dual_residual=dual_residual, iterations=sim.iterations,
         basis=sim.basis.copy(), warm_started=basis is not None,
+        factor=(sim.bmat, sim.binv) if sim.pivots_since_refactor == 0 else None,
     )
     if primal_residual > 1e3 * FEAS_TOL or gap > 1e3 * GAP_TOL:
         raise LpError(

@@ -106,16 +106,6 @@ class StationaryPolicy:
         _check_rows_stochastic(rows, "policy", lambda idx: f"state index {idx[0]}")
         object.__setattr__(self, "rows", _frozen(rows))
 
-    @classmethod
-    def pure(cls, choice, num_actions: int) -> "StationaryPolicy":
-        rows = np.zeros((len(choice), num_actions))
-        rows[np.arange(len(choice)), list(choice)] = 1.0
-        return cls(rows)
-
-    @classmethod
-    def uniform(cls, num_states: int, num_actions: int) -> "StationaryPolicy":
-        return cls(np.full((num_states, num_actions), 1.0 / num_actions))
-
 
 @dataclass(frozen=True)
 class PurePolicy:

@@ -30,17 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, ModelError
-from .extreal import NEG_INF
 from .model import MdpModel, PurePolicy, StationaryPolicy, apply_policy
 
+NEG_INF = -math.inf    # the reward of a row that is not absolutely continuous
 ENUMERATION_GUARD = 10**6
 BLOCK_ENTRIES = 2**20    # stored log entries per brute-force batch (8 MB of float64)
 RATE_TOL = 1e-10
 MAX_POWER_ITERS = 100_000
 RESTART_STEP = 32   # a restart costs about what 32 batched steps cost a chain
 SQUARINGS = 10      # the Perron estimate is (I + B)^1024
+RELATIVE_PASSES = 64   # restarts relative to the iterate, at most, per chain
 LOG2 = math.log(2.0)
 TINY = np.finfo(float).tiny
+LOG_TINY = math.log(TINY)
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,9 @@ def _class_max(x: np.ndarray, groups, rest: float) -> np.ndarray:
     return np.take_along_axis(np.vstack([top, np.full_like(top[:1], rest)]), gid, axis=0)
 
 
-def _perron_start(logc: np.ndarray, cols: np.ndarray, groups) -> np.ndarray:
-    """Log Perron-vector estimates (s, P) for the chains in logc, per class.
+def _perron_start(logc: np.ndarray, cols: np.ndarray, groups):
+    """Log Perron-vector estimates (s, P) for the chains in logc, per class,
+    and whether each chain's estimate is exact.
 
     Each chain's matrix B is built densely in linear space, each class shifted
     by its largest log entry, with the rows of states on no cycle zeroed; I is
@@ -201,9 +204,13 @@ def _perron_start(logc: np.ndarray, cols: np.ndarray, groups) -> np.ndarray:
     unchanged.  log h is the log of the row sums; a state on no cycle gets 0.
     A row sum below the smallest normal float, where a vector spans more than
     about 708 in log space and the squarings lose it to underflow, gives -inf.
+    An estimate is inexact where it has such an entry, or where a state's
+    whole row of B underflows: the squarings then see an identity row.
     """
     k, s, p = logc.shape
-    shift = _class_max(logc.max(axis=0), groups, math.inf)   # zeroes rows on no cycle
+    top = logc.max(axis=0)
+    shift = _class_max(top, groups, math.inf)   # zeroes rows on no cycle
+    lost_row = (top - shift < LOG_TINY) & np.isfinite(shift)
     mat = np.zeros((p, s, s))
     rows = np.arange(s)
     for c in range(k - 1, -1, -1):   # real slots overwrite the padded repeats
@@ -214,7 +221,8 @@ def _perron_start(logc: np.ndarray, cols: np.ndarray, groups) -> np.ndarray:
         mat /= _class_max(mat.max(axis=2).T, groups, 1.0).T[:, :, None]
     total = mat.sum(axis=2).T
     with np.errstate(divide="ignore"):
-        return np.log(np.where(total < TINY, 0.0, total))
+        start = np.log(np.where(total < TINY, 0.0, total))
+    return start, np.isfinite(start).all(axis=0) & ~lost_row.any(axis=0)
 
 
 def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
@@ -290,9 +298,20 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
             chains = np.flatnonzero(active)
             for a in range(0, len(chains), chunk):
                 part = chains[a:a + chunk]
-                start = _perron_start(logc[:, :, part], cols, _take(groups, part))
-                keep = np.isfinite(start).all(axis=0)
-                ln[:, part[keep]] = start[:, keep]
+                start, exact = _perron_start(logc[:, :, part], cols, _take(groups, part))
+                ln[:, part[exact]] = start[:, exact]
+                lost = part[~exact]
+                for _ in range(RELATIVE_PASSES):
+                    if not lost.size:
+                        break
+                    # D^-1 B D with D = diag(h): its Perron vector is the
+                    # correction to h, which spans less than h; an entry the
+                    # correction loses to underflow moves by the most it holds
+                    h = ln[:, lost]
+                    move, exact = _perron_start(logc[:, :, lost] + h[cols.T] - h[None], cols,
+                                                _take(groups, lost))
+                    ln[:, lost] += np.maximum(move, LOG_TINY)
+                    lost = lost[~exact]
     out_lo[:, live[active]], out_hi[:, live[active]] = lo[:, active], hi[:, active]
     return out_lo, out_hi, steps, closed, best
 

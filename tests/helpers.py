@@ -15,19 +15,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from riskmdp import game, oracle
 from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
-from riskmdp.extreal import NEG_INF
 from riskmdp.grid import GridSpec, lattice_numerators
 from riskmdp.lp import LinearProgram
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
                            read_model_document, union_support)
-from riskmdp.oracle import _communicating_classes, tilde_cost
+from riskmdp.oracle import NEG_INF, _communicating_classes, tilde_cost
 
 
 def weighted_sum(weights, values) -> float:
@@ -50,11 +49,23 @@ def load_model(path) -> MdpModel:
     return parse_model(read_model_document(path))
 
 
+def pure_policy(choice, num_actions: int) -> StationaryPolicy:
+    """The stationary policy that plays action choice[i] at state i."""
+    rows = np.zeros((len(choice), num_actions))
+    rows[np.arange(len(choice)), list(choice)] = 1.0
+    return StationaryPolicy(rows)
+
+
+def uniform_policy(num_states: int, num_actions: int) -> StationaryPolicy:
+    """The stationary policy that plays every action with equal weight."""
+    return StationaryPolicy(np.full((num_states, num_actions), 1.0 / num_actions))
+
+
 def as_stationary(pure: PurePolicy, num_actions: int) -> StationaryPolicy:
     """The pure policy as a stationary one with 0/1 rows."""
     if any(u >= num_actions for u in pure.choice):
         raise ModelError("action index out of range")
-    return StationaryPolicy.pure(pure.choice, num_actions)
+    return pure_policy(pure.choice, num_actions)
 
 
 def worst_residual(cert) -> float:
@@ -201,26 +212,30 @@ def dense_classes(logm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comm.argmax(axis=2), reach
 
 
-def dense_perron_start(logm: np.ndarray, labels: np.ndarray, cyclic: np.ndarray) -> np.ndarray:
+def dense_perron_start(logm: np.ndarray, labels: np.ndarray, cyclic: np.ndarray):
     """Reference restart on dense (P, s, s) log matrices with no entries
     between classes: each class shifted by its largest entry, rows of states
     on no cycle zeroed, I added, squared oracle.SQUARINGS times with each
     class rescaled by its largest entry after each squaring; log h (P, s) is
     the log of the row sums, -inf where a row sum is below the smallest
-    normal float."""
+    normal float.  Also returns whether each estimate is exact: finite, and
+    no state on a cycle has its whole shifted row below that float."""
     same = labels[:, :, None] == labels[:, None, :]
 
     def class_max(x):
         return np.where(same, x[:, None, :], -math.inf).max(axis=2)
 
-    shift = np.where(cyclic, class_max(logm.max(axis=2)), math.inf)
+    top = logm.max(axis=2)
+    shift = np.where(cyclic, class_max(top), math.inf)
     mat = np.exp(logm - shift[:, :, None]) + np.eye(logm.shape[1])
     for _ in range(oracle.SQUARINGS):
         mat = mat @ mat
         mat /= class_max(mat.max(axis=2))[:, :, None]
     total = mat.sum(axis=2)
     with np.errstate(divide="ignore"):
-        return np.log(np.where(total < np.finfo(float).tiny, 0.0, total))
+        start = np.log(np.where(total < np.finfo(float).tiny, 0.0, total))
+    lost_row = (top - shift < oracle.LOG_TINY) & cyclic
+    return start, np.isfinite(start).all(axis=1) & ~lost_row.any(axis=1)
 
 
 def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, best: float = math.inf):
@@ -267,9 +282,17 @@ def dense_log_rates(logm: np.ndarray, rate_tol: float, max_iters: int, best: flo
         ln = np.maximum(ln, b) + np.log1p(np.exp(-np.abs(ln - b))) - math.log(2.0)
         ln -= ln.max(axis=1)[:, None]
         if step == oracle.RESTART_STEP:
-            start = dense_perron_start(logm, labels, cyclic)
-            keep = np.isfinite(start).all(axis=1)
-            ln[keep] = start[keep]
+            start, exact = dense_perron_start(logm, labels, cyclic)
+            ln[exact] = start[exact]
+            lost = np.flatnonzero(~exact)
+            for _ in range(oracle.RELATIVE_PASSES):
+                if not lost.size:
+                    break
+                # the estimate relative to the iterate, D^-1 B D with D = diag(h)
+                rel = logm[lost] + ln[lost, None, :] - ln[lost, :, None]
+                move, exact = dense_perron_start(rel, labels[lost], cyclic[lost])
+                ln[lost] += np.maximum(move, oracle.LOG_TINY)
+                lost = lost[~exact]
     out_lo[:, active], out_hi[:, active] = lo[:, active], hi[:, active]
     out_lo = np.minimum(out_lo, out_hi)
     mid = (out_lo + out_hi) / 2.0
@@ -453,7 +476,56 @@ def solve_game(model: MdpModel, resolution: int) -> game.GameSolution:
 def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
     """The game LP pair over the fully enumerated grid, solved cold."""
     rows, owner = build_grid(model, resolution).stacked()
-    return game._solve_pair(model, rows, owner, resolution=resolution)[0]
+    rnd = game._solve_pair(model, rows, owner, resolution=resolution)
+    return game._extract(model, rows, owner, rnd, resolution)
+
+
+def solve_extracting_every_round(solve, model: MdpModel, *args):
+    """solve(model, *args), game.solve_congen or game.solve_sequence, with
+    every restricted-master round also extracted (dual polish, maximizer
+    rows, purification), not only the returned one; returns the result and
+    the extraction of each round in order.  The solvers once worked this
+    way: the returned solution must equal the last round's extraction."""
+    extracted = []
+    solve_pair = game._solve_pair
+
+    def eager(model, rows, owner, **kwargs):
+        rnd = solve_pair(model, rows, owner, **kwargs)
+        extracted.append(game._extract(model, rows, owner, rnd))
+        return rnd
+
+    game._solve_pair = eager
+    try:
+        return solve(model, *args), extracted
+    finally:
+        game._solve_pair = solve_pair
+
+
+def assert_same_solution(got, want) -> None:
+    """Field for field, bit for bit equality of two (nested) dataclasses."""
+    assert type(got) is type(want)
+    for field in fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if is_dataclass(a):
+            assert_same_solution(a, b)
+        elif isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        else:
+            assert a == b, field.name
+
+
+def sticky_ring() -> MdpModel:
+    """A 4-state lazy ring whose first state is sticky and dear: the worst
+    case keeps the chain there, the other states carry no long-run mass, and
+    congen's restricted LPs go through the dual polish."""
+    stay = np.array([0.95, 0.5, 0.6, 0.4])
+    kernel = np.zeros((2, 4, 4))
+    for u, shift in enumerate((0.0, 0.005)):
+        for i in range(4):
+            kernel[u, i, i] = stay[i] - shift
+            kernel[u, i, (i + 1) % 4] = 1.0 - stay[i] + shift
+    cost = np.array([[1.0, 1.01], [0.1, 0.12], [0.3, 0.2], [0.5, 0.4]])
+    return MdpModel(("s0", "s1", "s2", "s3"), ("a0", "a1"), kernel, cost)
 
 
 def check_dp(model: MdpModel, phi_star, v_vec):

@@ -18,12 +18,12 @@ from riskmdp.certify import (
     two_state_model,
 )
 from riskmdp.game import solve_congen, solve_sequence
-from riskmdp.model import KernelMatrix, StationaryPolicy
+from riskmdp.model import KernelMatrix
 from riskmdp.oracle import brute_force_lambda_star
 
 from conftest import record_criterion as announce
-from helpers import (as_stationary, game_payoff, scan_self_loop_weight, solve_game,
-                     worst_residual)
+from helpers import (as_stationary, game_payoff, pure_policy, scan_self_loop_weight,
+                     solve_game, worst_residual)
 
 DEVIATION_SEED = 777
 
@@ -163,7 +163,7 @@ def test_criterion_7_saddle_point_spot_checks(corpus_solutions):
         for choice in itertools.product(range(model.num_actions),
                                         repeat=model.num_states):
             payoff = game_payoff(model, sol.maximizer,
-                                 StationaryPolicy.pure(choice, model.num_actions))
+                                 pure_policy(choice, model.num_actions))
             assert payoff.phi_max >= value - 3e-2, (name, choice)
     announce("CRITERION 7 PASS: 50 seeded kernel deviations never beat the "
              "value by 3e-2 and no pure policy deviation drops below it "

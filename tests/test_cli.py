@@ -13,7 +13,7 @@ from riskmdp.certify import BISECT_TOL
 from riskmdp.cli import REPORT_VERSION, main
 from riskmdp.grid import MAX_RESOLUTION
 
-from helpers import random_model
+from helpers import pure_policy, random_model
 
 
 def write_two_state(tmp_path, rho=0.8, name="model.json"):
@@ -115,6 +115,46 @@ def test_solve_bad_n_start_is_a_usage_error(tmp_path, capsys, flags):
         main(["solve", "--model", str(path), *flags])
     assert exc.value.code == 2
     assert "--n-start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("solve", "--inner-tol", "nan"), ("solve", "--inner-tol", "inf"),
+    ("solve", "--inner-tol", "-1e-6"), ("solve", "--stop-tol", "nan"),
+    ("solve", "--stop-tol", "-inf"), ("solve", "--stop-tol", "-1e-4"),
+    ("solve", "--max-rounds", "0"), ("solve", "--max-rounds", "-1"),
+    ("verify", "--tol", "nan"), ("verify", "--tol", "inf"), ("verify", "--tol", "-1e-3"),
+])
+def test_bad_tolerance_or_round_budget_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         command, flag, value):
+    # rejected before any work (a NaN --inner-tol used to surface after the
+    # whole solve, as a traceback from the report's JSON encoder, and
+    # --max-rounds 0 meant no limit): argparse's usage exit 2
+    from riskmdp import cli, game
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(game, "solve_sequence", no_work)
+    monkeypatch.setattr(game, "solve_congen", no_work)
+    monkeypatch.setattr(cli, "read_model_document", no_work)
+    path = str(write_two_state(tmp_path))
+    argv = (["solve", "--model", path, "--method", "congen"] if command == "solve"
+            else ["verify", "--model", path, "--solution", path])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_tolerances_and_one_round_are_accepted(tmp_path):
+    path = write_two_state(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(path), "--method", "congen", "--inner-tol", "0",
+                 "--max-rounds", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rounds"] == 1
+    assert main(["solve", "--model", str(path), "--stop-tol", "0", "--n-max", "3",
+                 "--out", str(out)]) == 0
+    assert main(["verify", "--model", str(path), "--solution", str(out), "--tol", "0"]) in (0, 5)
 
 
 def test_solve_full_support_past_the_old_enumeration_guard(tmp_path):
@@ -223,9 +263,8 @@ def test_oracle_policy_file_matches_growth_rate(tmp_path):
     assert main(["oracle", "--model", str(model), "--policy", str(policy),
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    from riskmdp.model import StationaryPolicy
     from riskmdp.oracle import growth_rate
-    rates = growth_rate(m, StationaryPolicy.pure([1, 0, 1], 2))
+    rates = growth_rate(m, pure_policy([1, 0, 1], 2))
     np.testing.assert_allclose(report["per_state"], rates.lam, atol=1e-12)
 
 
@@ -448,7 +487,7 @@ from riskmdp import cli, game
 models.write_model(sys.argv[2], *models.generate("ring", 32, 3, 1602, 6))
 if sys.argv[4] == "cold":
     solve = game.lp_solve
-    game.lp_solve = lambda program, basis=None: solve(program)
+    game.lp_solve = lambda program, **kwargs: solve(program)
 sys.exit(cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3],
                    "--method", "congen"]))
 """

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import riskmdp
 from riskmdp import game
 from riskmdp.certify import two_state_model
 from riskmdp.lp import OPT_TOL, LpError, solve as lp_solve
-from riskmdp.model import MdpModel, StationaryPolicy
+from riskmdp.model import MdpModel
 from riskmdp.game import (
     gibbs_rows,
     solve_congen,
@@ -25,6 +26,7 @@ from riskmdp.oracle import brute_force_lambda_star, growth_rate
 
 from helpers import (
     as_stationary,
+    assert_same_solution,
     build_dual,
     build_grid,
     build_primal,
@@ -35,10 +37,13 @@ from helpers import (
     lattice_cut,
     primal_from_rows,
     priced_violation,
+    pure_policy,
     random_model,
     row_violations,
     sampled_violations,
+    solve_extracting_every_round,
     solve_game,
+    sticky_ring,
     two_successor_model,
     wide_model,
 )
@@ -312,8 +317,8 @@ def _recorded_lp_solves(monkeypatch):
     """Route game's LP solves through a recorder of (program, basis, solution)."""
     calls = []
 
-    def record(program, basis=None):
-        calls.append((program, basis, lp_solve(program, basis=basis)))
+    def record(program, **kwargs):
+        calls.append((program, kwargs.get("basis"), lp_solve(program, **kwargs)))
         return calls[-1][2]
 
     monkeypatch.setattr(game, "lp_solve", record)
@@ -345,18 +350,65 @@ def test_warm_started_congen_rounds_match_cold_solves(monkeypatch, model):
 
 def test_congen_warm_starts_keep_pivots_low(monkeypatch):
     # pivots do not depend on the machine, only on the BLAS thread count:
-    # cold starts took 1,816 here, the warm starts 481 with one thread and
-    # 479 with two; a silent fallback to cold starts would keep every
-    # value right and lose the gain
+    # cold starts took 1,816 here, the warm starts 443 with one thread and
+    # 442 with two; a silent fallback to cold starts would keep every value
+    # right and lose the gain.  The returned solution has long-run mass at
+    # every state, so no dual polish runs.
     model = random_model(3, 32, 3)
     calls = _recorded_lp_solves(monkeypatch)
     sol = solve_congen(model)
     assert sol.certified and sol.rounds >= 2
     polish_rows = 2 * 32 + 32 * 3 + 1
-    assert any(prog.num_constraints == polish_rows for prog, _, _ in calls)
+    assert not any(prog.num_constraints == polish_rows for prog, _, _ in calls)
+    assert len(calls) == sol.rounds
     assert not calls[0][2].warm_started
     assert all(got.warm_started for _, _, got in calls[1:])
     assert sum(got.iterations for _, _, got in calls) < 700
+
+
+def test_congen_rounds_carry_the_basis_inverse(monkeypatch):
+    # a warm start whose basis matrix is the previous solve's final one
+    # takes that solve's inverse, and a clean-up after no pivot inverts
+    # nothing: 9 inversions, where inverting at every warm start and every
+    # clean-up took 15
+    inverses = []
+    inv = np.linalg.inv
+
+    def count(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    sol = solve_congen(random_model(3, 32, 3))
+    assert sol.certified
+    assert len(inverses) <= 9
+
+
+EXTRACT_CASES = [(name, model, method)
+                 for name, model in corpus() + [("sticky-ring", sticky_ring())]
+                 for method in ("grid", "congen")]
+
+
+@pytest.mark.parametrize("model, method", [case[1:] for case in EXTRACT_CASES],
+                         ids=[f"{name}-{method}" for name, _, method in EXTRACT_CASES])
+def test_returned_solution_equals_the_last_rounds_extraction(monkeypatch, model, method):
+    # extraction (dual polish, maximizer rows, purification) runs once, on
+    # the returned solution: it equals, bit for bit, what extracting every
+    # round gives for the last round, and at most one polish LP is solved,
+    # after every round's LP
+    solve = solve_sequence if method == "grid" else solve_congen
+    result, extracted = solve_extracting_every_round(solve, model)
+    got = result.final if method == "grid" else result
+    assert len(extracted) == (sum(result.rounds) if method == "grid" else result.rounds)
+    assert_same_solution(got, replace(extracted[-1], resolution=got.resolution,
+                                      num_constraints=got.num_constraints,
+                                      certified=got.certified, rounds=got.rounds))
+    calls = _recorded_lp_solves(monkeypatch)
+    assert_same_solution(solve(model).final if method == "grid" else solve(model), got)
+    s, m = model.num_states, model.num_actions
+    polish = [k for k, (prog, _, _) in enumerate(calls)
+              if prog.num_constraints == 2 * s + s * m + 1]
+    assert polish in ([], [len(calls) - 1])
 
 
 # prints the pivots of each LP solve of congen on random_model(3, 32, 3)
@@ -367,8 +419,8 @@ sys.path.insert(0, sys.argv[1])
 from helpers import random_model
 from riskmdp import game
 solve, pivots = game.lp_solve, []
-def record(program, basis=None):
-    sol = solve(program, basis=basis)
+def record(program, **kwargs):
+    sol = solve(program, **kwargs)
     pivots.append(sol.iterations)
     return sol
 game.lp_solve = record
@@ -381,7 +433,7 @@ def test_congen_pivot_path_is_pinned():
     # LP solves and pivots per solve, as measured with one BLAS thread: the
     # pivot bookkeeping may get cheaper, but a pivot that changes its choice
     # shows here.  The path depends on the thread count (two threads took
-    # 253, 37, 96, 41, 34, 18), so the solve runs in a child with one.
+    # 253, 96, 41, 34, 18), so the solve runs in a child with one.
     package_root = str(Path(riskmdp.__file__).resolve().parents[1])
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
@@ -389,7 +441,7 @@ def test_congen_pivot_path_is_pinned():
     proc = subprocess.run([sys.executable, "-c", PIVOT_PATH_CHILD, str(Path(__file__).parent)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [253, 38, 92, 44, 36, 18]
+    assert json.loads(proc.stdout) == [253, 92, 44, 36, 18]
 
 
 # the resolution-0 game LPs (the Dirac rows) of two_successor_model(seed, s, m),
@@ -405,8 +457,10 @@ def test_dirac_lps_of_two_successor_models_solve():
     for s, m in ((3, 2), (4, 3), (4, 2), (3, 3)):
         for seed in range(50):
             model = two_successor_model(seed, s, m)
+            rows, owner = game.build_grid(model).stacked()
             try:
-                game._solve_pair(model, *game.build_grid(model).stacked(), resolution=0)
+                game._extract(model, rows, owner,
+                              game._solve_pair(model, rows, owner, resolution=0))
             except LpError:
                 failed.add((seed, s, m))
     assert failed <= DIRAC_BREAKDOWNS
@@ -516,7 +570,7 @@ def test_saddle_point_spot_check():
     import itertools
     for choice in itertools.product(range(2), repeat=3):
         payoff = game_payoff(model, sol.maximizer,
-                             StationaryPolicy.pure(choice, 2))
+                             pure_policy(choice, 2))
         assert payoff.phi_max >= sol.lambda_bar - 3e-2
 
 

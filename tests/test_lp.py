@@ -279,10 +279,80 @@ def _outcome(prog, basis=None):
 def _assert_same_solution(a, b):
     for field in dataclasses.fields(LpSolution):
         x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
+        if isinstance(x, tuple):  # factor
+            assert isinstance(y, tuple) and all(map(np.array_equal, x, y)), field.name
+        elif isinstance(x, np.ndarray):
             assert np.array_equal(x, y), field.name
         else:
             assert x == y, field.name
+
+
+def _assert_same_bits(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    for name in ("basis", "x", "duals"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def _counted_inverses(monkeypatch) -> list:
+    inverses = []
+    inv = np.linalg.inv
+
+    def count(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    return inverses
+
+
+def test_warm_start_takes_the_factor_of_an_unchanged_basis_matrix(monkeypatch):
+    # re-solving from the optimal basis with its factor inverts nothing: the
+    # warm start takes the factor, and the clean-up after 0 pivots is idle
+    inverses = _counted_inverses(monkeypatch)
+    carried = 0
+    for seed in range(30):
+        prog = _random_instance(seed)
+        cold = solve(prog)
+        if cold.status != "optimal" or cold.factor is None:
+            continue
+        plain = solve(prog, basis=cold.basis)
+        if not plain.warm_started or plain.iterations:
+            continue
+        inverses.clear()
+        warm = solve(prog, basis=cold.basis, factor=cold.factor)
+        assert warm.warm_started and inverses == []
+        _assert_same_bits(warm, plain)
+        # the solution's factor is not changed by a solve that takes it
+        np.testing.assert_array_equal(cold.factor[1], np.linalg.inv(cold.factor[0]))
+        carried += 1
+    assert carried >= 10
+
+
+def test_warm_start_ignores_the_factor_of_another_basis_matrix(monkeypatch):
+    # a new column with a large entry changes its row's scale, and with it
+    # the scaled basis matrix: the factor is ignored and the start inverts
+    inverses = _counted_inverses(monkeypatch)
+    column = np.zeros((4, 1))
+    column[0] = 1e3
+    ignored = 0
+    for seed in range(30):
+        prog = _random_instance(seed)
+        cold = solve(prog)
+        if cold.status != "optimal" or cold.factor is None:
+            continue
+        grown = dataclasses.replace(
+            prog, objective=np.append(prog.objective, 0.0), matrix=np.hstack([prog.matrix, column]),
+            lower=np.append(prog.lower, 0.0), upper=np.append(prog.upper, np.inf))
+        basis = np.where(cold.basis >= prog.num_vars, cold.basis + 1, cold.basis)
+        plain = solve(grown, basis=basis)
+        if not plain.warm_started or plain.status != "optimal":
+            continue
+        inverses.clear()
+        warm = solve(grown, basis=basis, factor=cold.factor)
+        assert inverses
+        _assert_same_bits(warm, plain)
+        ignored += 1
+    assert ignored >= 10
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -385,8 +455,8 @@ def test_kept_basis_matrix_is_the_basis_after_every_update(monkeypatch):
             err = np.abs(self.binv @ self.a[:, self.basis] - np.eye(self.m)).max()
             assert err <= 1e-8, (event, err)
 
-        def _refactor(self):
-            super()._refactor()
+        def _refactor(self, factor=None):
+            super()._refactor(factor)
             self._check("refactor")
 
         def _replace(self, r, j, w):

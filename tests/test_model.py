@@ -17,7 +17,7 @@ from riskmdp.model import (
     union_support,
 )
 
-from helpers import as_stationary, load_model, random_model
+from helpers import as_stationary, load_model, random_model, uniform_policy
 
 EX41 = {
     "states": ["1", "2"],
@@ -80,7 +80,7 @@ def test_apply_pure_policy_selects_action_rows():
 
 def test_apply_uniform_policy_averages_rows():
     model = random_model(8, 2, 2)
-    kernel, cost = apply_policy(model, StationaryPolicy.uniform(2, 2))
+    kernel, cost = apply_policy(model, uniform_policy(2, 2))
     np.testing.assert_allclose(kernel, model.kernel.mean(axis=0), atol=1e-15)
     np.testing.assert_allclose(cost, model.cost.mean(axis=1), atol=1e-15)
 
@@ -110,7 +110,7 @@ def test_apply_policy_affine_in_policy(seed, weight):
 def test_apply_policy_dimension_mismatch():
     model = random_model(9, 2, 2)
     with pytest.raises(ModelError):
-        apply_policy(model, StationaryPolicy.uniform(3, 2))
+        apply_policy(model, uniform_policy(3, 2))
 
 
 def test_union_support_two_state_chain():
@@ -158,6 +158,6 @@ def test_types_are_frozen():
     model = parse_model(EX41)
     with pytest.raises(ValueError):
         model.kernel[0, 0, 0] = 0.5
-    policy = StationaryPolicy.uniform(2, 1)
+    policy = uniform_policy(2, 1)
     with pytest.raises(ValueError):
         policy.rows[0, 0] = 0.0

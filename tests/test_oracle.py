@@ -15,9 +15,9 @@ import riskmdp
 from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
-from riskmdp.extreal import NEG_INF
 from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, apply_policy
 from riskmdp.oracle import (
+    NEG_INF,
     brute_force_lambda_star,
     growth_rate,
     kl_divergence,
@@ -33,8 +33,10 @@ from helpers import (
     dense_log_rates,
     game_payoff,
     pure_log_rho_min,
+    pure_policy,
     random_model,
     two_successor_model,
+    uniform_policy,
     weighted_sum,
 )
 
@@ -139,7 +141,7 @@ def test_growth_rate_cost_shift_invariance():
     model = random_model(17, 3, 2)
     shifted = MdpModel(states=model.states, actions=model.actions,
                        kernel=model.kernel, cost=model.cost + 0.7)
-    policy = StationaryPolicy.uniform(3, 2)
+    policy = uniform_policy(3, 2)
     base = growth_rate(model, policy)
     moved = growth_rate(shifted, policy)
     np.testing.assert_allclose(moved.lam, base.lam + 0.7, atol=1e-8)
@@ -376,7 +378,7 @@ def test_growth_rate_equals_dense_reference(name):
     model = BIT_FOR_BIT[name]
     s, m = model.num_states, model.num_actions
     rng = np.random.default_rng(7)
-    for policy in (StationaryPolicy.pure(rng.integers(0, m, size=s), m),
+    for policy in (pure_policy(rng.integers(0, m, size=s), m),
                    StationaryPolicy(rng.dirichlet(np.ones(m), size=s))):
         p_v, c_v = apply_policy(model, policy)
         with np.errstate(divide="ignore"):
@@ -465,7 +467,7 @@ def test_reducible_policy_rates_per_class():
     # ring 1..4 grows slower has per-state rates that differ by class
     model = BIT_FOR_BIT["trap"]
     for choice in itertools.product(range(2), repeat=5):
-        rates = growth_rate(model, StationaryPolicy.pure(choice, 2))
+        rates = growth_rate(model, pure_policy(choice, 2))
         states = np.arange(5)
         m = np.exp(model.cost[states, choice])[:, None] * model.kernel[list(choice), states]
         absorbing = model.cost[0, choice[0]]
@@ -504,7 +506,7 @@ def test_restart_keeps_per_class_rates():
     states = np.arange(5)
     faster = set()
     for choice in itertools.product(range(2), repeat=5):
-        rates = growth_rate(model, StationaryPolicy.pure(choice, 2))
+        rates = growth_rate(model, pure_policy(choice, 2))
         m = np.exp(model.cost[states, choice])[:, None] * model.kernel[list(choice), states]
         absorbing = model.cost[0, choice[0]]
         ring = class_log_rho(m[1:, 1:])
@@ -530,16 +532,40 @@ def test_restart_closes_a_period_two_chain():
 
 def test_restart_falls_back_where_the_perron_vector_underflows(monkeypatch):
     # state 1's Perron entry is about e^-720 of state 0's: the squarings lose
-    # it to underflow, so the chain keeps its damped iterate and takes
-    # exactly the steps it takes without a restart
+    # it to underflow, so the restart estimates the correction to the damped
+    # iterate instead, from D^-1 B D with D = diag(h); the damped iteration
+    # alone takes 1,073 steps
     model = uncontrolled([[0.5, 0.5], [0.5, 0.5]], [720.0, 0.0])
     restarted = growth_rate(model, ONLY)
-    assert restarted.converged and restarted.iterations > oracle.RESTART_STEP + 1
-    assert abs(restarted.lambda_max - (720.0 + math.log(0.5))) <= oracle.RATE_TOL
+    assert restarted.converged and restarted.iterations <= 100
+    reference = 720.0 + math.log(0.5)   # log(e^720 / 2 + 1 / 2) in double precision
+    lo, hi = brute_force_lambda_star(model).bracket
+    assert lo <= reference <= hi
     monkeypatch.setattr(oracle, "RESTART_STEP", 0)
     plain = growth_rate(model, ONLY)
-    assert plain.iterations == restarted.iterations
-    assert np.array_equal(plain.lam, restarted.lam)
+    assert plain.iterations == 1073
+    assert abs(plain.lambda_max - restarted.lambda_max) <= oracle.RATE_TOL
+
+
+def test_restart_relative_to_the_iterate_closes_a_ring_spanning_thousands():
+    # one state of a lazy ring costs 800, so the Perron vector falls by about
+    # e^-800 per state around the ring, 7,200 in log space: every row of B
+    # but that state's underflows, which leaves a finite but meaningless
+    # estimate, and the correction to the iterate spans past the float range
+    # too, so the relative restart repeats, each time moving the entries it
+    # loses by the most it can hold; restarting from the meaningless
+    # estimate took 9,932 steps, and the damped iteration alone takes 10,408
+    ring = _lazy_ring(3, 10, 1)
+    cost = ring.cost[:, 0].copy()
+    cost[0] = 800.0
+    model = uncontrolled(ring.kernel[0], cost)
+    rates = growth_rate(model, StationaryPolicy(np.ones((10, 1))))
+    assert rates.converged and rates.iterations <= 100
+    # the other rows vanish next to e^800, so rho is e^800 p(0|0) up to e^-800
+    with np.errstate(under="ignore"):
+        reference = 800.0 + class_log_rho(np.exp(cost - 800.0)[:, None] * ring.kernel[0])
+    lo, hi = brute_force_lambda_star(model).bracket
+    assert lo <= reference <= hi
 
 
 # prints the value and bracket of brute force on three models as hex floats
@@ -658,7 +684,7 @@ def test_payoff_absorbing_zero_cost_state():
 
 def test_payoff_at_kernel_row_is_invariant_average_of_cost():
     model = random_model(31, 3, 2)
-    pure = StationaryPolicy.pure([0, 1, 0], 2)
+    pure = pure_policy([0, 1, 0], 2)
     from riskmdp.model import apply_policy
     p_v, c_v = apply_policy(model, pure)
     q = KernelMatrix.for_model(model, p_v)

@@ -9,12 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import riskmdp
-from riskmdp.model import MdpModel
 
-from helpers import random_model
+from helpers import random_model, sticky_ring
 
 SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
 
@@ -75,19 +72,15 @@ def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
 
 
 def test_tracer_sees_a_congen_solve_and_its_polish_solves(tmp_path):
-    # a lazy ring whose first state is sticky and dear: the worst case keeps
-    # the chain there, the other states carry no long-run mass, and the
-    # restricted LPs go through the dual polish, which the tracer recognises
-    # by its 2s + s*m + 1 rows
-    stay = np.array([0.95, 0.5, 0.6, 0.4])
-    kernel = np.zeros((2, 4, 4))
-    for u, shift in enumerate((0.0, 0.005)):
-        for i in range(4):
-            kernel[u, i, i] = stay[i] - shift
-            kernel[u, i, (i + 1) % 4] = 1.0 - stay[i] + shift
-    cost = np.array([[1.0, 1.01], [0.1, 0.12], [0.3, 0.2], [0.5, 0.4]])
-    model = MdpModel(("s0", "s1", "s2", "s3"), ("a0", "a1"), kernel, cost)
-    result = _traced_solve(tmp_path, model, "--method", "congen")
+    # the sticky ring's worst case keeps the chain at its first state, so
+    # the other states carry no long-run mass; congen's returned solution
+    # has mass everywhere, the grid's at n = 4 does not, and only a returned
+    # solution is polished, with one more LP, which the tracer recognises by
+    # its 2s + s*m + 1 rows
+    result = _traced_solve(tmp_path, sticky_ring(), "--method", "congen")
     assert set(result["spans"]) == SOLVE_SPANS
     assert result["counts"]["game.congen_rounds"] >= 2
+    assert "lp.polish_solves" not in result["counts"]
+    result = _traced_solve(tmp_path, sticky_ring(), "--method", "grid", "--n-max", "4")
+    assert set(result["spans"]) == SOLVE_SPANS
     assert result["counts"]["lp.polish_solves"] >= 1
