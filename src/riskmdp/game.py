@@ -17,15 +17,18 @@ multipliers; the strategies are extracted (dual polish, maximizer rows,
 purification) once per solve, from the round it returns.  The primal lives
 in tests/helpers.py, where the dual is checked to be its exact transpose.
 
-Unattainable rewards (absolute continuity failures) enter the LP through a
-large negative sentinel coefficient rather than -inf; such constraints are
-slack at any optimum of the shipped model scale, matching the extended-real
-semantics.
+A row that leaves I_i, the intersection of state i's action supports, is
+worth -inf to every action whose support it leaves.  The LP is the limit of
+rewarding it -M there as M -> inf: a vanishing weight on every action costs
+the minimizer nothing, so such a row's V-constraint never binds.  It keeps
+its beta-row (nu column), its mu column is fixed at 0, and its entries in the
+one, finite, reward table are 0.  A state that cannot reach a cycle of the
+graph i -> j in I_i along union-support edges has game value -inf in this
+limit, and the dual comes back infeasible.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,12 +40,10 @@ from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
 from .oracle import NEG_INF, tilde_cost
 
-SENTINEL = 1.0e6
 MU_MASS_TOL = 1e-10       # below this the nu-weights take over in extraction
 SUPPORT_TOL = 1e-9        # purification's candidate actions: y entries above this
 # verification bounds for the extracted pair; slightly looser than the LP
-# kernel's own tolerances because residuals are recomputed from unscaled
-# data and sentinel columns amplify roundoff
+# kernel's own tolerances because residuals are recomputed from unscaled data
 GAME_FEAS_TOL = 1e-8
 GAME_GAP_TOL = 1e-6
 MONOTONE_TOL = 1e-7
@@ -109,11 +110,13 @@ def tilde_cost_table(model: MdpModel, i: int | np.ndarray, rows: np.ndarray) -> 
     return out
 
 
-def _tables(model: MdpModel, rows: np.ndarray, owner: np.ndarray):
-    """The reward table of the stacked rows, -inf included, and the LP's copy
-    with -SENTINEL."""
+def _rewards(model: MdpModel, rows: np.ndarray, owner: np.ndarray):
+    """The LP's reward table of the stacked rows, and which of them bind: a
+    row that leaves its state's common action support (a -inf entry) binds
+    no V-constraint, and its entries are 0."""
     table = tilde_cost_table(model, owner, rows)
-    return table, np.where(np.isneginf(table), -SENTINEL, table)
+    binds = np.isfinite(table).all(axis=1)
+    return np.where(binds[:, None], table, 0.0), binds
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,9 +127,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
-          ctab: np.ndarray) -> LinearProgram:
+          ctab: np.ndarray, binds: np.ndarray) -> LinearProgram:
     """max sum(w) over (mu >= 0, nu >= 0, w free), one (mu, nu) column pair
-    per stacked kernel row.
+    per stacked kernel row; mu is fixed at 0 where the row does not bind.
 
     Row order: s kernel-balance equalities (one per state, paired with V),
     s mass equalities (paired with beta), then s*|U| reward rows (paired
@@ -147,22 +150,24 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
     return LinearProgram(
         "max", is_w.astype(float), a, ("==",) * (2 * s) + (">=",) * (s * m),
         np.repeat([0.0, 1.0, 0.0], [s, s, s * m]),
-        lower=np.where(is_w, -np.inf, 0.0), upper=np.full(a.shape[1], np.inf),
+        lower=np.where(is_w, -np.inf, 0.0),
+        upper=np.concatenate([np.where(binds, np.inf, 0.0), np.full(n_mu + s, np.inf)]),
     )
 
 
-def _verify_pair(model, rows, owner, ctab, beta, vvec, y, x, feas_tol) -> float:
+def _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, x) -> float:
     """Checks the scaled feasibility residuals of both programs and strong
     duality at the dual point x = (mu, nu, w); raises on breach, returns the
     duality gap."""
     s, m = model.num_states, model.num_actions
     n_mu = owner.shape[0]
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
-    # primal: one beta-row and one V-row per kernel row
+    # primal: one beta-row per kernel row, one V-row per binding one
     beta_resid = rows @ beta - beta[owner]
     v_resid = _rowdot(ctab, y[owner]) + rows @ vvec - vvec[owner] - beta[owner]
     v_scale = np.maximum(1.0, np.abs(ctab).max(axis=1))
-    primal_viol = max(float(beta_resid.max()), float((v_resid / v_scale).max()))
+    primal_viol = max(float(beta_resid.max()),
+                      float((v_resid / v_scale)[binds].max(initial=-np.inf)))
     # dual: kernel and mass balance per state, then one reward row per
     # (state, action), scaled by the largest coefficient on it; mu, nu >= 0
     # needs no check, since lp.solve clips x to its bounds
@@ -175,7 +180,7 @@ def _verify_pair(model, rows, owner, ctab, beta, vvec, y, x, feas_tol) -> float:
     dual_viol = max(float(np.abs(mu_mass - rows.T @ mu).max()),
                     float(np.abs(nu_mass - rows.T @ nu + mu_mass - 1.0).max()),
                     float(((w[:, None] - reward) / r_scale).max()))
-    if primal_viol > feas_tol or dual_viol > feas_tol:
+    if primal_viol > GAME_FEAS_TOL or dual_viol > GAME_FEAS_TOL:
         raise LpError(
             f"game LP verification failed: primal residual {primal_viol:.3e}, "
             f"dual residual {dual_viol:.3e}"
@@ -229,7 +234,7 @@ class _Round:
     dual_lp: LinearProgram
     sol: LpSolution
     ctab: np.ndarray
-    feas_tol: float
+    binds: np.ndarray                  # the rows with a V-constraint
     gap: float                         # verified at the vertex
 
 
@@ -242,12 +247,17 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     pair is verified at the dual's optimal vertex.
     """
     s, m = model.num_states, model.num_actions
-    table, ctab = _tables(model, rows, owner)
-    dual_lp = _dual(model, rows, owner, ctab)
+    ctab, binds = _rewards(model, rows, owner)
+    dual_lp = _dual(model, rows, owner, ctab, binds)
     try:
         sol = lp_solve(dual_lp, basis=basis, factor=factor)
     except LpError as exc:
         raise LpError(f"game LP solve failed (resolution={resolution}): {exc}") from exc
+    if sol.status == "infeasible":
+        raise LpError(f"game LP at resolution {resolution} came back infeasible: the game "
+                      "value is -inf at some state, as mixed strategies cut every cycle of "
+                      "the common action supports it reaches; `riskmdp oracle` gives the "
+                      "pure value")
     if sol.status != "optimal":
         raise LpError(f"game LP at resolution {resolution} came back {sol.status}")
     vvec, beta = sol.duals[:s], sol.duals[s:2 * s]
@@ -256,12 +266,8 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     if np.any(sums <= 0.0):
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
-    # attainable feasibility degrades with the coefficient range: sentinel
-    # columns let the simplex take steps of that magnitude, so sub-threshold
-    # movements accumulate up to range * pivot noise
-    feas_tol = GAME_FEAS_TOL * (100.0 if np.isneginf(table).any() else 1.0)
-    gap = _verify_pair(model, rows, owner, ctab, beta, vvec, y, sol.x, feas_tol)
-    return _Round(beta, vvec, y, dual_lp, sol, ctab, feas_tol, gap)
+    gap = _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, sol.x)
+    return _Round(beta, vvec, y, dual_lp, sol, ctab, binds, gap)
 
 
 def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
@@ -283,12 +289,12 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
             polished = None
         if polished is not None and polished.status == "optimal":
             x = polished.x
-            gap = _verify_pair(model, rows, owner, rnd.ctab, beta, vvec, y, x, rnd.feas_tol)
+            gap = _verify_pair(model, rows, owner, rnd.ctab, rnd.binds, beta, vvec, y, x)
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
     # maximizer rows from the occupation weights; nu takes over where the mu
     # mass vanishes (x is clipped to its bounds, so nu >= 0, and the verified
-    # mass balance keeps mu mass + nu mass >= 1 - feas_tol at every state)
+    # mass balance keeps mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state)
     qstar = np.zeros((s, s))
     for i in range(s):
         mine = owner == i
@@ -328,13 +334,11 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
 def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
     """Each state's most-violating kernel row for the V-constraint family, (s, s).
 
-    A row leaving the support of an action y weighs (y(i,u) > 0) is worth
-    -inf, so the search at i lives on the intersection of their supports,
-    where q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)) is the exact
-    concave maximizer; an empty intersection gives a zero row.  Only the
-    intersection is exponentiated: V can carry sentinel-sized values.
+    Only rows on I_i, the intersection of state i's action supports, bind,
+    and there q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)) is the
+    exact concave maximizer; an empty I_i gives a zero row.
     """
-    mask = model.support & ((model.kernel > 0.0) | (y.T <= 0.0)[:, :, None]).all(axis=0)
+    mask = (model.kernel > 0.0).all(axis=0)
     z = np.tile(vvec, (len(y), 1))
     for u, p in enumerate(model.kernel):
         z += y[:, u, None] * np.log(np.where(p > 0.0, p, 1.0))
@@ -347,11 +351,13 @@ def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _v_violations(model: MdpModel, rows, owner, beta, vvec, y) -> np.ndarray:
-    """Each stacked row's V-constraint violation at its owner, as the LP
-    prices it: -SENTINEL stands in for the -inf of an action y weighs."""
-    ctab = _tables(model, rows, owner)[1]
-    return _rowdot(ctab, y[owner]) + _rowdot(rows, vvec) - vvec[owner] - beta[owner]
+def _v_violations(model: MdpModel, rows, beta, vvec, y) -> np.ndarray:
+    """Each state's V-constraint violation at its row of rows, (s, s), as the
+    LP prices it; -inf where the row is zero (an empty I_i)."""
+    states = np.arange(model.num_states)
+    viol = (_rowdot(tilde_cost_table(model, states, rows), y) + _rowdot(rows, vvec)
+            - vvec - beta)
+    return np.where(rows.any(axis=1), viol, NEG_INF)
 
 
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
@@ -365,44 +371,25 @@ def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray
     """
     jbest = np.where(model.support, beta, NEG_INF).argmax(axis=1)
     rows = gibbs_rows(model, y, vvec)
-    states = np.arange(model.num_states)
-    viol = np.where(rows.any(axis=1), _v_violations(model, rows, states, beta, vvec, y), NEG_INF)
-    return jbest, beta[jbest] - beta, rows, viol
+    return jbest, beta[jbest] - beta, rows, _v_violations(model, rows, beta, vvec, y)
 
 
 def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray,
                   resolution: int):
-    """Each state's most violated V-constraint on the resolution's lattice, as
-    the LP prices it (sentinel included); returns (rows, violations).
+    """Each state's most violated V-constraint on the resolution's lattice;
+    returns (rows, violations), a zero row violated by -inf at an empty I_i.
 
-    At state i the LP rewards a row sum_T y(u) (c(i,u) - KL(q || p_u))
-    - SENTINEL * (the other positive weights), T the positive-weight actions
-    whose supports it respects: on T's common support, w_T (q.z - q.log q)
-    plus a constant, with w_T = sum_T y(u), z = (V + sum_T y(u) log p_u) / w_T.
-    Each T is tried, largest first, whose mask no other such support holds
-    (T empty gives the Dirac rows); one pass scores every state's candidates.
+    At state i a row q on I_i earns sum_u y(u) (c(i,u) - KL(q || p_u)), which
+    is w (q.z - q.log q) plus a constant, with w = sum_u y(u) and
+    z = (V + sum_u y(u) log p_u) / w on I_i.
     """
-    s = model.num_states
-    cands = []
-    for i in range(s):
-        active = np.flatnonzero(y[i] > 0.0)
-        reach = model.kernel[active, i] > 0.0
-        for size in range(len(active), 0, -1):
-            for subset in map(list, itertools.combinations(range(len(active)), size)):
-                mask = model.support[i] & reach[subset].all(axis=0)
-                if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
-                    continue
-                acts = active[subset]
-                z = vvec[mask] + y[i, acts] @ np.log(model.kernel[acts, i][:, mask])
-                row = np.zeros(s)
-                row[mask] = lattice_numerators(z / y[i, acts].sum(), resolution) / 2.0**resolution
-                cands.append((i, row))
-    owner, rows = (np.array(c) for c in zip(*cands))
-    viol = _v_violations(model, rows, owner, beta, vvec, y)
-    # a stable sort by (state, -violation) heads each state's group with its first best
-    order = np.lexsort((-viol, owner))
-    best = order[np.searchsorted(owner[order], np.arange(s))]
-    return rows[best], viol[best]
+    common = (model.kernel > 0.0).all(axis=0)
+    rows = np.zeros((model.num_states,) * 2)
+    for i in np.flatnonzero(common.any(axis=1)):
+        mask = common[i]
+        z = vvec[mask] + y[i] @ np.log(model.kernel[:, i][:, mask])
+        rows[i, mask] = lattice_numerators(z / y[i].sum(), resolution) / 2.0**resolution
+    return rows, _v_violations(model, rows, beta, vvec, y)
 
 
 def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
@@ -426,7 +413,8 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
             return (rows, owner, rnd), solves, not fresh.size
-        n_mu, added, basis = owner.shape[0], fresh.size, rnd.sol.basis
+        n_mu, added, basis, factor = owner.shape[0], fresh.size, rnd.sol.basis, rnd.sol.factor
+        rnd = None  # released before the next solve, which needs only its basis and factor
         owner = np.concatenate([owner, fresh])
         order = np.argsort(owner, kind="stable")
         rows, owner = np.vstack([rows, cut_rows[fresh]])[order], owner[order]
@@ -435,7 +423,7 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
                           [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
                           basis + 2 * added)
         rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis,
-                          factor=rnd.sol.factor)
+                          factor=factor)
         solves += 1
 
 

@@ -465,7 +465,7 @@ def build_dual(model: MdpModel, grid: FullGrid) -> LinearProgram:
     if grid.num_states != model.num_states:
         raise ValueError("grid was built for a different model shape")
     rows, owner = grid.stacked()
-    return game._dual(model, rows, owner, game._tables(model, rows, owner)[1])
+    return game._dual(model, rows, owner, *game._rewards(model, rows, owner))
 
 
 def solve_game(model: MdpModel, resolution: int) -> game.GameSolution:
@@ -534,52 +534,98 @@ def check_dp(model: MdpModel, phi_star, v_vec):
     return cert.residual_dp1, cert.residual_dp2
 
 
+def common_support(model: MdpModel) -> np.ndarray:
+    """(s, s) mask of I_i, the successors every action at state i reaches."""
+    return np.logical_and.reduce(model.kernel > 0.0, axis=0)
+
+
+def binds(model: MdpModel, i: int, q) -> bool:
+    """Whether state i's V-constraint at kernel row q binds in the limit LP:
+    q stays on I_i, where every action's reward is finite."""
+    return not np.any((np.asarray(q) > 0.0) & ~common_support(model)[i])
+
+
+def neg_inf_states(model: MdpModel) -> np.ndarray:
+    """The graph test, (s,) bool: the states that cannot reach, along
+    union-support edges, a cycle of the graph i -> j in I_i.  Their game
+    value is -inf in the limit LP, whose dual is then infeasible."""
+    s = model.num_states
+
+    def closure(graph):  # reach in one or more steps, by repeated boolean squaring
+        reach = graph.astype(np.int64)
+        for _ in range(max(1, math.ceil(math.log2(max(s, 2))))):
+            reach = np.minimum(reach + reach @ reach, 1)
+        return reach.astype(bool)
+
+    on_cycle = np.diagonal(closure(common_support(model))).copy()
+    reach = closure(model.support) | np.eye(s, dtype=bool)
+    return ~(reach & on_cycle).any(axis=1)
+
+
+def common_support_model(model: MdpModel) -> MdpModel:
+    """The reference of the limit LP on a model whose I_i are all nonempty:
+    keep only I_i at each state, renormalize p_u(.|i) on it and add
+    log p_u(I_i | i) to c(i, u).  On I_i, c(i,u) - KL(q || p_u) is then the
+    reference's c'(i,u) - KL(q || p'_u), and its supports are shared."""
+    common = common_support(model)
+    assert common.any(axis=1).all()
+    kept = np.where(common, model.kernel, 0.0)
+    mass = kept.sum(axis=2)                          # (m, s): p_u(I_i | i)
+    return MdpModel(model.states, model.actions, kept / mass[:, :, None],
+                    model.cost + np.log(mass).T)
+
+
 def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> LinearProgram:
     """The game primal over stacked kernel rows (owner: the state of each,
     nondecreasing): min sum(beta) over (V free, beta free, y >= 0 with
-    simplex rows), with the same sentineled reward table as the dual.
+    simplex rows), with the dual's reward table.  Every row has a beta-row;
+    only a row on its state's I_i has a V-row (binds).
 
-    Row order: all beta-rows in stacked order, then all V-rows in the same
+    Row order: all beta-rows in stacked order, then the V-rows in the same
     order, then one simplex equality per state.
     """
-    _, ctab = game._tables(model, rows, owner)
+    ctab = game._rewards(model, rows, owner)[0]
     s, m = model.num_states, model.num_actions
     n_ineq = rows.shape[0]
+    v_rows = [k for k in range(n_ineq) if binds(model, int(owner[k]), rows[k])]
+    n_v = len(v_rows)
     n_vars = 2 * s + s * m
     rows_ix, cols_ix, vals = [], [], []
     for k in range(n_ineq):
         i = int(owner[k])
         touched = sorted(set(union_support(model, i)) | {i})
         for j in touched:
-            coef = (1.0 if j == i else 0.0) - rows[k, j]
             # beta-row: sum_j (delta_ij - q_j) beta_j >= 0
             rows_ix.append(k)
             cols_ix.append(s + j)
-            vals.append(coef)
-            # V-row shares the same kernel coefficients on V
-            rows_ix.append(n_ineq + k)
+            vals.append((1.0 if j == i else 0.0) - rows[k, j])
+    for r, k in enumerate(v_rows, start=n_ineq):
+        i = int(owner[k])
+        for j in sorted(set(union_support(model, i)) | {i}):
+            # V-row: the beta-row's kernel coefficients on V ...
+            rows_ix.append(r)
             cols_ix.append(j)
-            vals.append(coef)
-        # V-row: + beta_i - sum_u ctilde(i,q,u) y_i(u)
-        rows_ix.append(n_ineq + k)
+            vals.append((1.0 if j == i else 0.0) - rows[k, j])
+        # ... + beta_i - sum_u ctilde(i,q,u) y_i(u)
+        rows_ix.append(r)
         cols_ix.append(s + i)
         vals.append(1.0)
         for u in range(m):
-            rows_ix.append(n_ineq + k)
+            rows_ix.append(r)
             cols_ix.append(2 * s + i * m + u)
             vals.append(-ctab[k, u])
     for i in range(s):
         for u in range(m):
-            rows_ix.append(2 * n_ineq + i)
+            rows_ix.append(n_ineq + n_v + i)
             cols_ix.append(2 * s + i * m + u)
             vals.append(1.0)
     objective = np.zeros(n_vars)
     objective[s:2 * s] = 1.0
     lower = np.zeros(n_vars)
     lower[: 2 * s] = -np.inf
-    relations = [">="] * (2 * n_ineq) + ["=="] * s
-    rhs = np.zeros(2 * n_ineq + s)
-    rhs[2 * n_ineq:] = 1.0
+    relations = [">="] * (n_ineq + n_v) + ["=="] * s
+    rhs = np.zeros(n_ineq + n_v + s)
+    rhs[n_ineq + n_v:] = 1.0
     return LinearProgram.build(
         "min", objective, rows_ix, cols_ix, vals, relations, rhs,
         lower=lower, upper=np.full(n_vars, np.inf),
@@ -593,31 +639,29 @@ def build_primal(model: MdpModel, grid: FullGrid) -> LinearProgram:
 
 def row_violations(model: MdpModel, beta, vvec, y, i: int, q) -> tuple[float, float]:
     """Violations of state i's beta- and V-constraints at kernel row q, with
-    the scalar tilde_cost and weighted_sum; a -inf reward makes the
-    V-constraint vacuous, so its violation is -inf."""
+    the scalar tilde_cost and weighted_sum; a row that leaves I_i has no
+    V-constraint in the limit LP, so its violation is -inf."""
     bviol = float(q @ beta - beta[i])
+    if not binds(model, i, q):
+        return bviol, NEG_INF
     reward = weighted_sum(
         y[i], [tilde_cost(model, i, q, u) for u in range(model.num_actions)])
-    if reward == NEG_INF:
-        return bviol, NEG_INF
     return bviol, reward + float(q @ vvec) - vvec[i] - beta[i]
 
 
 def gibbs_row(model: MdpModel, i: int, y_row, vvec):
     """State i's Gibbs row, state by state: the reference of game.gibbs_rows.
 
-    On the intersection of the supports of the actions y_row weighs (y > 0),
-    q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)); None when the
-    intersection is empty.
+    On I_i, q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)); None
+    when I_i is empty.
     """
-    active = np.flatnonzero(y_row > 0.0)
     mask = model.support[i].copy()
-    for u in active:
+    for u in range(model.num_actions):
         mask &= model.kernel[u, i] > 0.0
     if not mask.any():
         return None
     z = vvec[mask].copy()
-    for u in active:
+    for u in range(model.num_actions):
         z += y_row[u] * np.log(model.kernel[u, i][mask])
     z -= z.max()
     weights = np.exp(z)
@@ -627,32 +671,25 @@ def gibbs_row(model: MdpModel, i: int, y_row, vvec):
 
 
 def priced_violation(model: MdpModel, i: int, row, y_row, vvec, beta_i) -> float:
-    """State i's V-violation at one kernel row, as the LP prices it (the
-    sentinel included), from a one-row reward table."""
-    ctab = game._tables(model, row[None, :], np.array([i]))[1]
+    """State i's V-violation at one kernel row, as the LP prices it, from a
+    one-row reward table; -inf where the row does not bind."""
+    ctab, binding = game._rewards(model, row[None, :], np.array([i]))
+    if not binding[0]:
+        return NEG_INF
     return float(ctab[0] @ y_row) + float(row @ vvec) - vvec[i] - beta_i
 
 
 def lattice_cut(model: MdpModel, i: int, y_row, vvec, beta_i, resolution: int):
-    """State i's most violated V-constraint on the resolution's lattice,
-    candidate by candidate: the reference of game._lattice_cuts.  Returns
-    (row, violation), the first best candidate on ties."""
-    active = np.flatnonzero(y_row > 0.0)
-    reach = model.kernel[active, i] > 0.0
-    best = None, NEG_INF
-    for size in range(len(active), 0, -1):
-        for subset in map(list, itertools.combinations(range(len(active)), size)):
-            mask = model.support[i] & reach[subset].all(axis=0)
-            if not mask.any() or (reach[:, mask].all(axis=1).sum() > size):
-                continue
-            acts = active[subset]
-            z = vvec[mask] + y_row[acts] @ np.log(model.kernel[acts, i][:, mask])
-            row = np.zeros(model.num_states)
-            row[mask] = lattice_numerators(z / y_row[acts].sum(), resolution) / 2.0**resolution
-            viol = priced_violation(model, i, row, y_row, vvec, beta_i)
-            if viol > best[1]:
-                best = row, viol
-    return best
+    """State i's most violated V-constraint on the resolution's lattice, one
+    state at a time: the reference of game._lattice_cuts.  Returns (row,
+    violation), a zero row violated by -inf where I_i is empty."""
+    mask = common_support(model)[i]
+    row = np.zeros(model.num_states)
+    if not mask.any():
+        return row, NEG_INF
+    z = vvec[mask] + y_row @ np.log(model.kernel[:, i][:, mask])
+    row[mask] = lattice_numerators(z / y_row.sum(), resolution) / 2.0**resolution
+    return row, priced_violation(model, i, row, y_row, vvec, beta_i)
 
 
 def sampled_violations(model: MdpModel, beta, vvec, y, count: int = 400,

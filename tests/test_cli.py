@@ -475,6 +475,26 @@ def test_solver_failure_exit_4(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["grid", "congen"])
+def test_neg_inf_game_value_is_a_stated_solver_failure(tmp_path, capsys, method):
+    # each action keeps the chain where it sends it, x at a and y at b, so
+    # the actions share no successor: mixing them cuts every cycle, and the
+    # game value is -inf, where the best pure policy's rate is 0.1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "actions": ["x", "y"],
+        "transitions": {"x": [[1, 0], [1, 0]], "y": [[0, 1], [0, 1]]},
+        "costs": [[0.2, 0.9], [0.5, 0.1]],
+    }))
+    assert main(["solve", "--model", str(path), "--method", method]) == 4
+    err = capsys.readouterr().err
+    assert "came back infeasible: the game value is -inf" in err
+    assert "cut every cycle" in err and "riskmdp oracle" in err
+    assert "Traceback" not in err
+    assert main(["oracle", "--model", str(path)]) == 0
+    assert "lambda_bar = 0.100000" in capsys.readouterr().out
+
+
 SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"
 # writes the benchmark's congen-ring model 6 of seed 1602 and solves it; with
 # "cold" every game LP starts cold, which is the path round 1 and every grid

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskmdp
@@ -27,14 +27,18 @@ from riskmdp.oracle import brute_force_lambda_star, growth_rate
 from helpers import (
     as_stationary,
     assert_same_solution,
+    binds,
     build_dual,
     build_grid,
     build_primal,
+    common_support,
+    common_support_model,
     corpus,
     full_grid_solution,
     game_payoff,
     gibbs_row,
     lattice_cut,
+    neg_inf_states,
     primal_from_rows,
     priced_violation,
     pure_policy,
@@ -49,7 +53,7 @@ from helpers import (
 )
 
 # actions at a state reach different successors, so reward tables carry
-# -inf entries and the LP carries sentinel coefficients
+# -inf entries and the LP fixes the mu columns of rows that leave I_i
 DIFFERING_SUPPORTS = MdpModel(
     states=("a", "b", "c"), actions=("x", "y"),
     kernel=np.array([[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
@@ -108,20 +112,26 @@ def _assert_dual_is_transpose_of_primal(model, rows, owner):
     s = model.num_states
     n_ineq = rows.shape[0]
     prog_p = primal_from_rows(model, rows, owner)
-    prog_d = game._dual(model, rows, owner, game._tables(model, rows, owner)[1])
-    # primal rows: [beta-rows, V-rows, simplex]; cols: [V, beta, y]
+    prog_d = game._dual(model, rows, owner, *game._rewards(model, rows, owner))
+    # primal rows: [beta-rows, V-rows of the binding rows, simplex]; cols: [V, beta, y]
     # dual rows: [kernel-balance, mass, reward]; cols: [mu, nu, w]
-    order = np.concatenate([np.arange(n_ineq, 2 * n_ineq), np.arange(n_ineq),
-                            np.arange(2 * n_ineq, 2 * n_ineq + s)])
+    binding = np.array([binds(model, i, q) for i, q in zip(owner, rows)], dtype=bool)
+    n_v = int(binding.sum())
+    order = np.concatenate([np.arange(n_ineq, n_ineq + n_v), np.arange(n_ineq),
+                            np.arange(n_ineq + n_v, n_ineq + n_v + s)])
+    cols = np.concatenate([np.flatnonzero(binding), np.arange(n_ineq, 2 * n_ineq + s)])
     expected = prog_p.matrix.T[:, order]
     expected[2 * s:] *= -1.0
-    np.testing.assert_array_equal(prog_d.matrix, expected)
+    np.testing.assert_array_equal(prog_d.matrix[:, cols], expected)
+    # the mu column of a row without a V-row is fixed at 0, and only it
+    np.testing.assert_array_equal(prog_d.upper[:n_ineq], np.where(binding, np.inf, 0.0))
+    assert not prog_d.objective[:n_ineq].any()
     # no negative zeros: the solver's working matrix holds exactly the
     # values of the triplet assembly it replaced
     assert not np.signbit(prog_d.matrix[prog_d.matrix == 0.0]).any()
     # objective and right-hand sides swap
     np.testing.assert_array_equal(prog_d.rhs, prog_p.objective)
-    np.testing.assert_array_equal(prog_d.objective, prog_p.rhs[order])
+    np.testing.assert_array_equal(prog_d.objective[cols], prog_p.rhs[order])
 
 
 def test_dual_is_exact_machine_transpose_of_primal():
@@ -135,9 +145,17 @@ def test_dual_transpose_of_primal_across_row_sets(model, rows):
     _assert_dual_is_transpose_of_primal(model, *rows)
 
 
-def test_differing_supports_dual_carries_sentinels():
-    lp = build_dual(DIFFERING_SUPPORTS, build_grid(DIFFERING_SUPPORTS, 2))
-    assert np.any(lp.matrix == -game.SENTINEL)
+def test_differing_supports_dual_fixes_the_mu_columns_off_the_common_support():
+    # at a the actions reach b and c, so I_a is empty; at b, x reaches a only
+    grid = build_grid(DIFFERING_SUPPORTS, 2)
+    rows, owner = grid.stacked()
+    lp = build_dual(DIFFERING_SUPPORTS, grid)
+    fixed = lp.upper[:len(rows)] == 0.0
+    np.testing.assert_array_equal(fixed, (owner == 0) | ((owner == 1) & (rows[:, 1] > 0.0)))
+    # every coefficient is finite and of the model's scale; the fixed
+    # columns carry no reward
+    assert np.abs(lp.matrix).max() <= 10.0
+    assert not lp.matrix[6:, :len(rows)][:, fixed].any()
 
 
 def test_primal_and_dual_objectives_agree():
@@ -444,26 +462,65 @@ def test_congen_pivot_path_is_pinned():
     assert json.loads(proc.stdout) == [253, 92, 44, 36, 18]
 
 
-# the resolution-0 game LPs (the Dirac rows) of two_successor_model(seed, s, m),
-# seeds 0-49, whose solve breaks down, as measured: on the first four
-# lp.solve's optimality certificate fails, on the other three the game pair's
-# duality check; their sentinel coefficients span a range of 1e6
-DIRAC_BREAKDOWNS = {(1, 4, 3), (12, 4, 2), (12, 4, 3), (32, 4, 3),
-                    (25, 4, 3), (42, 3, 3), (44, 4, 2)}
+TWO_SUCCESSOR_SHAPES = ((3, 2), (4, 3), (4, 2), (3, 3))
+NEG_INF_OUTCOME = "came back infeasible: the game value is -inf"
 
 
 def test_dirac_lps_of_two_successor_models_solve():
-    failed = set()
-    for s, m in ((3, 2), (4, 3), (4, 2), (3, 3)):
+    # the resolution-0 game LP (the Dirac rows), seeds 0-49: it solves, or
+    # its dual is infeasible exactly where the graph test flags a state
+    for s, m in TWO_SUCCESSOR_SHAPES:
         for seed in range(50):
             model = two_successor_model(seed, s, m)
             rows, owner = game.build_grid(model).stacked()
-            try:
+            if neg_inf_states(model).any():
+                with pytest.raises(LpError, match=NEG_INF_OUTCOME):
+                    game._solve_pair(model, rows, owner, resolution=0)
+            else:
                 game._extract(model, rows, owner,
                               game._solve_pair(model, rows, owner, resolution=0))
-            except LpError:
-                failed.add((seed, s, m))
-    assert failed <= DIRAC_BREAKDOWNS
+
+
+@pytest.mark.parametrize("shape", TWO_SUCCESSOR_SHAPES, ids=lambda shape: "s%dm%d" % shape)
+def test_two_successor_models_solve_or_give_the_neg_inf_outcome(shape):
+    # seeds 0-49 under both methods: a solve, or the -inf outcome exactly
+    # where the graph test flags a state
+    for seed in range(50):
+        model = two_successor_model(seed, *shape)
+        flagged = neg_inf_states(model).any()
+        for solve in (lambda: solve_sequence(model, 2, 4), lambda: solve_congen(model)):
+            if flagged:
+                with pytest.raises(LpError, match=NEG_INF_OUTCOME):
+                    solve()
+            else:
+                assert np.isfinite(solve().lambda_bar)
+
+
+def _all_common_supports_nonempty(count):
+    """The first count two-successor models, seeds upward in each shape in
+    turn, whose every state has a nonempty I_i."""
+    found = []
+    for seed in range(1000):
+        for shape in TWO_SUCCESSOR_SHAPES:
+            model = two_successor_model(seed, *shape)
+            if common_support(model).any(axis=1).all():
+                found.append(model)
+                if len(found) == count:
+                    return found
+    raise AssertionError(f"fewer than {count} such models")
+
+
+def test_limit_lp_equals_its_reference_model():
+    # the limit LP prices only rows on I_i; the reference model keeps only
+    # I_i, with each p_u renormalized on it and log p_u(I_i | i) added to the
+    # cost, so its supports are shared and its LP has no row to fix
+    for model in _all_common_supports_nonempty(40):
+        ref = common_support_model(model)
+        assert not neg_inf_states(model).any()
+        got, want = (solve_sequence(mdl, 2, 4, stop_tol=0.0) for mdl in (model, ref))
+        for beta, ref_beta in zip(got.beta_trace, want.beta_trace):
+            assert abs(beta.max() - ref_beta.max()) <= 1e-9
+        assert abs(solve_congen(model).lambda_bar - solve_congen(ref).lambda_bar) <= 1e-6
 
 
 def test_congen_working_set_keeps_per_state_order(monkeypatch):
@@ -616,31 +673,6 @@ def test_separation_neg_inf_rewards_against_sampled_kernels(y):
     _assert_exact_separation(DIFFERING_SUPPORTS, beta, vvec, np.array(y))
 
 
-@pytest.mark.parametrize("resolution", [0, 1, 3])
-@pytest.mark.parametrize("y", [
-    [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
-    [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
-    # weights the LP can leave as roundoff: the sentinel then costs a row
-    # off that action's support only about 1e-6, and such a row can win
-    [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12], [1e-12, 1.0 - 1e-12]],
-    [[0.3, 0.7], [1e-9, 1.0 - 1e-9], [1.0, 0.0]],
-])
-def test_lattice_cut_prices_as_the_lp(y, resolution):
-    # the priced violation is the largest the LP's own sentinel table gives
-    # any row of the enumerated lattice, and the priced row attains it
-    y = np.array(y)
-    rng = np.random.default_rng(resolution)
-    beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
-    grid = build_grid(DIFFERING_SUPPORTS, resolution)
-    cut_rows, viols = game._lattice_cuts(DIFFERING_SUPPORTS, beta, vvec, y, resolution)
-    for i, row, viol in zip(range(3), cut_rows, viols):
-        rows = grid.rows[i]
-        ctab = game._tables(DIFFERING_SUPPORTS, rows, np.full(len(rows), i))[1]
-        scores = ctab @ y[i] + rows @ vvec - vvec[i] - beta[i]
-        assert abs(viol - scores.max()) <= 1e-12
-        assert any(np.array_equal(row, r) for r in rows)
-
-
 # at a, x reaches a and b, y reaches all three; b and c absorb
 NARROW_ACTION = MdpModel(
     states=("a", "b", "c"), actions=("x", "y"),
@@ -648,6 +680,35 @@ NARROW_ACTION = MdpModel(
                      [[0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]),
     cost=np.array([[0.3, 0.2], [0.1, 0.1], [0.1, 0.1]]),
 )
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 3])
+@pytest.mark.parametrize("y", [
+    [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],
+    # weights the LP can leave as roundoff
+    [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12], [1e-12, 1.0 - 1e-12]],
+    [[0.3, 0.7], [1e-9, 1.0 - 1e-9], [1.0, 0.0]],
+])
+def test_lattice_cut_prices_as_the_lp(y, resolution):
+    # the priced violation is the largest the LP's own table gives any
+    # binding row of the enumerated lattice, and the priced row attains it;
+    # with no binding row (an empty I_i) it is -inf at a zero row
+    y = np.array(y)
+    rng = np.random.default_rng(resolution)
+    beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
+    for model in (DIFFERING_SUPPORTS, NARROW_ACTION):
+        grid = build_grid(model, resolution)
+        cut_rows, viols = game._lattice_cuts(model, beta, vvec, y, resolution)
+        for i, row, viol in zip(range(3), cut_rows, viols):
+            ctab, binding = game._rewards(model, grid.rows[i], np.full(len(grid.rows[i]), i))
+            rows = grid.rows[i][binding]
+            if not binding.any():
+                assert viol == -math.inf and not row.any()
+                continue
+            scores = ctab[binding] @ y[i] + rows @ vvec - vvec[i] - beta[i]
+            assert abs(viol - scores.max()) <= 1e-12
+            assert any(np.array_equal(row, r) for r in rows)
 
 
 @pytest.mark.parametrize("weight", [1e-12, 1e-10])
@@ -670,7 +731,7 @@ def test_tiny_weight_on_a_narrower_action_keeps_its_violation(weight):
 
 def _random_triple(rng, model, scale=1.0):
     """(beta, V, y) with exact zeros and 1e-12 weights in y; V of the given
-    scale (the sentinel's, 1e6, where V has absorbed it)."""
+    scale."""
     s, m = model.num_states, model.num_actions
     beta = rng.uniform(-1.0, 1.0, s)
     vvec = rng.uniform(-scale, scale, s)
@@ -715,27 +776,12 @@ def test_stacked_pricers_match_per_state_references(model):
                 assert cut_rows[i].tobytes() == row.tobytes() and cut_viol[i] == ref
 
 
-def test_lattice_cuts_keep_the_first_best_on_ties():
-    # at a, x and y reach mirror-image supports; with V at b far below the
-    # sentinel, the Dirac rows at a (x's candidate, tried first) and at c
-    # (y's) tie as the best, and the first is kept
-    kernel = np.zeros((2, 3, 3))
-    kernel[:, [1, 2], [1, 2]] = 1.0
-    kernel[0, 0], kernel[1, 0] = [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]
-    model = MdpModel(("a", "b", "c"), ("x", "y"), kernel, np.full((3, 2), 0.1))
-    beta, vvec, y = np.zeros(3), np.array([0.0, -1e7, 0.0]), np.full((3, 2), 0.5)
-    for n in (0, 1, 3):
-        rows, viol = game._lattice_cuts(model, beta, vvec, y, n)
-        np.testing.assert_array_equal(rows[0], [1.0, 0.0, 0.0])
-        assert viol[0] == priced_violation(model, 0, np.array([0.0, 0.0, 1.0]), y[0], vvec, 0.0)
-
-
 def test_row_dot_equals_per_row_products():
-    # 1,800 random stacks, s = 3..64, entries up to the sentinel's size
+    # 1,800 random stacks, s = 3..64, entries of two scales 1e6 apart
     rng = np.random.default_rng(5)
     for _ in range(1800):
         s, n = int(rng.integers(3, 65)), int(rng.integers(1, 40))
-        a = rng.normal(size=(n, s)) * rng.choice([1.0, game.SENTINEL], size=(n, s))
+        a = rng.normal(size=(n, s)) * rng.choice([1.0, 1e6], size=(n, s))
         b, v = rng.normal(size=(n, s)), rng.normal(size=s)
         assert game._rowdot(a, b).tobytes() == np.array([a[k] @ b[k] for k in range(n)]).tobytes()
         assert game._rowdot(a, v).tobytes() == np.array([a[k] @ v for k in range(n)]).tobytes()
@@ -759,14 +805,7 @@ def _assert_sweep_equals_full_grid(model, n_start, fulls):
     assert rep.resolutions == tuple(range(n_start, n_max + 1))
     assert len(rep.rounds) == len(rep.resolutions) and rep.rounds[0] >= 1
     for n, beta, full in zip(rep.resolutions, rep.beta_trace, fulls):
-        # with sentinel coefficients the simplex's tolerances act on a 1e6
-        # coefficient range, and either solve can stop short of the optimum:
-        # where the minimizer left weights near 1e-5 on actions a row leaves,
-        # the two values were up to 2.4e-5 apart (either way round) with both
-        # triples feasible for every full-grid row
-        sentinel = np.any(build_dual(model, build_grid(model, n)).matrix == -game.SENTINEL)
-        tol = 1e-4 if sentinel else 1e-9
-        np.testing.assert_allclose(beta, full.value, rtol=tol, atol=tol, err_msg=f"n={n}")
+        np.testing.assert_allclose(beta, full.value, rtol=1e-9, atol=1e-9, err_msg=f"n={n}")
     # pricing left no row of the last lattice violated
     assert _full_grid_residual(model, n_max, rep.final) <= OPT_TOL
     assert rep.final.num_constraints == fulls[-1].num_constraints
@@ -828,19 +867,16 @@ def test_restricted_sweep_equals_full_grid_lp_property(kind, seed, s, m, n_start
         model = _absorbing_model(seed, s, m)
     else:
         model = _periodic_model(seed, 2 * ((s + 1) // 2), m)
-    try:
-        fulls = [full_grid_solution(model, n) for n in range(n_start, min(4, n_start + span) + 1)]
-    except LpError:
-        reject()  # the reference LP itself breaks down on some sentinel models
-    try:
-        _assert_sweep_equals_full_grid(model, n_start, fulls)
-    except LpError:
-        # the simplex can break down on LPs with sentinel coefficients, a
-        # restricted master's as the full grid's (the Dirac rows of
-        # two_successor_model(34721, 4, 3), the n=2 master of seed 68); on a
-        # model without them the sweep must not fail
-        dirac = build_grid(model, 0)
-        assert np.any(build_dual(model, dirac).matrix == -game.SENTINEL)
+    resolutions = range(n_start, min(4, n_start + span) + 1)
+    if neg_inf_states(model).any():
+        # the game value is -inf: both LPs' duals are infeasible
+        for solve in (lambda: full_grid_solution(model, n_start),
+                      lambda: solve_sequence(model, n_start, resolutions[-1])):
+            with pytest.raises(LpError, match=NEG_INF_OUTCOME):
+                solve()
+        return
+    _assert_sweep_equals_full_grid(model, n_start, [full_grid_solution(model, n)
+                                                     for n in resolutions])
 
 
 def test_wide_grid_master_stays_small(monkeypatch):
