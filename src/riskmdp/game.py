@@ -13,9 +13,12 @@ the optimum.  Only the dual is built, over kernel rows that pricing adds (one
 restricted master for both methods): it has 2s + s|U| rows, a new kernel row
 is a new (mu, nu) column pair, and the primal solution is read off its
 multipliers, exact at a simplex vertex.  Pricing a round needs only those
-multipliers; the strategies are extracted (dual polish, maximizer rows,
-purification) once per solve, from the round it returns.  The primal lives
-in tests/helpers.py, where the dual is checked to be its exact transpose.
+multipliers; the strategies are extracted (maximizer rows, purification)
+once per solve, from the round it returns.  A state's maximizer row is read
+off its occupation weights where it carries long-run mass; elsewhere those
+weights are not determined, and the row is the one the last pricing call
+gave the state.  The primal lives in tests/helpers.py, where the dual is
+checked to be its exact transpose.
 
 A row that leaves I_i, the intersection of state i's action supports, is
 worth -inf to every action whose support it leaves.  The LP is the limit of
@@ -37,10 +40,10 @@ import numpy as np
 from .errors import GuardError
 from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
 from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
-from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, union_support
+from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
 from .oracle import NEG_INF, tilde_cost
 
-MU_MASS_TOL = 1e-10       # below this the nu-weights take over in extraction
+MU_MASS_TOL = 1e-10       # below this a state's maximizer row is its priced row
 SUPPORT_TOL = 1e-9        # purification's candidate actions: y entries above this
 # verification bounds for the extracted pair; slightly looser than the LP
 # kernel's own tolerances because residuals are recomputed from unscaled data
@@ -191,49 +194,15 @@ def _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, x) -> float:
     return gap
 
 
-def _polish_duals(model: MdpModel, dual_lp: LinearProgram, sol: LpSolution, owner,
-                  ctab, beta, vvec, y):
-    """Deterministic resolution of dual degeneracy.
-
-    The occupation weights are underdetermined wherever a state carries no
-    long-run mass (every optimal dual is complementary to every optimal
-    primal, so any point of the optimal face is valid).  Re-solve with the
-    dual objective locked at its optimum, maximizing the occupation-weighted
-    tightness of the V-constraints: legitimate mass sits on tight rows and
-    scores zero, so the reweighting only moves the underdetermined part onto
-    the rows the potentials actually pin down.  The re-solve starts from
-    sol's optimal basis plus the lock row's slack, which sits at 1e-9.
-    """
-    s = model.num_states
-    n_mu = owner.shape[0]
-    # scores: negative V-row slack per (state, row), zero exactly at tight rows
-    qv = dual_lp.matrix[:s, :n_mu].T @ vvec  # equals V_i - q.V per (i, row)
-    scores = _rowdot(ctab, y[owner]) - qv - beta[owner]
-    locked = replace(
-        dual_lp,
-        objective=np.concatenate([scores, scores, np.zeros(s)]),
-        matrix=np.vstack([dual_lp.matrix, dual_lp.objective]),
-        relations=dual_lp.relations + (">=",),
-        rhs=np.append(dual_lp.rhs, float(sol.objective_value) - 1e-9),
-    )
-    # the lock row's slack comes after the dual's slacks, where its first
-    # artificial was; every artificial moves up by one
-    lock_slack = dual_lp.num_vars + len(dual_lp.relations) - dual_lp.relations.count("==")
-    basis = np.append(np.where(sol.basis >= lock_slack, sol.basis + 1, sol.basis), lock_slack)
-    return lp_solve(locked, basis=basis)
-
-
 @dataclass(frozen=True)
 class _Round:
     """One restricted-master LP solve: the multipliers pricing reads, and
-    what extraction needs of the LP and its optimal vertex."""
+    what extraction needs of its optimal vertex."""
 
     beta: np.ndarray
     vvec: np.ndarray
     y: np.ndarray                      # the minimizer, rows normalized
-    dual_lp: LinearProgram
     sol: LpSolution
-    ctab: np.ndarray
     binds: np.ndarray                  # the rows with a V-constraint
     gap: float                         # verified at the vertex
 
@@ -244,22 +213,22 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     is the state of each row, and every state owns at least one row.
 
     basis and factor, if given, start the dual's solve (see lp.solve).  The
-    pair is verified at the dual's optimal vertex.
+    pair is verified at the dual's optimal vertex.  resolution, None under
+    constraint generation, names the LP in errors.
     """
     s, m = model.num_states, model.num_actions
     ctab, binds = _rewards(model, rows, owner)
-    dual_lp = _dual(model, rows, owner, ctab, binds)
+    where = "of constraint generation" if resolution is None else f"at resolution {resolution}"
     try:
-        sol = lp_solve(dual_lp, basis=basis, factor=factor)
+        sol = lp_solve(_dual(model, rows, owner, ctab, binds), basis=basis, factor=factor)
     except LpError as exc:
-        raise LpError(f"game LP solve failed (resolution={resolution}): {exc}") from exc
+        raise LpError(f"game LP solve {where} failed: {exc}") from exc
     if sol.status == "infeasible":
-        raise LpError(f"game LP at resolution {resolution} came back infeasible: the game "
-                      "value is -inf at some state, as mixed strategies cut every cycle of "
-                      "the common action supports it reaches; `riskmdp oracle` gives the "
-                      "pure value")
+        raise LpError(f"game LP {where} came back infeasible: the game value is -inf at "
+                      "some state, as mixed strategies cut every cycle of the common action "
+                      "supports it reaches; `riskmdp oracle` gives the pure value")
     if sol.status != "optimal":
-        raise LpError(f"game LP at resolution {resolution} came back {sol.status}")
+        raise LpError(f"game LP {where} came back {sol.status}")
     vvec, beta = sol.duals[:s], sol.duals[s:2 * s]
     y = np.clip(-sol.duals[2 * s:].reshape(s, m), 0.0, None)
     sums = y.sum(axis=1, keepdims=True)
@@ -267,39 +236,33 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
     gap = _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, sol.x)
-    return _Round(beta, vvec, y, dual_lp, sol, ctab, binds, gap)
+    return _Round(beta, vvec, y, sol, binds, gap)
 
 
 def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
-             resolution=None) -> GameSolution:
-    """The game solution of a round: the dual weights, polished where a state
-    carries no long-run mass, the maximizer rows read off them and the
-    purified minimizer."""
+             priced: np.ndarray, resolution=None) -> GameSolution:
+    """The game solution of a round: the maximizer rows and the purified
+    minimizer.  priced holds each state's row from the pricing call at the
+    round's (beta, V, y), a zero row at an empty I_i."""
     s, m = model.num_states, model.num_actions
     n_mu = rows.shape[0]
     beta, vvec, y = rnd.beta, rnd.vvec, rnd.y
-    x, gap = rnd.sol.x, rnd.gap
-    if np.any(np.bincount(owner, x[:n_mu], minlength=s) <= MU_MASS_TOL):
-        # the occupation weights at mass-free states are a degenerate face of
-        # the dual optimum; reweighting them is an improvement pass, so any
-        # numerical failure here falls back to the plain vertex
-        try:
-            polished = _polish_duals(model, rnd.dual_lp, rnd.sol, owner, rnd.ctab, beta, vvec, y)
-        except LpError:
-            polished = None
-        if polished is not None and polished.status == "optimal":
-            x = polished.x
-            gap = _verify_pair(model, rows, owner, rnd.ctab, rnd.binds, beta, vvec, y, x)
+    x = rnd.sol.x
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
-    # maximizer rows from the occupation weights; nu takes over where the mu
-    # mass vanishes (x is clipped to its bounds, so nu >= 0, and the verified
-    # mass balance keeps mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state)
-    qstar = np.zeros((s, s))
+    # maximizer rows from the occupation weights where a state carries mu
+    # mass; without it they are a degenerate face of the dual optimum, and the
+    # priced row stands in.  nu takes over only where that row is zero, as no
+    # row there has a V-constraint (x is clipped to its bounds, so nu >= 0,
+    # and the verified mass balance keeps mu mass + nu mass >= 1 -
+    # GAME_FEAS_TOL at every state)
+    qstar = priced.copy()
     for i in range(s):
         mine = owner == i
-        alpha = mu[mine] if mu[mine].sum() > MU_MASS_TOL else nu[mine]
-        qstar[i] = alpha / alpha.sum() @ rows[mine]
+        if mu[mine].sum() > MU_MASS_TOL:
+            qstar[i] = mu[mine] / mu[mine].sum() @ rows[mine]
+        elif not priced[i].any():
+            qstar[i] = nu[mine] / nu[mine].sum() @ rows[mine]
     maximizer = KernelMatrix.for_model(model, qstar)
 
     # purify the minimizer: among support actions, take the one whose
@@ -326,8 +289,8 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
         minimizer_pure=PurePolicy(tuple(choice)),
         maximizer=maximizer,
         dual_w=w,
-        duality_gap=gap,
-        num_constraints=2 * n_mu,
+        duality_gap=rnd.gap,
+        num_constraints=n_mu + int(rnd.binds.sum()),
     )
 
 
@@ -400,8 +363,9 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
     from its state's rows.  A new row goes after its state's old ones and
     the round's basis follows (w, slacks and artificials shift by two per
     row), so it starts the next solve, with the round's factor.  Only the
-    latest round is kept.  Returns the master, the solves made, and whether
-    pricing (rather than max_solves) ended them.
+    latest round is kept.  Returns the master, the rows pricing gave its
+    round, the solves made, and whether pricing (rather than max_solves)
+    ended them.
     """
     rows, owner, rnd = master
     solves = int(rnd is None)
@@ -412,7 +376,7 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
         near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
-            return (rows, owner, rnd), solves, not fresh.size
+            return (rows, owner, rnd), cut_rows, solves, not fresh.size
         n_mu, added, basis, factor = owner.shape[0], fresh.size, rnd.sol.basis, rnd.sol.factor
         rnd = None  # released before the next solve, which needs only its basis and factor
         owner = np.concatenate([owner, fresh])
@@ -433,7 +397,8 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
 
     One restricted master grows from the Dirac rows until no lattice row is
     violated beyond the simplex's optimality tolerance: the LP over the whole
-    lattice, whose rows num_constraints counts.  Lattice n lies in lattice
+    lattice, whose implied primal's rows num_constraints counts: a beta-row
+    per lattice row, a V-row per one on I_i.  Lattice n lies in lattice
     n + 1, so n + 1 first prices n's master.  n past MAX_RESOLUTION: GuardError.
 
     The trace must be componentwise nondecreasing: refining the grid only
@@ -453,9 +418,8 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     trace, resolutions, rounds = [], [], []
     reason = "n_max"
     master = (*build_grid(model).stacked(), None)
-    sizes = [len(union_support(model, i)) for i in range(model.num_states)]
     for n in range(n_start, n_max + 1):
-        master, solves, _ = _restricted_master(
+        master, priced, solves, _ = _restricted_master(
             model, master, lambda beta, vvec, y, n=n: _lattice_cuts(model, beta, vvec, y, n),
             OPT_TOL, 0.0, n)
         rnd = master[2]
@@ -478,12 +442,14 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
             reason = "stop_tol"
             break
 
-    implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes)  # rows of the lattice
+    # lattice points on each state's union support (beta-rows) and on I_i (V-rows)
+    sizes = [*model.support.sum(axis=1), *(model.kernel > 0.0).all(axis=0).sum(axis=1)]
+    implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes if k > 0)
     return ConvergenceReport(
         resolutions=tuple(resolutions),
         rounds=tuple(rounds),
         beta_trace=tuple(trace),
-        final=replace(_extract(model, *master, n), num_constraints=2 * implied),
+        final=replace(_extract(model, *master, priced, n), num_constraints=implied),
         stopping_reason=reason,
         feasibility_violation=worst,
     )
@@ -497,8 +463,8 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     no constraint is violated by more than inner_tol; hitting max_rounds
     returns the last iterate marked uncertified.
     """
-    master, solves, done = _restricted_master(
+    master, priced, solves, done = _restricted_master(
         model, (*build_grid(model).stacked(), None),
         lambda *triple: _separate(model, *triple)[2:],
         inner_tol, 1e-12, max_solves=max_rounds)
-    return replace(_extract(model, *master), certified=done, rounds=solves)
+    return replace(_extract(model, *master, priced), certified=done, rounds=solves)

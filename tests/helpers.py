@@ -477,28 +477,38 @@ def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
     """The game LP pair over the fully enumerated grid, solved cold."""
     rows, owner = build_grid(model, resolution).stacked()
     rnd = game._solve_pair(model, rows, owner, resolution=resolution)
-    return game._extract(model, rows, owner, rnd, resolution)
+    priced, _ = game._lattice_cuts(model, rnd.beta, rnd.vvec, rnd.y, resolution)
+    return game._extract(model, rows, owner, rnd, priced, resolution)
 
 
 def solve_extracting_every_round(solve, model: MdpModel, *args):
     """solve(model, *args), game.solve_congen or game.solve_sequence, with
-    every restricted-master round also extracted (dual polish, maximizer
-    rows, purification), not only the returned one; returns the result and
-    the extraction of each round in order.  The solvers once worked this
-    way: the returned solution must equal the last round's extraction."""
-    extracted = []
-    solve_pair = game._solve_pair
+    every restricted-master round also extracted (maximizer rows,
+    purification), not only the returned one, at the rows its latest
+    pricing call gave; returns the result and the extraction of each round
+    in order.  The solvers once worked this way: the returned solution must
+    equal the last round's extraction."""
+    extracted, latest = [], []
+    solve_pair, restricted_master = game._solve_pair, game._restricted_master
 
-    def eager(model, rows, owner, **kwargs):
-        rnd = solve_pair(model, rows, owner, **kwargs)
-        extracted.append(game._extract(model, rows, owner, rnd))
-        return rnd
+    def record(model, rows, owner, **kwargs):
+        latest[:] = [rows, owner, solve_pair(model, rows, owner, **kwargs)]
+        extracted.append(None)
+        return latest[2]
 
-    game._solve_pair = eager
+    def eager(model, master, price, *args, **kwargs):
+        def priced(*triple):
+            # a round carried to the next resolution is priced again there
+            cut_rows, viol = price(*triple)
+            extracted[-1] = game._extract(model, *latest, cut_rows)
+            return cut_rows, viol
+        return restricted_master(model, master, priced, *args, **kwargs)
+
+    game._solve_pair, game._restricted_master = record, eager
     try:
         return solve(model, *args), extracted
     finally:
-        game._solve_pair = solve_pair
+        game._solve_pair, game._restricted_master = solve_pair, restricted_master
 
 
 def assert_same_solution(got, want) -> None:
@@ -514,18 +524,24 @@ def assert_same_solution(got, want) -> None:
             assert a == b, field.name
 
 
-def sticky_ring() -> MdpModel:
+def sticky_ring(stay=(0.95, 0.5, 0.6, 0.4),
+                cost=((1.0, 1.01), (0.1, 0.12), (0.3, 0.2), (0.5, 0.4))) -> MdpModel:
     """A 4-state lazy ring whose first state is sticky and dear: the worst
-    case keeps the chain there, the other states carry no long-run mass, and
-    congen's restricted LPs go through the dual polish."""
-    stay = np.array([0.95, 0.5, 0.6, 0.4])
+    case keeps the chain there, and the other states carry no long-run mass
+    in the grid's solve to n = 4 and in congen's first round."""
     kernel = np.zeros((2, 4, 4))
     for u, shift in enumerate((0.0, 0.005)):
         for i in range(4):
             kernel[u, i, i] = stay[i] - shift
             kernel[u, i, (i + 1) % 4] = 1.0 - stay[i] + shift
-    cost = np.array([[1.0, 1.01], [0.1, 0.12], [0.3, 0.2], [0.5, 0.4]])
-    return MdpModel(("s0", "s1", "s2", "s3"), ("a0", "a1"), kernel, cost)
+    return MdpModel(("s0", "s1", "s2", "s3"), ("a0", "a1"), kernel, np.array(cost))
+
+
+def trap_ring() -> MdpModel:
+    """The benchmark's trap model (solvebench/models.py): the sticky ring
+    with the other three states alike, whose grid solve to n = 8 leaves them
+    without long-run mass."""
+    return sticky_ring((0.95, 0.5, 0.5, 0.5), ((1.0, 1.01),) + ((0.1, 0.12),) * 3)
 
 
 def check_dp(model: MdpModel, phi_star, v_vec):

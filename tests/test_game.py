@@ -48,6 +48,7 @@ from helpers import (
     solve_extracting_every_round,
     solve_game,
     sticky_ring,
+    trap_ring,
     two_successor_model,
     wide_model,
 )
@@ -355,11 +356,8 @@ def test_warm_started_congen_rounds_match_cold_solves(monkeypatch, model):
     calls = _recorded_lp_solves(monkeypatch)
     sol = solve_congen(model)
     assert sol.certified
-    s, m = model.num_states, model.num_actions
-    rounds = [(prog, basis, got) for prog, basis, got in calls
-              if prog.num_constraints == 2 * s + s * m]
-    assert len(rounds) == sol.rounds and rounds[0][1] is None
-    for prog, basis, got in rounds[1:]:
+    assert len(calls) == sol.rounds and calls[0][1] is None
+    for prog, basis, got in calls[1:]:
         assert got.warm_started
         cold = lp_solve(prog)
         assert got.status == cold.status == "optimal"
@@ -370,14 +368,11 @@ def test_congen_warm_starts_keep_pivots_low(monkeypatch):
     # pivots do not depend on the machine, only on the BLAS thread count:
     # cold starts took 1,816 here, the warm starts 443 with one thread and
     # 442 with two; a silent fallback to cold starts would keep every value
-    # right and lose the gain.  The returned solution has long-run mass at
-    # every state, so no dual polish runs.
+    # right and lose the gain
     model = random_model(3, 32, 3)
     calls = _recorded_lp_solves(monkeypatch)
     sol = solve_congen(model)
     assert sol.certified and sol.rounds >= 2
-    polish_rows = 2 * 32 + 32 * 3 + 1
-    assert not any(prog.num_constraints == polish_rows for prog, _, _ in calls)
     assert len(calls) == sol.rounds
     assert not calls[0][2].warm_started
     assert all(got.warm_started for _, _, got in calls[1:])
@@ -403,30 +398,96 @@ def test_congen_rounds_carry_the_basis_inverse(monkeypatch):
 
 
 EXTRACT_CASES = [(name, model, method)
-                 for name, model in corpus() + [("sticky-ring", sticky_ring())]
+                 for name, model in corpus() + [("sticky-ring", sticky_ring()),
+                                                ("trap", trap_ring())]
                  for method in ("grid", "congen")]
 
 
 @pytest.mark.parametrize("model, method", [case[1:] for case in EXTRACT_CASES],
                          ids=[f"{name}-{method}" for name, _, method in EXTRACT_CASES])
 def test_returned_solution_equals_the_last_rounds_extraction(monkeypatch, model, method):
-    # extraction (dual polish, maximizer rows, purification) runs once, on
-    # the returned solution: it equals, bit for bit, what extracting every
-    # round gives for the last round, and at most one polish LP is solved,
-    # after every round's LP
+    # extraction (maximizer rows, purification) runs once, on the returned
+    # solution: it equals, bit for bit, what extracting every round gives
+    # for the last round, and a solve makes one LP solve per round
     solve = solve_sequence if method == "grid" else solve_congen
     result, extracted = solve_extracting_every_round(solve, model)
     got = result.final if method == "grid" else result
-    assert len(extracted) == (sum(result.rounds) if method == "grid" else result.rounds)
+    rounds = sum(result.rounds) if method == "grid" else result.rounds
+    assert len(extracted) == rounds
     assert_same_solution(got, replace(extracted[-1], resolution=got.resolution,
                                       num_constraints=got.num_constraints,
                                       certified=got.certified, rounds=got.rounds))
     calls = _recorded_lp_solves(monkeypatch)
     assert_same_solution(solve(model).final if method == "grid" else solve(model), got)
-    s, m = model.num_states, model.num_actions
-    polish = [k for k, (prog, _, _) in enumerate(calls)
-              if prog.num_constraints == 2 * s + s * m + 1]
-    assert polish in ([], [len(calls) - 1])
+    assert len(calls) == rounds
+
+
+# the worst case keeps the chain at state 0, and states 1-3 carry no long-run
+# mass in the grid's returned solution (the sticky ring's to n = 4, the
+# trap's to n = 8) and in congen's first round
+MASS_FREE_CASES = {
+    "sticky-ring-grid": (sticky_ring(), lambda model: solve_sequence(model, 2, 4)),
+    "sticky-ring-congen": (sticky_ring(), lambda model: solve_congen(model, max_rounds=1)),
+    "trap-grid": (trap_ring(), solve_sequence),
+    "trap-congen": (trap_ring(), lambda model: solve_congen(model, max_rounds=1)),
+}
+
+
+@pytest.mark.parametrize("case", MASS_FREE_CASES)
+def test_states_without_long_run_mass_take_their_priced_rows(monkeypatch, case):
+    # their occupation weights are a degenerate face of the dual optimum, so
+    # q* there is the row pricing gives at the returned (beta, V, y): the
+    # last resolution's lattice cut, or the Gibbs row
+    model, solve = MASS_FREE_CASES[case]
+    masses, extract = [], game._extract
+
+    def record(model, rows, owner, rnd, *args):
+        masses.append(np.bincount(owner, rnd.sol.x[:len(owner)], minlength=model.num_states))
+        return extract(model, rows, owner, rnd, *args)
+
+    monkeypatch.setattr(game, "_extract", record)
+    result = solve(model)
+    sol = getattr(result, "final", result)
+    y, vvec = sol.minimizer.rows, sol.potentials
+    if sol is result:
+        priced = gibbs_rows(model, y, vvec)
+    else:
+        priced, _ = game._lattice_cuts(model, sol.value, vvec, y, result.resolutions[-1])
+    free = np.flatnonzero(masses[-1] <= game.MU_MASS_TOL)
+    assert len(masses) == 1 and free.tolist() == [1, 2, 3]
+    assert sol.maximizer.entries[free].tobytes() == priced[free].tobytes()
+
+
+def test_num_constraints_count_v_rows_only_on_common_supports():
+    # a beta-row per kernel row, a V-row per row on I_i: at n = 3 the
+    # lattice has 9 + 9 + 1 rows on the union supports and 0 + 1 + 1 on I_i
+    # (I_a is empty); congen's master holds the 5 Dirac rows, 2 of them on I_i
+    assert solve_sequence(DIFFERING_SUPPORTS, 3, 3).final.num_constraints == 21
+    assert full_grid_solution(DIFFERING_SUPPORTS, 3).num_constraints == 21
+    assert solve_congen(DIFFERING_SUPPORTS).num_constraints == 7
+
+
+def test_two_state_chain_mass_free_row_at_rho_e_minus_2():
+    # the second state carries no long-run mass: the grid sweep to n = 8
+    # stops at n = 3 with the lattice row 3/8, and congen's Gibbs row is the
+    # analytic e^-1 up to the LP's potentials
+    model = two_state_model(math.exp(-2))
+    assert solve_sequence(model, 2, 8).final.maximizer.entries[1, 1] == 0.375
+    assert abs(solve_congen(model).maximizer.entries[1, 1] - math.exp(-1)) <= 1e-8
+
+
+def test_two_successor_values_are_fixed_by_the_maximizer():
+    # beta = q* beta, priced rows included, on the two-successor models of
+    # PRICING_MODELS whose game value is finite (5 of the 10)
+    checked = 0
+    for seed in range(10):
+        model = two_successor_model(seed, 4, 3)
+        if neg_inf_states(model).any():
+            continue
+        for sol in (solve_sequence(model).final, solve_congen(model)):
+            assert np.abs(sol.maximizer.entries @ sol.value - sol.value).max() <= 1e-12
+        checked += 1
+    assert checked == 5
 
 
 # prints the pivots of each LP solve of congen on random_model(3, 32, 3)
@@ -477,8 +538,9 @@ def test_dirac_lps_of_two_successor_models_solve():
                 with pytest.raises(LpError, match=NEG_INF_OUTCOME):
                     game._solve_pair(model, rows, owner, resolution=0)
             else:
-                game._extract(model, rows, owner,
-                              game._solve_pair(model, rows, owner, resolution=0))
+                rnd = game._solve_pair(model, rows, owner, resolution=0)
+                priced, _ = game._lattice_cuts(model, rnd.beta, rnd.vvec, rnd.y, 0)
+                game._extract(model, rows, owner, rnd, priced)
 
 
 @pytest.mark.parametrize("shape", TWO_SUCCESSOR_SHAPES, ids=lambda shape: "s%dm%d" % shape)

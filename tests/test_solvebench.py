@@ -24,9 +24,10 @@ tracer = Tracer()
 tracer.install(cli, game, lp, oracle, certify)
 code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
 spans = sorted({span[0] for span in tracer.spans})
+lp_solves = sum(span[0] == "lp.solve" for span in tracer.spans)
 tracer.spans.clear()
 verify_code = cli.main(["verify", "--model", sys.argv[2], "--solution", sys.argv[3]])
-print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts,
+print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts, "lp_solves": lp_solves,
                   "verify_code": verify_code,
                   "verify_spans": sorted({span[0] for span in tracer.spans})}))
 """
@@ -61,6 +62,7 @@ def _traced_solve(tmp_path, model, *solve_args) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     assert set(result["verify_spans"]) == VERIFY_SPANS
+    result["report"] = json.loads((tmp_path / "report.json").read_text())
     return result
 
 
@@ -71,16 +73,18 @@ def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
     assert result["counts"]["game.resolutions"] >= 2
 
 
-def test_tracer_sees_a_congen_solve_and_its_polish_solves(tmp_path):
-    # the sticky ring's worst case keeps the chain at its first state, so
-    # the other states carry no long-run mass; congen's returned solution
-    # has mass everywhere, the grid's at n = 4 does not, and only a returned
-    # solution is polished, with one more LP, which the tracer recognises by
-    # its 2s + s*m + 1 rows
+def test_tracer_sees_congen_and_grid_solves_without_polish_solves(tmp_path):
+    # the sticky ring's worst case keeps the chain at its first state, so in
+    # the grid's solve to n = 4 the other states carry no long-run mass, and
+    # their maximizer rows are read off the last pricing call: each solve
+    # makes one LP solve per restricted-master round and no polish solve
+    # (an LP the tracer recognises by its 2s + s*m + 1 rows)
     result = _traced_solve(tmp_path, sticky_ring(), "--method", "congen")
     assert set(result["spans"]) == SOLVE_SPANS
     assert result["counts"]["game.congen_rounds"] >= 2
+    assert result["lp_solves"] == result["report"]["rounds"]
     assert "lp.polish_solves" not in result["counts"]
     result = _traced_solve(tmp_path, sticky_ring(), "--method", "grid", "--n-max", "4")
     assert set(result["spans"]) == SOLVE_SPANS
-    assert result["counts"]["lp.polish_solves"] >= 1
+    assert result["lp_solves"] == sum(result["report"]["rounds"])
+    assert "lp.polish_solves" not in result["counts"]
