@@ -40,6 +40,7 @@ from .oracle import (
     brute_force_lambda_star,
     growth_rate,
     kl_divergence,
+    perron_policy,
     tilde_cost,
 )
 

@@ -28,6 +28,11 @@ its beta-row (nu column), its mu column is fixed at 0, and its entries in the
 one, finite, reward table are 0.  A state that cannot reach a cycle of the
 graph i -> j in I_i along union-support edges has game value -inf in this
 limit, and the dual comes back infeasible.
+
+Constraint generation starts from a crash basis: at a pure policy found by
+risk-sensitive policy iteration, the twisted kernel rows and the dual vertex
+complementary slackness gives there.  Where that policy is optimal for the
+game, the first LP needs no pivot and prices clean.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import GuardError
 from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
 from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
-from .oracle import NEG_INF, tilde_cost
+from .oracle import NEG_INF, perron_policy, tilde_cost
 
 MU_MASS_TOL = 1e-10       # below this a state's maximizer row is its priced row
 SUPPORT_TOL = 1e-9        # purification's candidate actions: y entries above this
@@ -251,16 +256,19 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
     # maximizer rows from the occupation weights where a state carries mu
-    # mass; without it they are a degenerate face of the dual optimum, and the
-    # priced row stands in.  nu takes over only where that row is zero, as no
-    # row there has a V-constraint (x is clipped to its bounds, so nu >= 0,
-    # and the verified mass balance keeps mu mass + nu mass >= 1 -
-    # GAME_FEAS_TOL at every state)
+    # mass, dropping weights of at most MU_MASS_TOL of it (rounding noise
+    # on rows that are not tight); without it they are a degenerate face of
+    # the dual optimum, and the priced row stands in.  nu takes over only
+    # where that row is zero, as no row there has a V-constraint (x is
+    # clipped to its bounds, so nu >= 0, and the verified mass balance keeps
+    # mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state)
     qstar = priced.copy()
     for i in range(s):
         mine = owner == i
-        if mu[mine].sum() > MU_MASS_TOL:
-            qstar[i] = mu[mine] / mu[mine].sum() @ rows[mine]
+        mass = mu[mine].sum()
+        if mass > MU_MASS_TOL:
+            weights = np.where(mu[mine] > MU_MASS_TOL * mass, mu[mine], 0.0)
+            qstar[i] = weights / weights.sum() @ rows[mine]
         elif not priced[i].any():
             qstar[i] = nu[mine] / nu[mine].sum() @ rows[mine]
     maximizer = KernelMatrix.for_model(model, qstar)
@@ -356,21 +364,21 @@ def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.nda
 
 
 def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
-                       resolution=None, max_solves=None):
+                       resolution=None, max_solves=None, basis=None):
     """Grow master = (rows, owner, round), the round None before the first
-    solve, until price(beta, V, y), one row and violation per state, adds no
-    row: one violated by more than tol and further than close (max-norm)
-    from its state's rows.  A new row goes after its state's old ones and
-    the round's basis follows (w, slacks and artificials shift by two per
-    row), so it starts the next solve, with the round's factor.  Only the
-    latest round is kept.  Returns the master, the rows pricing gave its
-    round, the solves made, and whether pricing (rather than max_solves)
-    ended them.
+    solve (which starts from basis, if given), until price(beta, V, y), one
+    row and violation per state, adds no row: one violated by more than tol
+    and further than close (max-norm) from its state's rows.  A new row goes
+    after its state's old ones and the round's basis follows (w, slacks and
+    artificials shift by two per row), so it starts the next solve, with the
+    round's factor.  Only the latest round is kept.  Returns the master, the
+    rows pricing gave its round, the solves made, and whether pricing
+    (rather than max_solves) ended them.
     """
     rows, owner, rnd = master
     solves = int(rnd is None)
     if rnd is None:
-        rnd = _solve_pair(model, rows, owner, resolution=resolution)
+        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis)
     while True:
         cut_rows, viol = price(rnd.beta, rnd.vvec, rnd.y)
         near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
@@ -455,16 +463,72 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     )
 
 
+def _crash_start(model: MdpModel):
+    """Constraint generation's first working set and the basis its first LP
+    starts from: (rows, owner, basis).
+
+    At perron_policy's pure policy v and log Perron vector h, state i's
+    twisted row q(j) proportional to p(j|i,v_i) h_j goes after its Dirac rows
+    (a one-successor one is among them).  The basis is the dual vertex that
+    complementary slackness gives there, in lp.solve's column layout:
+
+    - every w;
+    - mu on each twisted row (its value s pi, with pi the invariant law of
+      the twisted chain Q);
+    - nu on the twisted row of every state but r (its value nu - t pi, with
+      (I - Q^T) nu = 1 - s pi, and r and t the argmin and min of nu / pi);
+    - the slack of each reward row (i, u) but the smallest at i's twisted row;
+    - the artificial of r's kernel-balance row, which is redundant.
+
+    Where perron_policy gives no h (it met a reducible chain or an inexact
+    h), a twisted row leaves I_i (or I_i is empty) so that it binds no
+    V-constraint, or pi is not positive, the Dirac rows come alone and basis
+    is None.
+    """
+    rows, owner = build_grid(model).stacked()
+    s, m = model.num_states, model.num_actions
+    states = np.arange(s)
+    choice, log_h = perron_policy(model)
+    if log_h is None or not np.array_equal(model.kernel[choice, states] > 0.0,
+                                           (model.kernel > 0.0).all(axis=0)):
+        return rows, owner, None
+    twisted = gibbs_rows(model, np.eye(m)[choice], log_h)
+    # the balance equations (I - Q^T) x = b, the first replaced by sum(x) = b_0
+    balance = np.eye(s) - twisted.T
+    balance[0] = 1.0
+    try:
+        pi = np.linalg.solve(balance, np.eye(s)[0])
+        nu = np.linalg.solve(balance, np.concatenate([[0.0], 1.0 - s * pi[1:]]))
+    except np.linalg.LinAlgError:
+        return rows, owner, None
+    if not (pi > 0.0).all():
+        return rows, owner, None
+    r = int(np.argmin(nu / pi))
+    new = (twisted > 0.0).sum(axis=1) > 1
+    owner = np.concatenate([owner, states[new]])
+    order = np.argsort(owner, kind="stable")
+    rows, owner = np.vstack([rows, twisted[new]])[order], owner[order]
+    at = np.flatnonzero((rows == twisted[owner]).all(axis=1))
+    n_mu = len(owner)
+    n = 2 * n_mu + s                              # structural columns, then slacks
+    slack = np.ones((s, m), dtype=bool)
+    slack[states, tilde_cost_table(model, states, twisted).argmin(axis=1)] = False
+    basis = np.concatenate([at, n_mu + np.delete(at, r), 2 * n_mu + states,
+                            n + np.flatnonzero(slack), [n + s * m + r]])
+    return rows, owner, np.sort(basis)
+
+
 def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                  max_rounds: int = 50) -> GameSolution:
     """Constraint-generation solve of the semi-infinite game programs: the
     restricted master priced by exact separation (gibbs_rows, via _separate; a
-    cut within 1e-12 of a row its state holds is not new).  Terminates when
-    no constraint is violated by more than inner_tol; hitting max_rounds
-    returns the last iterate marked uncertified.
+    cut within 1e-12 of a row its state holds is not new), started from
+    _crash_start's rows and basis.  Terminates when no constraint is violated
+    by more than inner_tol; hitting max_rounds returns the last iterate
+    marked uncertified.
     """
+    rows, owner, basis = _crash_start(model)
     master, priced, solves, done = _restricted_master(
-        model, (*build_grid(model).stacked(), None),
-        lambda *triple: _separate(model, *triple)[2:],
-        inner_tol, 1e-12, max_solves=max_rounds)
+        model, (rows, owner, None), lambda *triple: _separate(model, *triple)[2:],
+        inner_tol, 1e-12, max_solves=max_rounds, basis=basis)
     return replace(_extract(model, *master, priced), certified=done, rounds=solves)

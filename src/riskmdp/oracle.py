@@ -19,7 +19,9 @@ entries between communicating classes are dropped and each class keeps its
 own bracket.  A chain stops once its brackets are RATE_TOL wide, and the
 brute force drops a policy as soon as its lower bound passes the best upper
 bound seen.  Growth rates of a single policy and the brute-force scan share
-that one code path.
+that one code path.  perron_policy, risk-sensitive policy iteration on the
+same Perron estimate, gives the pure policy constraint generation starts
+from.
 """
 
 from __future__ import annotations
@@ -363,6 +365,56 @@ def growth_rate(model: MdpModel, policy: StationaryPolicy) -> GrowthRates:
         logc, cols, _support_graph(model, logc, cols), RATE_TOL, MAX_POWER_ITERS)
     return GrowthRates(lam=lam[:, 0], lambda_max=float(lam.max()),
                        iterations=int(steps[0]), converged=bool(closed[0]))
+
+
+def _pure_perron(model: MdpModel, choice: np.ndarray, cols: np.ndarray, pad: np.ndarray):
+    """Log Perron vector of one pure policy's matrix B, taken as one class,
+    and whether its Collatz-Wielandt bracket closed to RATE_TOL: from h = 1,
+    each of up to RELATIVE_PASSES passes moves h by the _perron_start
+    estimate on D^-1 B D with D = diag(h), an entry lost to underflow by the
+    most it holds (as _brackets restarts a lost chain)."""
+    logc = _pure_log_entries(model, choice[None], cols, pad)
+    ln = np.zeros((model.num_states, 1))
+    for _ in range(RELATIVE_PASSES):
+        move, _ = _perron_start(logc + ln[cols.T] - ln[None], cols, None)
+        ln += np.maximum(move, LOG_TINY)
+        r = _support_matvec(logc, cols, ln) - ln
+        if float(r.max() - r.min()) <= RATE_TOL:
+            return ln[:, 0], True
+    return ln[:, 0], False
+
+
+def perron_policy(model: MdpModel) -> tuple[np.ndarray, np.ndarray | None]:
+    """A pure policy by risk-sensitive policy iteration (Howard and Matheson,
+    Management Science 1972), in log space, and its log Perron vector.
+
+    From each state's cheapest action, every step takes the policy's log
+    Perron vector h and switches each state whose action is beaten by more
+    than RATE_TOL to the u minimizing c(i,u) + log sum_j p(j|i,u) h_j (ties
+    to the lowest index).  Returns (choice, log_h) once no state improves.
+    It gives up, with log_h None, at a policy whose chain is reducible or
+    whose h is not exact (_pure_perron), and after s * |U| steps.
+    """
+    s = model.num_states
+    states = np.arange(s)
+    cols, pad = _support_columns(model.support)
+    with np.errstate(divide="ignore"):
+        logk = np.log(model.kernel)
+    choice = model.cost.argmin(axis=1)
+    for _ in range(s * model.num_actions):
+        if _communicating_classes((model.kernel[choice, states] > 0.0)[:, :, None])[0].any():
+            break
+        log_h, exact = _pure_perron(model, choice, cols, pad)
+        if not exact:
+            break
+        z = logk + log_h
+        top = z.max(axis=2)
+        score = model.cost.T + top + np.log(np.exp(z - top[:, :, None]).sum(axis=2))
+        better = score.min(axis=0) < score[choice, states] - RATE_TOL
+        if not better.any():
+            return choice, log_h
+        choice = np.where(better, score.argmin(axis=0), choice)
+    return choice, None
 
 
 def brute_force_lambda_star(model: MdpModel) -> BruteForceResult:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import corpus  # noqa: E402
+from helpers import corpus, dirac_start  # noqa: E402
 
 ACCEPTANCE_LINES = []
 
@@ -26,3 +26,11 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def model_corpus():
     return corpus()
+
+
+@pytest.fixture
+def dirac_seed(monkeypatch):
+    """Constraint generation from the Dirac seed, its first LP cold, as where
+    the crash start cannot apply."""
+    from riskmdp import game
+    monkeypatch.setattr(game, "_crash_start", dirac_start)

@@ -511,6 +511,13 @@ def solve_extracting_every_round(solve, model: MdpModel, *args):
         game._solve_pair, game._restricted_master = solve_pair, restricted_master
 
 
+def dirac_start(model: MdpModel):
+    """game._crash_start's fallback: the Dirac rows alone and no basis, so
+    constraint generation's first LP starts cold.  Tests that pin that cold
+    first round patch it in for the crash."""
+    return (*game.build_grid(model).stacked(), None)
+
+
 def assert_same_solution(got, want) -> None:
     """Field for field, bit for bit equality of two (nested) dataclasses."""
     assert type(got) is type(want)

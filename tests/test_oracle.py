@@ -21,6 +21,7 @@ from riskmdp.oracle import (
     brute_force_lambda_star,
     growth_rate,
     kl_divergence,
+    perron_policy,
     tilde_cost,
 )
 
@@ -738,3 +739,36 @@ def test_variational_identity_random_uncontrolled():
         q = KernelMatrix.for_model(model, np.vstack([row, [1.0, 0.0]]))
         best = max(best, game_payoff(model, q, ONLY).phi_max)
     assert abs(rates.lambda_max - best) <= 2e-2
+
+
+PERRON_POLICY_CASES = corpus() + [
+    ("ring-32", random_model(3, 32, 3)),
+    ("costly", uncontrolled([[0.6, 0.4], [0.3, 0.7]], [990.0, 1000.0])),
+]
+
+
+@pytest.mark.parametrize("model", [model for _, model in PERRON_POLICY_CASES],
+                         ids=[name for name, _ in PERRON_POLICY_CASES])
+def test_perron_policy_is_pure_optimal_with_its_perron_vector(model):
+    # policy iteration ends at the best pure policy's rate (brute force where
+    # it runs), and log h is that policy's Perron vector: c(i) + log sum_j
+    # p(j|i) h_j = rate + log h_i at every state
+    choice, log_h = perron_policy(model)
+    assert log_h is not None
+    rate = growth_rate(model, pure_policy(choice, model.num_actions)).lambda_max
+    if model.num_actions ** model.num_states <= oracle.ENUMERATION_GUARD:
+        assert abs(rate - brute_force_lambda_star(model).value) <= 1e-9
+    states = np.arange(model.num_states)
+    p = model.kernel[choice, states]
+    lhs = model.cost[states, choice] + np.log(p @ np.exp(log_h - log_h.max())) + log_h.max()
+    np.testing.assert_allclose(lhs - log_h, rate, rtol=0.0, atol=1e-9)
+
+
+def test_perron_policy_gives_no_vector_on_a_reducible_chain():
+    # state 0 absorbs under every action: no pure policy's chain is
+    # irreducible, and the policy still comes back
+    model = MdpModel(states=("a", "b"), actions=("x", "y"),
+                     kernel=np.array([[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.2, 0.8]]]),
+                     cost=np.array([[0.1, 0.3], [0.9, 0.2]]))
+    choice, log_h = perron_policy(model)
+    assert log_h is None and choice.shape == (2,)

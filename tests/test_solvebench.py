@@ -20,9 +20,13 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from tracing import Tracer
 from riskmdp import certify, cli, game, lp, oracle
+args = sys.argv[4:]
+if args[:1] == ["dirac-seed"]:   # constraint generation's first LP cold, from the Dirac rows
+    game._crash_start = lambda model: (*game.build_grid(model).stacked(), None)
+    args = args[1:]
 tracer = Tracer()
 tracer.install(cli, game, lp, oracle, certify)
-code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *sys.argv[4:]])
+code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *args])
 spans = sorted({span[0] for span in tracer.spans})
 lp_solves = sum(span[0] == "lp.solve" for span in tracer.spans)
 tracer.spans.clear()
@@ -78,8 +82,9 @@ def test_tracer_sees_congen_and_grid_solves_without_polish_solves(tmp_path):
     # the grid's solve to n = 4 the other states carry no long-run mass, and
     # their maximizer rows are read off the last pricing call: each solve
     # makes one LP solve per restricted-master round and no polish solve
-    # (an LP the tracer recognises by its 2s + s*m + 1 rows)
-    result = _traced_solve(tmp_path, sticky_ring(), "--method", "congen")
+    # (an LP the tracer recognises by its 2s + s*m + 1 rows); congen starts
+    # from the Dirac seed, as the crash start closes the ring in one round
+    result = _traced_solve(tmp_path, sticky_ring(), "dirac-seed", "--method", "congen")
     assert set(result["spans"]) == SOLVE_SPANS
     assert result["counts"]["game.congen_rounds"] >= 2
     assert result["lp_solves"] == result["report"]["rounds"]
