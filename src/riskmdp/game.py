@@ -213,11 +213,11 @@ class _Round:
 
 
 def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
-                resolution, basis=None, factor=None) -> _Round:
+                resolution, basis=None) -> _Round:
     """Solve the game LP pair over stacked kernel rows; owner, nondecreasing,
     is the state of each row, and every state owns at least one row.
 
-    basis and factor, if given, start the dual's solve (see lp.solve).  The
+    basis, if given, starts the dual's solve (see lp.solve).  The
     pair is verified at the dual's optimal vertex.  resolution, None under
     constraint generation, names the LP in errors.
     """
@@ -225,7 +225,7 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     ctab, binds = _rewards(model, rows, owner)
     where = "of constraint generation" if resolution is None else f"at resolution {resolution}"
     try:
-        sol = lp_solve(_dual(model, rows, owner, ctab, binds), basis=basis, factor=factor)
+        sol = lp_solve(_dual(model, rows, owner, ctab, binds), basis=basis)
     except LpError as exc:
         raise LpError(f"game LP solve {where} failed: {exc}") from exc
     if sol.status == "infeasible":
@@ -370,10 +370,10 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
     row and violation per state, adds no row: one violated by more than tol
     and further than close (max-norm) from its state's rows.  A new row goes
     after its state's old ones and the round's basis follows (w, slacks and
-    artificials shift by two per row), so it starts the next solve, with the
-    round's factor.  Only the latest round is kept.  Returns the master, the
-    rows pricing gave its round, the solves made, and whether pricing
-    (rather than max_solves) ended them.
+    artificials shift by two per row), so it starts the next solve.  Only
+    the latest round is kept.  Returns the master, the rows pricing gave its
+    round, the solves made, and whether pricing (rather than max_solves)
+    ended them.
     """
     rows, owner, rnd = master
     solves = int(rnd is None)
@@ -385,8 +385,8 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
             return (rows, owner, rnd), cut_rows, solves, not fresh.size
-        n_mu, added, basis, factor = owner.shape[0], fresh.size, rnd.sol.basis, rnd.sol.factor
-        rnd = None  # released before the next solve, which needs only its basis and factor
+        n_mu, added, basis = owner.shape[0], fresh.size, rnd.sol.basis
+        rnd = None  # released before the next solve, which needs only its basis
         owner = np.concatenate([owner, fresh])
         order = np.argsort(owner, kind="stable")
         rows, owner = np.vstack([rows, cut_rows[fresh]])[order], owner[order]
@@ -394,8 +394,7 @@ def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
         basis = np.select([basis < n_mu, basis < 2 * n_mu],
                           [place[basis % n_mu], n_mu + added + place[basis % n_mu]],
                           basis + 2 * added)
-        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis,
-                          factor=factor)
+        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis)
         solves += 1
 
 

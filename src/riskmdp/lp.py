@@ -8,16 +8,18 @@ of degenerate pivots (anti-cycling).  The basis matrix is kept as state: a
 pivot replaces one of its columns, and only a refactorization gathers it
 anew.  The explicit inverse is updated in place by one rank-one step per
 pivot.  A refactorization with no pivot or bound flip since the last one
-is skipped, and a warm start whose basis matrix is bit for bit the final
-one of an earlier solve takes that solve's inverse (its `factor`) instead
-of inverting again.  Free variables are handled natively through their
+is skipped; a warm start carries only the basis, and inverts it like any
+other refactorization.  Free variables are handled natively through their
 bounds, not by splitting, so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
 artificial columns side by side), and every product with the constraint
-matrix reads that matrix or the input one.  FEAS_TOL and GAP_TOL are
-absolute on the scaled problem and the scaling is undone on output.
+matrix reads that matrix or the input one.  FEAS_TOL, OPT_TOL and GAP_TOL
+are absolute on the scaled problem and the scaling is undone on output.  An
+optimal solution certifies itself: its primal residual, dual residual and
+duality gap must each lie within 1e3 times its tolerance, or the solve
+raises LpError.
 
 Dual sign convention (so that b.y equals the primal objective at optimum):
 
@@ -130,9 +132,6 @@ class LpSolution:
     iterations: int = 0
     basis: np.ndarray | None = None  # final basis, at "optimal" status
     warm_started: bool = False  # phase 2 ran from the given basis
-    # (basis matrix, its inverse) at the final basis, on the scaled working
-    # matrix, when no pivot followed the last refactorization
-    factor: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _Simplex:
@@ -162,21 +161,17 @@ class _Simplex:
 
     # -- basis linear algebra -------------------------------------------------
 
-    def _refactor(self, factor=None):
+    def _refactor(self):
         """Gather the basis matrix, invert it and recompute the basic values;
         a no-op right after another refactorization, which would give the
-        same bits.  factor, an earlier solve's (basis matrix, inverse), is
-        taken instead of inverting when its matrix is bit for bit this one."""
+        same bits."""
         if self.refactored:
             return
         self.bmat = self.a[:, self.basis]
-        if factor is not None and _same_bits(factor[0], self.bmat):
-            self.binv = factor[1].copy()  # pivots update it in place
-        else:
-            try:
-                self.binv = np.linalg.inv(self.bmat)
-            except np.linalg.LinAlgError as exc:
-                raise LpError(f"singular basis during refactorization: {exc}") from exc
+        try:
+            self.binv = np.linalg.inv(self.bmat)
+        except np.linalg.LinAlgError as exc:
+            raise LpError(f"singular basis during refactorization: {exc}") from exc
         self.pivots_since_refactor = 0
         self._recompute_basics()
         self.refactored = True
@@ -306,7 +301,7 @@ class _Simplex:
             self.iterations += 1
 
 
-def solve(lp: LinearProgram, *, basis=None, factor=None) -> LpSolution:
+def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     """Solve an LP; returns primal and dual solutions with an optimality check.
 
     basis, if given, holds m column indices into the working matrix
@@ -314,16 +309,13 @@ def solve(lp: LinearProgram, *, basis=None, factor=None) -> LpSolution:
     (one per row)], such as the `basis` of an earlier solution.  Nonbasic
     columns start at their usual bound; when the basis is nonsingular and
     its point lies within bounds, phase 1 is skipped.  Otherwise, or on a
-    numerical breakdown from that start, the LP is solved cold.  factor, such
-    as the `factor` of the solution that basis came from, spares the warm
-    start its inversion when the basis matrix is unchanged; it is ignored
-    otherwise.
+    numerical breakdown from that start, the LP is solved cold.
 
     Raises LpError on numerical breakdown; infeasible/unbounded are statuses.
     """
     if basis is not None:
         try:
-            sol = _solve(lp, np.asarray(basis, dtype=np.intp), factor)
+            sol = _solve(lp, np.asarray(basis, dtype=np.intp))
             if sol is not None:
                 return sol
         except LpError:
@@ -331,14 +323,10 @@ def solve(lp: LinearProgram, *, basis=None, factor=None) -> LpSolution:
     return _solve(lp, None)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _warm_start(sim: _Simplex, basis: np.ndarray, factor) -> bool:
-    """Install basis over the nonbasic start point (factor as in solve); False
-    when it is singular or its basic point leaves the bounds or the rows by
-    more than FEAS_TOL."""
+def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
+    """Install basis over the nonbasic start point; False when it is
+    singular or its basic point leaves the bounds or the rows by more than
+    FEAS_TOL."""
     # (np.unique would import numpy.ma, 1.5 MB of resident memory)
     in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
     if in_range:
@@ -348,7 +336,7 @@ def _warm_start(sim: _Simplex, basis: np.ndarray, factor) -> bool:
     sim.basis = basis.copy()
     sim.at_upper[basis] = False
     try:
-        sim._refactor(factor)
+        sim._refactor()
     except LpError:
         return False
     x = sim.x
@@ -357,7 +345,7 @@ def _warm_start(sim: _Simplex, basis: np.ndarray, factor) -> bool:
                 and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= FEAS_TOL)
 
 
-def _solve(lp: LinearProgram, basis, factor=None) -> LpSolution | None:
+def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     """One solve, from the given basis or (basis None) cold; None when the
     given basis cannot start phase 2."""
     m, n = lp.num_constraints, lp.num_vars
@@ -402,7 +390,7 @@ def _solve(lp: LinearProgram, basis, factor=None) -> LpSolution | None:
         # artificials are zero-fixed from the start: a basic one may only
         # sit on a redundant row
         sim.upper[art] = 0.0
-        if not _warm_start(sim, basis, factor):
+        if not _warm_start(sim, basis):
             return None
     else:
         sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
@@ -479,14 +467,14 @@ def _solve(lp: LinearProgram, basis, factor=None) -> LpSolution | None:
 
     # optimal reduced-cost signs over structural and slack columns (the slack
     # ones encode the dual sign conditions on inequality rows): d == 0 on
-    # basic and free columns, d <= 0 at an upper bound, d >= 0 at a lower one
+    # basic and free columns, d <= 0 at an upper bound, d >= 0 at a lower
+    # one, and any sign on a nonbasic fixed column, which sits at both
     ncols = n + n_slack
     d_int = sim.c[:ncols] - a_full[:, :ncols].T @ y_int
-    pinned = sim.in_basis[:ncols] | (np.isneginf(sim.lower[:ncols])
-                                     & np.isposinf(sim.upper[:ncols]))
-    dual_residual = float(np.where(pinned, np.abs(d_int),
-                                   np.where(sim.at_upper[:ncols], d_int, -d_int))
-                          .max(initial=0.0))
+    signed = np.where(sim.at_upper[:ncols], d_int, -d_int)
+    signed[sim.fixed[:ncols]] = 0.0
+    pinned = sim.in_basis[:ncols] | sim.free[:ncols]
+    dual_residual = float(np.where(pinned, np.abs(d_int), signed).max(initial=0.0))
 
     sol = LpSolution(
         status="optimal", x=x, duals=duals, reduced_costs=reduced,
@@ -494,11 +482,11 @@ def _solve(lp: LinearProgram, basis, factor=None) -> LpSolution | None:
         primal_residual=primal_residual,
         dual_residual=dual_residual, iterations=sim.iterations,
         basis=sim.basis.copy(), warm_started=basis is not None,
-        factor=(sim.bmat, sim.binv) if sim.pivots_since_refactor == 0 else None,
     )
-    if primal_residual > 1e3 * FEAS_TOL or gap > 1e3 * GAP_TOL:
+    if (primal_residual > 1e3 * FEAS_TOL or dual_residual > 1e3 * OPT_TOL
+            or gap > 1e3 * GAP_TOL):
         raise LpError(
             f"optimality certificate failed: primal residual {primal_residual:.3e}, "
-            f"duality gap {gap:.3e}"
+            f"dual residual {dual_residual:.3e}, duality gap {gap:.3e}"
         )
     return sol

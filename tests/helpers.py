@@ -518,6 +518,20 @@ def dirac_start(model: MdpModel):
     return (*game.build_grid(model).stacked(), None)
 
 
+def counted_inverses(monkeypatch) -> list:
+    """Route np.linalg.inv through a recorder; returns the list of the
+    shapes it inverts, in call order."""
+    inverses = []
+    inv = np.linalg.inv
+
+    def count(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", count)
+    return inverses
+
+
 def assert_same_solution(got, want) -> None:
     """Field for field, bit for bit equality of two (nested) dataclasses."""
     assert type(got) is type(want)

@@ -35,6 +35,7 @@ from helpers import (
     common_support,
     common_support_model,
     corpus,
+    counted_inverses,
     dirac_start,
     full_grid_solution,
     game_payoff,
@@ -383,22 +384,33 @@ def test_congen_warm_starts_keep_pivots_low(monkeypatch, dirac_seed):
     assert sum(got.iterations for _, _, got in calls) < 700
 
 
-def test_congen_rounds_carry_the_basis_inverse(monkeypatch, dirac_seed):
-    # from the Dirac seed, over its five rounds: a warm start whose basis
-    # matrix is the previous solve's final one takes that solve's inverse,
-    # and a clean-up after no pivot inverts nothing: 9 inversions, where
-    # inverting at every warm start and every clean-up took 15
-    inverses = []
-    inv = np.linalg.inv
+def test_congen_re_solves_cold_a_warm_vertex_whose_duals_miss_its_basis():
+    # the 14th LP of this solve, warm after 17 pivots, ends at a basis whose
+    # multipliers leave basic reduced costs of up to 2.4e-6; the dual
+    # residual check sends it to a cold re-solve, and congen certifies the
+    # value (the grid sweep gives 3.1302119)
+    sol = solve_congen(two_successor_model(250, 5, 2))
+    assert sol.certified and sol.rounds == 15
+    assert abs(sol.lambda_bar - 3.1302274) <= 1e-7
 
-    def count(a):
-        inverses.append(a.shape)
-        return inv(a)
 
-    monkeypatch.setattr(np.linalg, "inv", count)
+def test_congen_rounds_invert_each_warm_start_basis(monkeypatch, dirac_seed):
+    # from the Dirac seed, over its five rounds: every warm start inverts its
+    # basis, and every round pivots, so each clean-up inverts too: 13
+    # inversions
+    inverses = counted_inverses(monkeypatch)
     sol = solve_congen(random_model(3, 32, 3))
-    assert sol.certified
-    assert len(inverses) <= 9
+    assert sol.certified and sol.rounds == 5
+    assert len(inverses) <= 13
+
+
+def test_congen_crash_solve_skips_the_idle_clean_up(monkeypatch):
+    # the crash basis is optimal: phase 2 makes no pivot, and the clean-up
+    # after it inverts nothing, so the solve inverts one 160 x 160 basis
+    inverses = counted_inverses(monkeypatch)
+    sol = solve_congen(random_model(3, 32, 3))
+    assert sol.certified and sol.rounds == 1
+    assert inverses == [(160, 160)]
 
 
 EXTRACT_CASES = [(name, model, method)
