@@ -29,10 +29,11 @@ one, finite, reward table are 0.  A state that cannot reach a cycle of the
 graph i -> j in I_i along union-support edges has game value -inf in this
 limit, and the dual comes back infeasible.
 
-Constraint generation starts from a crash basis: at a pure policy found by
-risk-sensitive policy iteration, the twisted kernel rows and the dual vertex
-complementary slackness gives there.  Where that policy is optimal for the
-game, the first LP needs no pivot and prices clean.
+Constraint generation starts from a crash point: at a pure policy found by
+risk-sensitive policy iteration, the twisted kernel rows, the dual vertex
+complementary slackness gives there and its basis, and the primal point the
+Perron pair gives.  Where that point verifies, it is the first round and no
+LP runs; otherwise the first LP starts from its basis.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import GuardError
 from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
-from .lp import OPT_TOL, LinearProgram, LpError, LpSolution, solve as lp_solve
+from .lp import OPT_TOL, LinearProgram, LpError, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
 from .oracle import NEG_INF, perron_policy, tilde_cost
 
@@ -177,8 +178,9 @@ def _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, x) -> float:
     primal_viol = max(float(beta_resid.max()),
                       float((v_resid / v_scale)[binds].max(initial=-np.inf)))
     # dual: kernel and mass balance per state, then one reward row per
-    # (state, action), scaled by the largest coefficient on it; mu, nu >= 0
-    # needs no check, since lp.solve clips x to its bounds
+    # (state, action), scaled by the largest coefficient on it; the bounds
+    # need no check: lp.solve clips x to them, and _crash_start's point
+    # holds them by construction (mu only on binding rows, mu and nu >= 0)
     mu_mass = np.bincount(owner, mu, minlength=s)
     nu_mass = np.bincount(owner, nu, minlength=s)
     reward = np.zeros((s, m))
@@ -201,28 +203,38 @@ def _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, x) -> float:
 
 @dataclass(frozen=True)
 class _Round:
-    """One restricted-master LP solve: the multipliers pricing reads, and
-    what extraction needs of its optimal vertex."""
+    """One restricted-master round: the multipliers pricing reads, and what
+    extraction and the next round's LP need of its optimum."""
 
     beta: np.ndarray
     vvec: np.ndarray
     y: np.ndarray                      # the minimizer, rows normalized
-    sol: LpSolution
+    x: np.ndarray                      # the dual point (mu, nu, w)
+    basis: np.ndarray                  # its basis, in lp.solve's column layout
     binds: np.ndarray                  # the rows with a V-constraint
-    gap: float                         # verified at the vertex
+    gap: float                         # verified at the point
 
 
 def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
-                resolution, basis=None) -> _Round:
+                resolution, basis=None, point=None) -> _Round:
     """Solve the game LP pair over stacked kernel rows; owner, nondecreasing,
     is the state of each row, and every state owns at least one row.
 
-    basis, if given, starts the dual's solve (see lp.solve).  The
-    pair is verified at the dual's optimal vertex.  resolution, None under
-    constraint generation, names the LP in errors.
+    point, if given, is a candidate optimum (beta, V, y, x) whose dual
+    vertex has the basis basis; where the pair verifies at it, it is the
+    round and no LP runs.  Otherwise basis, if given, starts the dual's
+    solve (see lp.solve), and the pair is verified at the dual's optimal
+    vertex.  resolution, None under constraint generation, names the LP in
+    errors.
     """
     s, m = model.num_states, model.num_actions
     ctab, binds = _rewards(model, rows, owner)
+    if point is not None:
+        try:
+            return _Round(*point, basis, binds,
+                          _verify_pair(model, rows, owner, ctab, binds, *point))
+        except LpError:
+            pass  # not an optimum of this LP: solve it from basis
     where = "of constraint generation" if resolution is None else f"at resolution {resolution}"
     try:
         sol = lp_solve(_dual(model, rows, owner, ctab, binds), basis=basis)
@@ -241,7 +253,7 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
     gap = _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, sol.x)
-    return _Round(beta, vvec, y, sol, binds, gap)
+    return _Round(beta, vvec, y, sol.x, sol.basis, binds, gap)
 
 
 def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
@@ -251,8 +263,7 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     round's (beta, V, y), a zero row at an empty I_i."""
     s, m = model.num_states, model.num_actions
     n_mu = rows.shape[0]
-    beta, vvec, y = rnd.beta, rnd.vvec, rnd.y
-    x = rnd.sol.x
+    beta, vvec, y, x = rnd.beta, rnd.vvec, rnd.y, rnd.x
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
     # maximizer rows from the occupation weights where a state carries mu
@@ -364,28 +375,29 @@ def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.nda
 
 
 def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
-                       resolution=None, max_solves=None, basis=None):
+                       resolution=None, max_solves=None, basis=None, point=None):
     """Grow master = (rows, owner, round), the round None before the first
-    solve (which starts from basis, if given), until price(beta, V, y), one
+    solve (which takes point, if given and verified, or starts from basis,
+    if given; see _solve_pair), until price(beta, V, y), one
     row and violation per state, adds no row: one violated by more than tol
     and further than close (max-norm) from its state's rows.  A new row goes
     after its state's old ones and the round's basis follows (w, slacks and
     artificials shift by two per row), so it starts the next solve.  Only
     the latest round is kept.  Returns the master, the rows pricing gave its
-    round, the solves made, and whether pricing (rather than max_solves)
-    ended them.
+    round, the rounds made (a verified point counts as one), and whether
+    pricing (rather than max_solves) ended them.
     """
     rows, owner, rnd = master
     solves = int(rnd is None)
     if rnd is None:
-        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis)
+        rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis, point=point)
     while True:
         cut_rows, viol = price(rnd.beta, rnd.vvec, rnd.y)
         near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
             return (rows, owner, rnd), cut_rows, solves, not fresh.size
-        n_mu, added, basis = owner.shape[0], fresh.size, rnd.sol.basis
+        n_mu, added, basis = owner.shape[0], fresh.size, rnd.basis
         rnd = None  # released before the next solve, which needs only its basis
         owner = np.concatenate([owner, fresh])
         order = np.argsort(owner, kind="stable")
@@ -463,8 +475,8 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
 
 
 def _crash_start(model: MdpModel):
-    """Constraint generation's first working set and the basis its first LP
-    starts from: (rows, owner, basis).
+    """Constraint generation's first working set, and the point and basis
+    its first round starts from: (rows, owner, basis, point).
 
     At perron_policy's pure policy v and log Perron vector h, state i's
     twisted row q(j) proportional to p(j|i,v_i) h_j goes after its Dirac rows
@@ -479,10 +491,16 @@ def _crash_start(model: MdpModel):
     - the slack of each reward row (i, u) but the smallest at i's twisted row;
     - the artificial of r's kernel-balance row, which is redundant.
 
+    point = (beta, V, y, x) is that vertex, x = (mu, nu, w) with w_i = s pi_i
+    times the smallest reward at i's twisted row, and the primal point the
+    Perron pair gives: V = log h, y = e_v, and beta = lambda everywhere,
+    lambda the largest twisted row's V-row value (each is v's Perron ratio
+    at its state), which keeps every V-row of any kernel row feasible.
+
     Where perron_policy gives no h (it met a reducible chain or an inexact
     h), a twisted row leaves I_i (or I_i is empty) so that it binds no
     V-constraint, or pi is not positive, the Dirac rows come alone and basis
-    is None.
+    and point are None.
     """
     rows, owner = build_grid(model).stacked()
     s, m = model.num_states, model.num_actions
@@ -490,8 +508,9 @@ def _crash_start(model: MdpModel):
     choice, log_h = perron_policy(model)
     if log_h is None or not np.array_equal(model.kernel[choice, states] > 0.0,
                                            (model.kernel > 0.0).all(axis=0)):
-        return rows, owner, None
-    twisted = gibbs_rows(model, np.eye(m)[choice], log_h)
+        return rows, owner, None, None
+    pure = np.eye(m)[choice]
+    twisted = gibbs_rows(model, pure, log_h)
     # the balance equations (I - Q^T) x = b, the first replaced by sum(x) = b_0
     balance = np.eye(s) - twisted.T
     balance[0] = 1.0
@@ -499,9 +518,9 @@ def _crash_start(model: MdpModel):
         pi = np.linalg.solve(balance, np.eye(s)[0])
         nu = np.linalg.solve(balance, np.concatenate([[0.0], 1.0 - s * pi[1:]]))
     except np.linalg.LinAlgError:
-        return rows, owner, None
+        return rows, owner, None, None
     if not (pi > 0.0).all():
-        return rows, owner, None
+        return rows, owner, None, None
     r = int(np.argmin(nu / pi))
     new = (twisted > 0.0).sum(axis=1) > 1
     owner = np.concatenate([owner, states[new]])
@@ -510,11 +529,18 @@ def _crash_start(model: MdpModel):
     at = np.flatnonzero((rows == twisted[owner]).all(axis=1))
     n_mu = len(owner)
     n = 2 * n_mu + s                              # structural columns, then slacks
+    table = tilde_cost_table(model, states, twisted)
+    low = table.argmin(axis=1)
     slack = np.ones((s, m), dtype=bool)
-    slack[states, tilde_cost_table(model, states, twisted).argmin(axis=1)] = False
+    slack[states, low] = False
     basis = np.concatenate([at, n_mu + np.delete(at, r), 2 * n_mu + states,
                             n + np.flatnonzero(slack), [n + s * m + r]])
-    return rows, owner, np.sort(basis)
+    x = np.zeros(n)
+    x[at] = s * pi
+    x[n_mu + at] = np.maximum(nu - nu[r] / pi[r] * pi, 0.0)
+    x[2 * n_mu:] = s * pi * table[states, low]
+    beta = np.full(s, float((table[states, choice] + twisted @ log_h - log_h).max()))
+    return rows, owner, np.sort(basis), (beta, log_h, pure, x)
 
 
 def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
@@ -522,12 +548,12 @@ def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
     """Constraint-generation solve of the semi-infinite game programs: the
     restricted master priced by exact separation (gibbs_rows, via _separate; a
     cut within 1e-12 of a row its state holds is not new), started from
-    _crash_start's rows and basis.  Terminates when no constraint is violated
-    by more than inner_tol; hitting max_rounds returns the last iterate
-    marked uncertified.
+    _crash_start's rows, point and basis.  Terminates when no constraint is
+    violated by more than inner_tol; hitting max_rounds (the first round
+    counts, LP or not) returns the last iterate marked uncertified.
     """
-    rows, owner, basis = _crash_start(model)
+    rows, owner, basis, point = _crash_start(model)
     master, priced, solves, done = _restricted_master(
         model, (rows, owner, None), lambda *triple: _separate(model, *triple)[2:],
-        inner_tol, 1e-12, max_solves=max_rounds, basis=basis)
+        inner_tol, 1e-12, max_solves=max_rounds, basis=basis, point=point)
     return replace(_extract(model, *master, priced), certified=done, rounds=solves)

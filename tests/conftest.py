@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import corpus, dirac_start  # noqa: E402
+from helpers import corpus, crash_lp_start, dirac_start  # noqa: E402
 
 ACCEPTANCE_LINES = []
 
@@ -34,3 +34,11 @@ def dirac_seed(monkeypatch):
     the crash start cannot apply."""
     from riskmdp import game
     monkeypatch.setattr(game, "_crash_start", dirac_start)
+
+
+@pytest.fixture
+def crash_lp(monkeypatch):
+    """Constraint generation with its first round always an LP from the
+    crash basis, as where the crash point does not verify."""
+    from riskmdp import game
+    monkeypatch.setattr(game, "_crash_start", crash_lp_start)

@@ -23,7 +23,7 @@ from riskmdp import game, oracle
 from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.grid import GridSpec, lattice_numerators
-from riskmdp.lp import LinearProgram
+from riskmdp.lp import LinearProgram, LpError
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
                            read_model_document, union_support)
 from riskmdp.oracle import NEG_INF, _communicating_classes, tilde_cost
@@ -512,10 +512,33 @@ def solve_extracting_every_round(solve, model: MdpModel, *args):
 
 
 def dirac_start(model: MdpModel):
-    """game._crash_start's fallback: the Dirac rows alone and no basis, so
-    constraint generation's first LP starts cold.  Tests that pin that cold
-    first round patch it in for the crash."""
-    return (*game.build_grid(model).stacked(), None)
+    """game._crash_start's fallback: the Dirac rows alone and no basis or
+    point, so constraint generation's first LP starts cold.  Tests that pin
+    that cold first round patch it in for the crash."""
+    return (*game.build_grid(model).stacked(), None, None)
+
+
+_CRASH_START = game._crash_start
+
+
+def crash_lp_start(model: MdpModel):
+    """game._crash_start without its closed-form point: the first round is
+    always an LP, started from the crash basis.  Tests that pin that LP
+    patch it in for the crash."""
+    return (*_CRASH_START(model)[:3], None)
+
+
+def closed_form_applies(model: MdpModel) -> bool:
+    """Whether constraint generation's first round is the crash point itself,
+    with no LP: the game pair verifies there over the crash rows."""
+    rows, owner, _, point = _CRASH_START(model)
+    if point is None:
+        return False
+    try:
+        game._verify_pair(model, rows, owner, *game._rewards(model, rows, owner), *point)
+    except LpError:
+        return False
+    return True
 
 
 def counted_inverses(monkeypatch) -> list:

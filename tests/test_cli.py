@@ -533,6 +533,31 @@ def test_congen_ring_seed_1602_model_6_solves_under_single_threaded_blas(tmp_pat
     assert json.loads((tmp_path / "report.json").read_text())["certified"]
 
 
+def test_congen_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the crash point closes this model: lambda, V and y come from the log
+    # Perron vector, and mu, nu and w from a 64 x 64 np.linalg.solve, which
+    # gives the same bits under one and two threads (at s = 128 it does not,
+    # and dual_w differs)
+    model = write_model(tmp_path, random_model(3, 64, 3))
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskmdp", "solve", "--model", str(model), "--out", str(out),
+             "--method", "congen"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = strip_timings(json.loads(out.read_text()))
+        report["command"][report["command"].index(str(out))] = "OUT"
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
+
+
 def test_module_entry_point(tmp_path):
     model = write_two_state(tmp_path)
     # the child imports the same package as this process, installed or not

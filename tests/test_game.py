@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import riskmdp
 from riskmdp import game
-from riskmdp.certify import two_state_model
+from riskmdp.certify import build_certificate, two_state_model
 from riskmdp.lp import OPT_TOL, LpError, solve as lp_solve
 from riskmdp.model import MdpModel
 from riskmdp.game import (
@@ -23,7 +23,7 @@ from riskmdp.game import (
     solve_sequence,
     tilde_cost_table,
 )
-from riskmdp.oracle import brute_force_lambda_star, growth_rate
+from riskmdp.oracle import brute_force_lambda_star, growth_rate, perron_policy
 
 from helpers import (
     as_stationary,
@@ -32,10 +32,12 @@ from helpers import (
     build_dual,
     build_grid,
     build_primal,
+    closed_form_applies,
     common_support,
     common_support_model,
     corpus,
     counted_inverses,
+    crash_lp_start,
     dirac_start,
     full_grid_solution,
     game_payoff,
@@ -54,6 +56,7 @@ from helpers import (
     trap_ring,
     two_successor_model,
     wide_model,
+    worst_residual,
 )
 
 # actions at a state reach different successors, so reward tables carry
@@ -404,9 +407,10 @@ def test_congen_rounds_invert_each_warm_start_basis(monkeypatch, dirac_seed):
     assert len(inverses) <= 13
 
 
-def test_congen_crash_solve_skips_the_idle_clean_up(monkeypatch):
-    # the crash basis is optimal: phase 2 makes no pivot, and the clean-up
-    # after it inverts nothing, so the solve inverts one 160 x 160 basis
+def test_congen_crash_solve_skips_the_idle_clean_up(monkeypatch, crash_lp):
+    # the crash LP, without the closed form: its basis is optimal, phase 2
+    # makes no pivot, and the clean-up after it inverts nothing, so the
+    # solve inverts one 160 x 160 basis
     inverses = counted_inverses(monkeypatch)
     sol = solve_congen(random_model(3, 32, 3))
     assert sol.certified and sol.rounds == 1
@@ -424,7 +428,8 @@ EXTRACT_CASES = [(name, model, method)
 def test_returned_solution_equals_the_last_rounds_extraction(monkeypatch, model, method):
     # extraction (maximizer rows, purification) runs once, on the returned
     # solution: it equals, bit for bit, what extracting every round gives
-    # for the last round, and a solve makes one LP solve per round
+    # for the last round, and a solve makes one LP solve per round but a
+    # congen first round that is the verified crash point
     solve = solve_sequence if method == "grid" else solve_congen
     result, extracted = solve_extracting_every_round(solve, model)
     got = result.final if method == "grid" else result
@@ -435,7 +440,7 @@ def test_returned_solution_equals_the_last_rounds_extraction(monkeypatch, model,
                                       certified=got.certified, rounds=got.rounds))
     calls = _recorded_lp_solves(monkeypatch)
     assert_same_solution(solve(model).final if method == "grid" else solve(model), got)
-    assert len(calls) == rounds
+    assert len(calls) == rounds - (method == "congen" and closed_form_applies(model))
 
 
 # the worst case keeps the chain at state 0, and states 1-3 carry no long-run
@@ -458,7 +463,7 @@ def test_states_without_long_run_mass_take_their_priced_rows(monkeypatch, dirac_
     masses, extract = [], game._extract
 
     def record(model, rows, owner, rnd, *args):
-        masses.append(np.bincount(owner, rnd.sol.x[:len(owner)], minlength=model.num_states))
+        masses.append(np.bincount(owner, rnd.x[:len(owner)], minlength=model.num_states))
         return extract(model, rows, owner, rnd, *args)
 
     monkeypatch.setattr(game, "_extract", record)
@@ -522,15 +527,14 @@ def test_two_successor_values_are_fixed_by_the_maximizer():
 
 
 # prints the pivots and warm starts of each LP solve of congen on
-# random_model(3, 32, 3), from the Dirac seed when asked
+# random_model(3, 32, 3), from the Dirac seed or the crash LP when asked
 PIVOT_PATH_CHILD = """
 import json
 import sys
 sys.path.insert(0, sys.argv[1])
-from helpers import dirac_start, random_model
+from helpers import crash_lp_start, dirac_start, random_model
 from riskmdp import game
-if sys.argv[2] == "dirac":
-    game._crash_start = dirac_start
+game._crash_start = {"dirac": dirac_start, "crash-lp": crash_lp_start}[sys.argv[2]]
 solve, pivots = game.lp_solve, []
 def record(program, **kwargs):
     sol = solve(program, **kwargs)
@@ -563,9 +567,9 @@ def test_congen_pivot_path_is_pinned():
 
 
 def test_congen_crash_pivot_path_is_pinned():
-    # the crash start is the optimal vertex of the first LP: one LP solve,
-    # warm, with no pivot
-    assert _congen_pivot_path("crash") == [[0, True]]
+    # without the closed form, the crash basis is the optimal vertex of the
+    # first LP: one LP solve, warm, with no pivot
+    assert _congen_pivot_path("crash-lp") == [[0, True]]
 
 
 TWO_SUCCESSOR_SHAPES = ((3, 2), (4, 3), (4, 2), (3, 3))
@@ -1006,19 +1010,32 @@ def test_wide_grid_master_stays_small(monkeypatch):
     assert len(sizes) == sum(rep.rounds) <= 11
 
 
+def _solve_from(model, start=None):
+    """solve_congen, its first round from start in place of _crash_start (if
+    given), and the number of LP solves it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        if start is not None:
+            patch.setattr(game, "_crash_start", start)
+        solve = game.lp_solve
+        patch.setattr(game, "lp_solve", lambda program, **kw: calls.append(1) or solve(program, **kw))
+        return solve_congen(model), len(calls)
+
+
 def _forced_cold(model):
     """solve_congen from the Dirac seed, its first LP cold."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(game, "_crash_start", dirac_start)
-        return solve_congen(model)
+    return _solve_from(model, dirac_start)[0]
 
 
-@pytest.mark.parametrize("s", [4, 8, 16, 32, 64, 128])
-def test_congen_crash_is_accepted_on_the_ring_ladder(monkeypatch, s):
-    # the Perron pure policy's vertex is optimal for the first LP and prices
-    # clean: one LP solve, warm and without a pivot, at the optimum a cold
-    # solve of that LP finds (compared up to s = 32, where a cold solve of
-    # it is quick)
+RING_LADDER = [4, 8, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("s", RING_LADDER)
+def test_congen_crash_is_accepted_on_the_ring_ladder(monkeypatch, crash_lp, s):
+    # the crash LP, without the closed form: the Perron pure policy's vertex
+    # is optimal for the first LP and prices clean: one LP solve, warm and
+    # without a pivot, at the optimum a cold solve of that LP finds
+    # (compared up to s = 32, where a cold solve of it is quick)
     calls = _recorded_lp_solves(monkeypatch)
     sol = solve_congen(random_model(3, s, 3))
     assert sol.certified and sol.rounds == len(calls) == 1
@@ -1026,6 +1043,24 @@ def test_congen_crash_is_accepted_on_the_ring_ladder(monkeypatch, s):
     assert basis is not None and got.warm_started and got.iterations == 0
     if s <= 32:
         assert abs(got.objective_value - lp_solve(prog).objective_value) <= 1e-9
+
+
+@pytest.mark.parametrize("s", RING_LADDER)
+def test_congen_crash_point_closes_the_ring_ladder_without_an_lp(monkeypatch, s):
+    # the crash point verifies and prices clean: one round, no LP solve and
+    # no basis inverse, at the value the crash LP's optimum sum(w) = s * lambda
+    # gives
+    model = random_model(3, s, 3)
+    calls = _recorded_lp_solves(monkeypatch)
+    inverses = counted_inverses(monkeypatch)
+    sol = solve_congen(model)
+    assert sol.certified and sol.rounds == 1
+    assert calls == [] and inverses == []
+    monkeypatch.undo()
+    calls = _recorded_lp_solves(monkeypatch)
+    monkeypatch.setattr(game, "_crash_start", crash_lp_start)
+    assert solve_congen(model).rounds == len(calls) == 1
+    assert abs(sol.lambda_bar - calls[0][2].objective_value / s) <= 1e-9
 
 
 PERIODIC_CYCLE = MdpModel(states=("x", "y"), actions=("a",),
@@ -1053,10 +1088,10 @@ def test_congen_crash_applies_or_falls_back_to_the_dirac_seed(case):
     # seed and the first LP starts cold; either way congen ends within
     # inner_tol of the forced-cold solve
     model, applies = CRASH_CASES[case]
-    rows, owner, basis = game._crash_start(model)
-    assert (basis is not None) == applies
+    rows, owner, basis, point = game._crash_start(model)
+    assert (basis is not None) == (point is not None) == applies
     if not applies:
-        seed_rows, seed_owner, _ = dirac_start(model)
+        seed_rows, seed_owner, _, _ = dirac_start(model)
         assert rows.tobytes() == seed_rows.tobytes() and owner.tobytes() == seed_owner.tobytes()
     got, cold = solve_congen(model), _forced_cold(model)
     assert got.certified and cold.certified
@@ -1069,7 +1104,7 @@ def test_congen_crash_falls_back_where_the_invariant_law_has_a_zero(monkeypatch)
     model = MdpModel(states=("a", "b"), actions=("x",), kernel=np.array([[[1.0, 0.0], [0.5, 0.5]]]),
                      cost=np.array([[0.1], [0.9]]))
     monkeypatch.setattr(game, "perron_policy", lambda model: (np.zeros(2, dtype=int), np.zeros(2)))
-    assert game._crash_start(model)[2] is None
+    assert game._crash_start(model)[2:] == (None, None)
 
 
 def test_congen_crash_falls_back_where_every_common_support_is_empty():
@@ -1078,7 +1113,7 @@ def test_congen_crash_falls_back_where_every_common_support_is_empty():
     model = MdpModel(states=("a", "b"), actions=("x", "y"),
                      kernel=np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]),
                      cost=np.array([[0.2, 0.9], [0.5, 0.1]]))
-    assert game._crash_start(model)[2] is None
+    assert game._crash_start(model)[2:] == (None, None)
     with pytest.raises(LpError, match=NEG_INF_OUTCOME):
         solve_congen(model)
 
@@ -1103,6 +1138,82 @@ def test_congen_crash_value_is_the_forced_cold_value(kind, seed, s, m):
             with pytest.raises(LpError, match=NEG_INF_OUTCOME):
                 solve()
         return
-    got, cold = solve_congen(model), _forced_cold(model)
+    (got, lp_solves), cold = _solve_from(model), _forced_cold(model)
     assert got.certified and cold.certified
     assert abs(got.lambda_bar - cold.lambda_bar) <= 1e-6
+    assert lp_solves in (got.rounds, got.rounds - 1)
+    if lp_solves < got.rounds:
+        # the first round was the crash point: it is the crash LP's value,
+        # and its (beta, V) passes verify's default tolerance
+        assert closed_form_applies(model)
+        assert abs(got.lambda_bar - _solve_from(model, crash_lp_start)[0].lambda_bar) <= 1e-6
+        assert worst_residual(build_certificate(model, got.value, got.potentials)) <= 1e-3
+
+
+def _scaled_pi(model, k):
+    """_crash_start with entry k of the twisted chain's invariant law pi
+    scaled by 1.01 (the first np.linalg.solve it makes gives pi)."""
+    solve, calls = np.linalg.solve, []
+
+    def mutated(a, b):
+        out = solve(a, b)
+        if not calls:
+            out[k] *= 1.01
+        calls.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", mutated)
+        return CRASH_START(model)
+
+
+def _switched_v(model, k):
+    """_crash_start at perron_policy's pure policy with state k's action
+    switched, and its log Perron vector kept."""
+    choice, log_h = perron_policy(model)
+    choice = choice.copy()
+    choice[k] = (choice[k] + 1) % model.num_actions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "perron_policy", lambda model: (choice, log_h))
+        return CRASH_START(model)
+
+
+def _shifted_log_h(model, k):
+    """_crash_start with perron_policy's log Perron vector shifted by 0.1 at
+    state k."""
+    choice, log_h = perron_policy(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "perron_policy",
+                      lambda model: (choice, log_h + 0.1 * (np.arange(len(log_h)) == k)))
+        return CRASH_START(model)
+
+
+CRASH_START = game._crash_start
+MUTATIONS = {"pi-scaled": _scaled_pi, "v-switched": _switched_v,
+             "log-h-shifted": _shifted_log_h}
+
+
+@pytest.mark.parametrize("s", [8, 32])
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_congen_never_returns_a_mutated_crash_point(monkeypatch, mutation, s):
+    # the unmutated crash point closes these rings with no LP; a mutated one
+    # fails _verify_pair or prices dirty, so congen solves an LP and ends at
+    # the crash LP's value, and no round is the mutated point
+    model = random_model(3, s, 3)
+    assert closed_form_applies(model)
+    start = MUTATIONS[mutation](model, 1)
+    point = start[3]
+    assert point is not None
+    monkeypatch.setattr(game, "_crash_start", lambda model: start)
+    rounds, solve_pair = [], game._solve_pair
+
+    def record(*args, **kwargs):
+        rounds.append(solve_pair(*args, **kwargs))
+        return rounds[-1]
+
+    monkeypatch.setattr(game, "_solve_pair", record)
+    got, lp_solves = _solve_from(model)
+    want, _ = _solve_from(model, crash_lp_start)
+    assert got.certified and lp_solves >= 1
+    assert abs(got.lambda_bar - want.lambda_bar) <= 1e-6
+    assert all(rnd.x is not point[3] for rnd in rounds)
