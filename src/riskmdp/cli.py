@@ -27,7 +27,7 @@ import numpy as np
 from . import certify, game, oracle
 from .errors import GuardError, ModelError
 from .lp import LpError
-from .model import MdpModel, StationaryPolicy, parse_model, read_model_document
+from .model import MdpModel, StationaryPolicy, parse_model, read_json
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -57,10 +57,7 @@ def _header(argv, raw: dict) -> dict:
 def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
     """Read a policy file: {"policy": {state: action}} for pure policies or
     {"policy": {state: {action: weight}}} for randomized ones."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelError(f"cannot read policy file {path}: {exc}") from exc
+    raw = read_json(path, "policy file")
     table = raw.get("policy") if isinstance(raw, dict) else None
     if not isinstance(table, dict):
         raise ModelError("policy file must contain a 'policy' object")
@@ -78,7 +75,10 @@ def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
             for a, wgt in entry.items():
                 if a not in act_index:
                     raise ModelError(f"unknown action {a!r} at state {state!r}")
-                rows[i, act_index[a]] = float(wgt)
+                if not isinstance(wgt, (int, float)):
+                    raise ModelError(f"weight {wgt!r} of {a!r} at state {state!r} "
+                                     "is not a number")
+                rows[i, act_index[a]] = wgt
         else:
             raise ModelError(f"policy entry for state {state!r} must be an action "
                              "name or an action->weight object")
@@ -157,7 +157,7 @@ def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
 
 
 def cmd_solve(args, argv) -> int:
-    raw = read_model_document(args.model)
+    raw = read_json(args.model, "model file")
     model = parse_model(raw)
     timings = {}
     t0 = time.perf_counter()
@@ -210,7 +210,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_oracle(args, argv) -> int:
-    raw = read_model_document(args.model)
+    raw = read_json(args.model, "model file")
     model = parse_model(raw)
     timings = {}
     t0 = time.perf_counter()
@@ -237,17 +237,17 @@ def cmd_oracle(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    raw = read_model_document(args.model)
+    raw = read_json(args.model, "model file")
     model = parse_model(raw)
+    solution = read_json(args.solution, "solution report")
     try:
-        solution = json.loads(Path(args.solution).read_text(encoding="utf-8"))
         phi = np.asarray(solution["phi_star"], dtype=float)
         v = np.asarray(solution["potentials"], dtype=float)
         if phi.shape != (model.num_states,) or v.shape != phi.shape:
             raise ValueError(f"phi_star and potentials need {model.num_states} values each")
         if not (np.isfinite(phi).all() and np.isfinite(v).all()):
             raise ValueError("phi_star and potentials must be finite")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cannot read solution report {args.solution}: {exc}") from exc
     t0 = time.perf_counter()
     try:

@@ -14,11 +14,12 @@ restricted master for both methods): it has 2s + s|U| rows, a new kernel row
 is a new (mu, nu) column pair, and the primal solution is read off its
 multipliers, exact at a simplex vertex.  Pricing a round needs only those
 multipliers; the strategies are extracted (maximizer rows, purification)
-once per solve, from the round it returns.  A state's maximizer row is read
-off its occupation weights where it carries long-run mass; elsewhere those
-weights are not determined, and the row is the one the last pricing call
-gave the state.  The primal lives in tests/helpers.py, where the dual is
-checked to be its exact transpose.
+once per solve, from the round it returns, in one pass over each state's
+block of rows.  A state's maximizer row is read off its occupation weights
+where it carries long-run mass; elsewhere those weights are not determined,
+and the row is the one the last pricing call gave the state.  The primal
+lives in tests/helpers.py, where the dual is checked to be its exact
+transpose.
 
 A row that leaves I_i, the intersection of state i's action supports, is
 worth -inf to every action whose support it leaves.  The LP is the limit of
@@ -266,37 +267,32 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     beta, vvec, y, x = rnd.beta, rnd.vvec, rnd.y, rnd.x
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
-    # maximizer rows from the occupation weights where a state carries mu
-    # mass, dropping weights of at most MU_MASS_TOL of it (rounding noise
+    # one pass over each state's block of rows (owner is nondecreasing).
+    # Maximizer rows come from the occupation weights where a state carries
+    # mu mass, dropping weights of at most MU_MASS_TOL of it (rounding noise
     # on rows that are not tight); without it they are a degenerate face of
     # the dual optimum, and the priced row stands in.  nu takes over only
     # where that row is zero, as no row there has a V-constraint (x is
     # clipped to its bounds, so nu >= 0, and the verified mass balance keeps
-    # mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state)
+    # mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state).  The minimizer
+    # is purified at the extracted row: among support actions (y rows sum to
+    # 1, so there is one), the one whose V-constraint there is tightest
     qstar = priced.copy()
-    for i in range(s):
-        mine = owner == i
-        mass = mu[mine].sum()
-        if mass > MU_MASS_TOL:
-            weights = np.where(mu[mine] > MU_MASS_TOL * mass, mu[mine], 0.0)
-            qstar[i] = weights / weights.sum() @ rows[mine]
-        elif not priced[i].any():
-            qstar[i] = nu[mine] / nu[mine].sum() @ rows[mine]
-    maximizer = KernelMatrix.for_model(model, qstar)
-
-    # purify the minimizer: among support actions, take the one whose
-    # V-constraint at the extracted maximizer row is tightest
     choice = []
+    bounds = np.searchsorted(owner, np.arange(s + 1))
     for i in range(s):
+        block = slice(bounds[i], bounds[i + 1])
+        mass = mu[block].sum()
+        if mass > MU_MASS_TOL:
+            weights = np.where(mu[block] > MU_MASS_TOL * mass, mu[block], 0.0)
+            qstar[i] = weights / weights.sum() @ rows[block]
+        elif not priced[i].any():
+            qstar[i] = nu[block] / nu[block].sum() @ rows[block]
         slacks = np.full(m, np.inf)
-        support = np.flatnonzero(y[i] > SUPPORT_TOL)
-        if len(support) == 0:
-            support = [int(np.argmax(y[i]))]
-        for u in support:
+        for u in np.flatnonzero(y[i] > SUPPORT_TOL):
             val = tilde_cost(model, i, qstar[i], u)
-            if val == NEG_INF:
-                continue
-            slacks[u] = vvec[i] + beta[i] - (val + float(qstar[i] @ vvec))
+            if val != NEG_INF:
+                slacks[u] = vvec[i] + beta[i] - (val + float(qstar[i] @ vvec))
         choice.append(int(np.argmin(slacks)) if np.isfinite(slacks).any()
                       else int(np.argmax(y[i])))
 
@@ -306,7 +302,7 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
         potentials=vvec,
         minimizer=StationaryPolicy(y),
         minimizer_pure=PurePolicy(tuple(choice)),
-        maximizer=maximizer,
+        maximizer=KernelMatrix.for_model(model, qstar),
         dual_w=w,
         duality_gap=rnd.gap,
         num_constraints=n_mu + int(rnd.binds.sum()),

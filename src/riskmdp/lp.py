@@ -7,10 +7,9 @@ periodic refactorization, and a permanent switch to Bland's rule after a run
 of degenerate pivots (anti-cycling).  The basis matrix is kept as state: a
 pivot replaces one of its columns, and only a refactorization gathers it
 anew.  The explicit inverse is updated in place by one rank-one step per
-pivot.  A refactorization with no pivot or bound flip since the last one
-is skipped; a warm start carries only the basis, and inverts it like any
-other refactorization.  Free variables are handled natively through their
-bounds, not by splitting, so dual extraction stays clean.
+pivot.  A warm start carries only the basis, and inverts it like any
+refactorization.  Free variables are handled natively through their bounds,
+not by splitting, so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -157,16 +156,11 @@ class _Simplex:
         self.bland = False
         self.degen_run = 0
         self.pivots_since_refactor = 0
-        self.refactored = False  # nothing moved since the last _refactor
 
     # -- basis linear algebra -------------------------------------------------
 
     def _refactor(self):
-        """Gather the basis matrix, invert it and recompute the basic values;
-        a no-op right after another refactorization, which would give the
-        same bits."""
-        if self.refactored:
-            return
+        """Gather the basis matrix, invert it and recompute the basic values."""
         self.bmat = self.a[:, self.basis]
         try:
             self.binv = np.linalg.inv(self.bmat)
@@ -174,7 +168,6 @@ class _Simplex:
             raise LpError(f"singular basis during refactorization: {exc}") from exc
         self.pivots_since_refactor = 0
         self._recompute_basics()
-        self.refactored = True
 
     def _recompute_basics(self):
         xn = self.x.copy()
@@ -213,7 +206,6 @@ class _Simplex:
         """Column j enters the basis at position r (w = binv @ a[:, j]): it
         becomes column r of the kept basis matrix, and the explicit inverse
         takes its rank-one update in place."""
-        self.refactored = False
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
@@ -247,7 +239,6 @@ class _Simplex:
             self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
             self.at_upper[j] = direction > 0
             self.x[bvars] += delta * flip
-            self.refactored = False
             step = flip
             pivoted = False
         else:
@@ -424,9 +415,7 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
             sim.x[bvar] = 0.0
             sim._recompute_basics()
     sim.upper[art] = 0.0
-    idle = art[~sim.in_basis[art]]
-    sim.refactored &= not sim.x[idle].any()  # zeroing them moves the point
-    sim.x[idle] = 0.0
+    sim.x[art[~sim.in_basis[art]]] = 0.0
     # pivots keep a zero tableau row zero, so on the rows the artificials
     # still hold every entry is rounding noise; pivoting one out there would
     # leave a singular basis, so they stay basic
@@ -438,9 +427,8 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=sim.iterations,
                           warm_started=basis is not None)
-    # clean-up pass: rebuild the basis inverse and basic values from scratch
-    # (unless nothing moved since the last rebuild), then let the iteration
-    # polish anything the accumulated updates drifted
+    # clean-up pass: rebuild the basis inverse and basic values from scratch,
+    # then let the iteration polish anything the accumulated updates drifted
     sim._refactor()
     status = sim.run()
     if status == "unbounded":

@@ -31,15 +31,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _check_rows_stochastic(rows: np.ndarray, what: str, context) -> None:
-    if np.any(rows < 0.0) or np.any(rows > 1.0):
-        bad = np.argwhere((rows < 0.0) | (rows > 1.0))[0]
-        raise ModelError(f"{what}: entry {tuple(bad)} outside [0, 1] ({context(bad)})")
+    outside = ~((rows >= 0.0) & (rows <= 1.0))  # NaN included
+    if outside.any():
+        bad = tuple(np.argwhere(outside)[0].tolist())
+        raise ModelError(f"{what}: entry {bad} at {context(bad)} outside [0, 1]")
     sums = rows.sum(axis=-1)
     dev = np.abs(sums - 1.0)
     if np.any(dev > ROW_SUM_TOL):
         bad = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise ModelError(
-            f"{what}: row {context(bad)} sums to {sums[bad]!r}"
+            f"{what}: row {context(bad)} sums to {float(sums[bad])!r}"
             f" (deviation {dev[bad]:.3e} exceeds {ROW_SUM_TOL:.0e})"
         )
 
@@ -189,6 +190,8 @@ def parse_model(obj) -> MdpModel:
     missing = {"states", "actions", "transitions", "costs"} - set(obj)
     if missing:
         raise ModelError(f"model document missing keys: {sorted(missing)}")
+    if not (isinstance(obj["states"], list) and isinstance(obj["actions"], list)):
+        raise ModelError("states and actions must be JSON arrays")
     states = tuple(str(x) for x in obj["states"])
     actions = tuple(str(x) for x in obj["actions"])
     if len(set(states)) != len(states):
@@ -211,13 +214,10 @@ def parse_model(obj) -> MdpModel:
     return MdpModel(states=states, actions=actions, kernel=kernel, cost=cost)
 
 
-def read_model_document(path):
-    """The JSON document of a model file, before validation."""
+def read_json(path, what: str):
+    """The JSON document in the file at path, before validation; what
+    names the file in the ModelError a read or decode failure raises."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"cannot read {what} {path}: {exc}") from exc

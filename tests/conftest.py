@@ -42,3 +42,23 @@ def crash_lp(monkeypatch):
     crash basis, as where the crash point does not verify."""
     from riskmdp import game
     monkeypatch.setattr(game, "_crash_start", crash_lp_start)
+
+
+@pytest.fixture
+def value_drop(monkeypatch):
+    """The grid sweep with its second resolution's value lowered by 1e-3,
+    as an LP bug would lower it."""
+    from dataclasses import replace
+
+    from riskmdp import game
+    restricted_master = game._restricted_master
+    calls = []
+
+    def lowered(*args, **kwargs):
+        (rows, owner, rnd), *rest = restricted_master(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            rnd = replace(rnd, beta=rnd.beta - 1e-3)
+        return ((rows, owner, rnd), *rest)
+
+    monkeypatch.setattr(game, "_restricted_master", lowered)

@@ -25,7 +25,7 @@ from riskmdp.errors import GuardError, ModelError
 from riskmdp.grid import GridSpec, lattice_numerators
 from riskmdp.lp import LinearProgram, LpError
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
-                           read_model_document, union_support)
+                           read_json, union_support)
 from riskmdp.oracle import NEG_INF, _communicating_classes, tilde_cost
 
 
@@ -46,7 +46,7 @@ def weighted_sum(weights, values) -> float:
 
 def load_model(path) -> MdpModel:
     """Load and validate a model from a JSON file."""
-    return parse_model(read_model_document(path))
+    return parse_model(read_json(path, "model file"))
 
 
 def pure_policy(choice, num_actions: int) -> StationaryPolicy:

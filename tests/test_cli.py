@@ -136,7 +136,7 @@ def test_bad_tolerance_or_round_budget_is_a_usage_error(tmp_path, capsys, monkey
 
     monkeypatch.setattr(game, "solve_sequence", no_work)
     monkeypatch.setattr(game, "solve_congen", no_work)
-    monkeypatch.setattr(cli, "read_model_document", no_work)
+    monkeypatch.setattr(cli, "read_json", no_work)
     path = str(write_two_state(tmp_path))
     argv = (["solve", "--model", path, "--method", "congen"] if command == "solve"
             else ["verify", "--model", path, "--solution", path])
@@ -266,6 +266,59 @@ def test_oracle_policy_file_matches_growth_rate(tmp_path):
     from riskmdp.oracle import growth_rate
     rates = growth_rate(m, pure_policy([1, 0, 1], 2))
     np.testing.assert_allclose(report["per_state"], rates.lam, atol=1e-12)
+
+
+def test_oracle_randomized_policy_file_matches_growth_rate(tmp_path):
+    m = random_model(72, 3, 2)
+    model = write_model(tmp_path, m)
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"policy": {
+        "s0": {"a0": 0.25, "a1": 0.75}, "s1": {"a0": 1}, "s2": {"a1": 0.5, "a0": 0.5}}}))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--model", str(model), "--policy", str(policy),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    from riskmdp.model import StationaryPolicy
+    from riskmdp.oracle import growth_rate
+    rates = growth_rate(m, StationaryPolicy([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]))
+    assert report["per_state"] == rates.lam.tolist()
+    assert report["lambda_max"] == rates.lambda_max
+
+
+TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
+             "transitions": {"a": [[1.0, 0.0], [0.2, 0.8]]}, "costs": [[0.0], [1.0]]}
+
+
+@pytest.mark.parametrize("model, policy, message", [
+    ({"states": 5}, None, "states and actions must be JSON arrays"),
+    ({"actions": 3}, None, "states and actions must be JSON arrays"),
+    ({"states": "12"}, None, "states and actions must be JSON arrays"),
+    ({"transitions": {"a": [[math.nan, 1.0], [0.2, 0.8]]}}, None,
+     "kernel: entry (0, 0, 0) at (state=1, action=a) outside [0, 1]"),
+    ({}, {"1": {"a": "x"}, "2": "a"}, "weight 'x' of 'a' at state '1' is not a number"),
+    ({}, {"1": {"a": None}, "2": "a"}, "weight None of 'a' at state '1' is not a number"),
+    ({}, {"1": {"a": [1]}, "2": "a"}, "weight [1] of 'a' at state '1' is not a number"),
+    ({}, {"1": {"a": math.nan}, "2": "a"}, "policy: entry (0, 0) at state index 0 outside [0, 1]"),
+], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
+        "null-weight", "list-weight", "nan-weight"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**TWO_STATE, **model}))
+    argv = ["solve", "--model", str(path)]
+    if policy is not None:
+        argv = ["oracle", "--model", str(path), "--policy", str(tmp_path / "policy.json")]
+        (tmp_path / "policy.json").write_text(json.dumps({"policy": policy}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_value_drop_in_the_sweep_exits_4(tmp_path, capsys, value_drop):
+    assert main(["solve", "--model", str(write_two_state(tmp_path))]) == 4
+    err = capsys.readouterr().err
+    assert "solver failure: value decreased by 1.000e-03 from resolution 2 to 3" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_guard_exit_3(tmp_path):

@@ -407,14 +407,20 @@ def test_congen_rounds_invert_each_warm_start_basis(monkeypatch, dirac_seed):
     assert len(inverses) <= 13
 
 
-def test_congen_crash_solve_skips_the_idle_clean_up(monkeypatch, crash_lp):
-    # the crash LP, without the closed form: its basis is optimal, phase 2
-    # makes no pivot, and the clean-up after it inverts nothing, so the
-    # solve inverts one 160 x 160 basis
+def test_value_drop_in_the_sweep_is_fatal(value_drop):
+    # refining the grid can only raise beta, so a drop is an LP bug
+    with pytest.raises(game.MonotonicityError, match="from resolution 2 to 3"):
+        solve_sequence(two_state_model(0.8))
+
+
+def test_congen_crash_solve_inverts_its_basis_and_the_clean_up(monkeypatch, crash_lp):
+    # the crash LP, without the closed form: its basis is optimal and phase
+    # 2 makes no pivot, so the solve inverts one 160 x 160 basis at the warm
+    # start and the same basis again at the clean-up
     inverses = counted_inverses(monkeypatch)
     sol = solve_congen(random_model(3, 32, 3))
     assert sol.certified and sol.rounds == 1
-    assert inverses == [(160, 160)]
+    assert inverses == [(160, 160)] * 2
 
 
 EXTRACT_CASES = [(name, model, method)

@@ -268,18 +268,55 @@ def test_determinism():
     assert np.array_equal(a.duals, b.duals)
 
 
-def test_classic_degenerate_cycling_instance():
-    # Beale's cycling example; anti-cycling must terminate it at the optimum
+def _beale():
+    # Beale's cycling example
     c = [-0.75, 150.0, -0.02, 6.0]
     triplets = [(0, 0, 0.25), (0, 1, -60.0), (0, 2, -1.0 / 25.0), (0, 3, 9.0),
                 (1, 0, 0.5), (1, 1, -90.0), (1, 2, -1.0 / 50.0), (1, 3, 3.0),
                 (2, 2, 1.0)]
-    prog = lp("min", c, triplets, ["<=", "<=", "<="], [0.0, 0.0, 1.0])
+    return lp("min", c, triplets, ["<=", "<=", "<="], [0.0, 0.0, 1.0])
+
+
+def test_classic_degenerate_cycling_instance():
+    # anti-cycling must terminate Beale's example at the optimum
+    prog = _beale()
     sol = solve(prog)
     best, _ = enumerate_lp_optimum(prog)
     assert sol.status == "optimal"
     assert abs(sol.objective_value - best) <= 1e-9
     assert abs(sol.objective_value - (-0.05)) <= 1e-9
+
+
+@pytest.mark.parametrize("from_start", [False, True],
+                         ids=["switch-after-one", "from-the-first-pivot"])
+def test_bland_rule_reaches_the_reference_optimum(monkeypatch, from_start):
+    # with BLAND_AFTER 1, the first degenerate step switches to Bland's rule
+    # (entering and leaving by lowest index): Beale's example makes one, and
+    # the random set none, so there the rule also runs from the first pivot
+    monkeypatch.setattr(lp_module, "BLAND_AFTER", 1)
+    bland_steps = []
+
+    class Recorded(lp_module._Simplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.bland = from_start
+
+        def _step(self, j, direction):
+            bland_steps.append(self.bland)
+            return super()._step(j, direction)
+
+    monkeypatch.setattr(lp_module, "_Simplex", Recorded)
+    reached = []
+    for prog in [_beale()] + [_random_instance(seed) for seed in range(30)]:
+        bland_steps.clear()
+        sol = solve(prog)
+        best, _ = enumerate_lp_optimum(prog)
+        if sol.status == "optimal":
+            assert abs(sol.objective_value - best) <= 1e-7
+        else:
+            assert sol.status == "unbounded" or best is None
+        reached.append(any(bland_steps))
+    assert reached[0] and all(reached) == from_start
 
 
 def test_badly_scaled_rows():
@@ -311,9 +348,9 @@ def _assert_same_solution(a, b):
             assert x == y, field.name
 
 
-def test_zero_pivot_warm_start_inverts_its_basis_once(monkeypatch):
-    # re-solving from the optimal basis inverts it once, at the warm start,
-    # and the clean-up after 0 pivots is idle
+def test_zero_pivot_warm_start_inverts_its_basis_twice(monkeypatch):
+    # re-solving from the optimal basis inverts it at the warm start and
+    # again at the clean-up after 0 pivots
     inverses = counted_inverses(monkeypatch)
     started = 0
     for seed in range(30):
@@ -325,7 +362,7 @@ def test_zero_pivot_warm_start_inverts_its_basis_once(monkeypatch):
         warm = solve(prog, basis=cold.basis)
         if not warm.warm_started or warm.iterations:
             continue
-        assert inverses == [(prog.num_constraints,) * 2]
+        assert inverses == [(prog.num_constraints,) * 2] * 2
         started += 1
     assert started >= 10
 

@@ -45,6 +45,18 @@ def test_row_sum_violation_reports_location(tmp_path):
         load_model(path)
 
 
+def test_row_errors_print_plain_indices():
+    # numpy scalars would print as np.int64(1) and np.float64(0.9)
+    kernel = np.array([[[1.0, 0.0], [0.2, 0.8]], [[1.0, 0.0], [-0.5, 1.5]]])
+    with pytest.raises(ModelError) as exc:
+        MdpModel(("1", "2"), ("a", "b"), kernel, np.zeros((2, 2)))
+    assert str(exc.value) == "kernel: entry (1, 1, 0) at (state=2, action=b) outside [0, 1]"
+    with pytest.raises(ModelError) as exc:
+        StationaryPolicy([[1.0, 0.0], [0.5, 0.4]])
+    assert str(exc.value) == ("policy: row state index 1 sums to 0.9"
+                              " (deviation 1.000e-01 exceeds 1e-12)")
+
+
 def test_one_state_degenerate_model_is_valid():
     model = parse_model({"states": ["only"], "actions": ["a"],
                          "transitions": {"a": [[1.0]]}, "costs": [[0.0]]})
