@@ -10,9 +10,11 @@ is solved once with game.lp_solve and np.linalg.inv wrapped, for the counts
 that do not depend on the machine (LP solves, pivots, basis inversions and
 their sizes, restricted-master rounds, lambda_bar), then --repeats times
 unwrapped for the wall time of the library call (median, quartiles, min and
-max).  Counts and pivots depend on the BLAS thread count, which the file
-records with the numpy version; set OPENBLAS_NUM_THREADS=1 to compare runs.
-One line per rung goes to stdout.  The bounded benchmark (solvebench/) is
+max).  Each timed pass runs in its own child process, after one untimed
+pass there, so that no one process's fast or slow state sets every sample.
+Counts and pivots depend on the BLAS thread count, which the file records
+with the numpy version; set OPENBLAS_NUM_THREADS=1 to compare runs.  One
+line per rung goes to stdout.  The bounded benchmark (solvebench/) is
 separate and untouched by this script.
 """
 
@@ -23,6 +25,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -91,14 +94,25 @@ def _counted(method: str, models) -> dict:
     }
 
 
-def _timed(method: str, models, repeats: int) -> dict:
-    """Wall seconds of one pass over the models, repeats times."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for model in models:
-            _solve(method, model)
-        times.append(time.perf_counter() - start)
+def timed_pass(name: str) -> float:
+    """Wall seconds of one pass over the rung's models, after an untimed one."""
+    method, _, build = RUNGS[name]
+    models = build()
+    for model in models:
+        _solve(method, model)
+    start = time.perf_counter()
+    for model in models:
+        _solve(method, model)
+    return time.perf_counter() - start
+
+
+def _timed(name: str, repeats: int) -> dict:
+    """timed_pass of the rung, repeats times, each in a new child process."""
+    child = (f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
+             f"import ladder; print(ladder.timed_pass({name!r}))")
+    times = [float(subprocess.run([sys.executable, "-c", child], check=True,
+                                  capture_output=True, text=True).stdout)
+             for _ in range(repeats)]
     q1, _, q3 = statistics.quantiles(times, n=4) if repeats > 1 else (times[0],) * 3
     return {"samples": repeats, "median": statistics.median(times), "q1": q1, "q3": q3,
             "min": min(times), "max": max(times)}
@@ -108,7 +122,7 @@ def run_rung(name: str, repeats: int) -> dict:
     method, description, build = RUNGS[name]
     models = build()
     return {"name": name, "method": method, "models": description,
-            **_counted(method, models), "wall_s": _timed(method, models, repeats)}
+            **_counted(method, models), "wall_s": _timed(name, repeats)}
 
 
 def environment() -> dict:

@@ -8,8 +8,8 @@ Subcommands:
 
 Reports are JSON with a fixed key order so byte-level diffs are meaningful;
 only the "timings" block varies between identical runs.  Exit codes:
-0 success, 2 model error, 3 guard violation, 4 solver failure,
-5 verification residual above tolerance.
+0 success, 2 model error (or an unreadable input file or unwritable --out),
+3 guard violation, 4 solver failure, 5 verification residual above tolerance.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
     table = raw.get("policy") if isinstance(raw, dict) else None
     if not isinstance(table, dict):
         raise ModelError("policy file must contain a 'policy' object")
+    for state in table:
+        if state not in model.states:
+            raise ModelError(f"policy file names state {state!r}, which the model lacks")
     act_index = {a: u for u, a in enumerate(model.actions)}
     rows = np.zeros((model.num_states, model.num_actions))
     for i, state in enumerate(model.states):
@@ -327,7 +330,10 @@ def cmd_example(args, argv) -> int:
 def _emit(report: dict, out: str | None) -> None:
     text = canonical_json(report)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ModelError(f"cannot write report {out}: {exc}") from exc
     else:
         print(text)
 

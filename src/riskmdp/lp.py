@@ -1,15 +1,17 @@
 """Self-contained linear programming kernel.
 
-Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b,   l <= x <= u
-with a bounded-variable revised simplex method: two-phase start (or phase 2
-straight from a given feasible basis), dense basis-inverse updates with
-periodic refactorization, and a permanent switch to Bland's rule after a run
-of degenerate pivots (anti-cycling).  The basis matrix is kept as state: a
-pivot replaces one of its columns, and only a refactorization gathers it
-anew.  The explicit inverse is updated in place by one rank-one step per
-pivot.  A warm start carries only the basis, and inverts it like any
-refactorization.  Free variables are handled natively through their bounds,
-not by splitting, so dual extraction stays clean.
+Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b
+over three kinds of column: nonnegative [0, inf) (the default), free
+(-inf, inf) and fixed at 0 [0, 0]; any other bound is rejected.  Every
+column starts at 0.  The method is a revised simplex: two-phase start (or
+phase 2 straight from a given feasible basis), dense basis-inverse updates
+with periodic refactorization, and a permanent switch to Bland's rule after
+a run of degenerate pivots (anti-cycling).  The basis matrix is kept as
+state: a pivot replaces one of its columns, and only a refactorization
+gathers it anew.  The explicit inverse is updated in place by one rank-one
+step per pivot.  A warm start carries only the basis, and inverts it like
+any refactorization.  Free columns are handled natively, not by splitting,
+so dual extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -54,7 +56,8 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP description. Default variable bounds are [0, +inf)."""
+    """Dense LP description.  Each column is nonnegative (lower 0, upper inf:
+    the default), free (-inf, inf) or fixed at 0 (0, 0)."""
 
     sense: str
     objective: np.ndarray
@@ -77,6 +80,12 @@ class LinearProgram:
             raise ValueError("one relation per constraint required")
         if any(r not in RELATIONS for r in self.relations):
             raise ValueError(f"relations must be one of {RELATIONS}")
+        kinds = ((self.lower == 0.0) & ((self.upper == 0.0) | np.isposinf(self.upper))
+                 | np.isneginf(self.lower) & np.isposinf(self.upper))
+        if not kinds.all():
+            j = int(np.argmin(kinds))
+            raise ValueError(f"column {j} has bounds [{self.lower[j]}, {self.upper[j]}]; "
+                             "a column must be [0, inf), (-inf, inf) or [0, 0]")
         for name, a in (("objective", self.objective), ("matrix", self.matrix),
                         ("rhs", self.rhs)):
             if not np.all(np.isfinite(a)):
@@ -115,15 +124,13 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver output.  At "optimal" status the dual objective
-    rhs.duals + reduced_costs.x equals the primal objective within the gap
-    tolerance (the second term covers variables pinned at finite nonzero
-    bounds; it vanishes for default-bounded problems)."""
+    """Solver output.  At "optimal" status the dual objective rhs.duals
+    equals the primal objective within the gap tolerance: a column is
+    nonnegative, free or fixed at 0, so none is held at a nonzero bound."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     objective_value: float | None = None
     duality_gap: float | None = None
     primal_residual: float | None = None
@@ -134,7 +141,8 @@ class LpSolution:
 
 
 class _Simplex:
-    """Bounded-variable revised simplex on  min c.x, A x = b, l <= x <= u."""
+    """Revised simplex on  min c.x, A x = b  over nonnegative, free and
+    fixed-at-0 columns; a nonbasic column sits at 0 (up to rounding)."""
 
     def __init__(self, a, b, c, lower, upper):
         self.a = a
@@ -146,7 +154,6 @@ class _Simplex:
         self.x = np.zeros(self.n)
         self.basis = np.zeros(self.m, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
-        self.at_upper = np.zeros(self.n, dtype=bool)
         self.keep = np.zeros(self.n, dtype=bool)  # never chosen to leave
         self.bmat = np.eye(self.m)  # a[:, basis], one column kept per pivot
         self.binv = np.eye(self.m)
@@ -191,9 +198,9 @@ class _Simplex:
     def _choose_entering(self, d):
         """The improving nonbasic column of largest |d| (the lowest-indexed
         one under Bland's rule) and its direction; (None, 0) at optimality.
-        A column at its upper bound may only move down, one at its lower
-        bound only up, and a free one (at 0) either way."""
-        gain = np.where(self.free, np.abs(d), np.where(self.at_upper, d, -d))
+        A nonnegative column (at 0) may only move up, a free one either way,
+        and a fixed one not at all."""
+        gain = np.where(self.free, np.abs(d), -d)
         gain[self.in_basis | self.fixed] = 0.0
         j = int(np.argmax(gain > OPT_TOL) if self.bland else np.argmax(gain))
         if not gain[j] > OPT_TOL:
@@ -216,6 +223,7 @@ class _Simplex:
         self.binv[r] = rr
 
     def _step(self, j, direction):
+        """Column j enters, moving in direction; False if nothing blocks it."""
         w = self.binv @ self.a[:, j]
         # entries below a relative threshold are treated as exact zeros so a
         # noise-scale element can never be chosen as a pivot
@@ -228,57 +236,45 @@ class _Simplex:
         size = np.abs(delta)
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = np.where(size > zero_tol, np.maximum(room, 0.0) / size, np.inf)
-        flip = self.upper[j] - self.lower[j]  # inf unless both bounds finite
-        limit = float(min(theta.min(initial=np.inf), flip))
+        limit = float(theta.min(initial=np.inf))
         if not np.isfinite(limit):
-            return "unbounded"
-        # pivot or bound flip; only exact ratio ties are interchangeable, a
-        # near-tie window would let the true blocking variable overshoot its
-        # bound by (window * |delta|), which explodes on ill-scaled columns
-        if np.isfinite(flip) and flip <= limit:
-            self.x[j] = self.upper[j] if direction > 0 else self.lower[j]
-            self.at_upper[j] = direction > 0
-            self.x[bvars] += delta * flip
-            step = flip
-            pivoted = False
+            return False
+        # only exact ratio ties are interchangeable, a near-tie window would
+        # let the true blocking variable overshoot its bound by
+        # (window * |delta|), which explodes on ill-scaled columns
+        cand = np.flatnonzero(theta <= limit)
+        if self.bland:
+            r = int(cand[np.argmin(bvars[cand])])  # index rule: terminates
         else:
-            cand = np.flatnonzero(theta <= limit)
-            if self.bland:
-                r = int(cand[np.argmin(bvars[cand])])  # index rule: terminates
-            else:
-                r = int(cand[np.argmax(np.abs(w[cand]))])  # stability rule
+            r = int(cand[np.argmax(np.abs(w[cand]))])  # stability rule
+        if abs(w[r]) < zero_tol:
+            self._refactor()
+            w = self.binv @ self.a[:, j]
+            zero_tol = max(PIVOT_TOL, 1e-11 * float(np.abs(w).max(initial=0.0)))
             if abs(w[r]) < zero_tol:
-                self._refactor()
-                w = self.binv @ self.a[:, j]
-                zero_tol = max(PIVOT_TOL, 1e-11 * float(np.abs(w).max(initial=0.0)))
-                if abs(w[r]) < zero_tol:
-                    raise LpError("pivot element vanished; basis numerically singular")
-            leaving = bvars[r]
-            self.x[bvars] += delta * limit
-            self.x[j] = self.x[j] + direction * limit
-            # the leaving variable keeps its stepped value (== the bound it
-            # reached, up to rounding); forcing it onto the bound exactly
-            # would make the stored point inconsistent with the basis system
-            # and resurface as bound violations at the next refactorization
-            self.at_upper[leaving] = delta[r] > 0
-            self._replace(r, j, w)
-            self.pivots_since_refactor += 1
-            if self.pivots_since_refactor >= REFACTOR_EVERY:
-                self._refactor()
-            step = limit
-            pivoted = True
-        if step <= DEGEN_TOL:
+                raise LpError("pivot element vanished; basis numerically singular")
+        self.x[bvars] += delta * limit
+        self.x[j] = self.x[j] + direction * limit
+        # the leaving variable keeps its stepped value (== the bound it
+        # reached, up to rounding); forcing it onto the bound exactly would
+        # make the stored point inconsistent with the basis system and
+        # resurface as bound violations at the next refactorization
+        self._replace(r, j, w)
+        self.pivots_since_refactor += 1
+        if self.pivots_since_refactor >= REFACTOR_EVERY:
+            self._refactor()
+        if limit <= DEGEN_TOL:
             self.degen_run += 1
             if self.degen_run >= BLAND_AFTER:
                 self.bland = True
         else:
             self.degen_run = 0
-        return "pivoted" if pivoted else "flipped"
+        return True
 
     def run(self):
         """Iterate to optimality; returns 'optimal' or 'unbounded'."""
-        self.free = np.isneginf(self.lower) & np.isposinf(self.upper)
-        self.fixed = ~(self.upper > self.lower)
+        self.free = np.isneginf(self.lower)
+        self.fixed = self.upper == 0.0
         while True:
             if self.iterations >= MAX_ITERS:
                 raise LpError(f"iteration limit {MAX_ITERS} exceeded")
@@ -286,8 +282,7 @@ class _Simplex:
             j, direction = self._choose_entering(d)
             if j is None:
                 return "optimal"
-            outcome = self._step(j, direction)
-            if outcome == "unbounded":
+            if not self._step(j, direction):
                 return "unbounded"
             self.iterations += 1
 
@@ -298,9 +293,9 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     basis, if given, holds m column indices into the working matrix
     [structural | slack (one per inequality row, in row order) | artificial
     (one per row)], such as the `basis` of an earlier solution.  Nonbasic
-    columns start at their usual bound; when the basis is nonsingular and
-    its point lies within bounds, phase 1 is skipped.  Otherwise, or on a
-    numerical breakdown from that start, the LP is solved cold.
+    columns start at 0; when the basis is nonsingular and its point lies
+    within bounds, phase 1 is skipped.  Otherwise, or on a numerical
+    breakdown from that start, the LP is solved cold.
 
     Raises LpError on numerical breakdown; infeasible/unbounded are statuses.
     """
@@ -315,9 +310,8 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
 
 
 def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
-    """Install basis over the nonbasic start point; False when it is
-    singular or its basic point leaves the bounds or the rows by more than
-    FEAS_TOL."""
+    """Install basis over the zero start point; False when it is singular or
+    its basic point leaves the bounds or the rows by more than FEAS_TOL."""
     # (np.unique would import numpy.ma, 1.5 MB of resident memory)
     in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
     if in_range:
@@ -325,7 +319,6 @@ def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
     if not in_range or np.count_nonzero(sim.in_basis) != sim.m:
         raise ValueError(f"basis must hold {sim.m} distinct column indices below {sim.n}")
     sim.basis = basis.copy()
-    sim.at_upper[basis] = False
     try:
         sim._refactor()
     except LpError:
@@ -340,8 +333,6 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     """One solve, from the given basis or (basis None) cold; None when the
     given basis cannot start phase 2."""
     m, n = lp.num_constraints, lp.num_vars
-    if np.any(lp.lower > lp.upper):
-        return LpSolution(status="infeasible")
     sign = 1.0 if lp.sense == "min" else -1.0
 
     # the one dense copy: structural columns with rows scaled to unit
@@ -362,21 +353,14 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     lower = np.concatenate([lp.lower, np.zeros(n_slack + m)])
     upper = np.concatenate([lp.upper, np.full(n_slack + m, np.inf)])
 
-    # initial nonbasic point: finite bound nearest zero, free variables at 0
-    x0 = np.zeros(n + n_slack)
-    finite_lo = np.isfinite(lower[: n + n_slack])
-    x0[finite_lo] = lower[: n + n_slack][finite_lo]
-    only_up = ~finite_lo & np.isfinite(upper[: n + n_slack])
-    x0[only_up] = upper[: n + n_slack][only_up]
-
-    resid = b_scaled - a_full[:, : n + n_slack] @ x0
+    # every column starts at 0, so the artificials take up b: each one's
+    # sign makes its start value |b_k| nonnegative
     art = np.arange(n + n_slack, n + n_slack + m)
-    a_full[np.arange(m), art] = np.where(resid >= 0, 1.0, -1.0)
+    art_sign = np.where(b_scaled >= 0, 1.0, -1.0)
+    a_full[np.arange(m), art] = art_sign
     phase2_c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
 
     sim = _Simplex(a=a_full, b=b_scaled, c=phase2_c, lower=lower, upper=upper)
-    sim.x[: n + n_slack] = x0
-    sim.at_upper[np.flatnonzero(only_up)] = True
     if basis is not None:
         # artificials are zero-fixed from the start: a basic one may only
         # sit on a redundant row
@@ -385,11 +369,11 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
             return None
     else:
         sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
-        sim.x[art] = np.abs(resid)
+        sim.x[art] = np.abs(b_scaled)
         sim.basis = art.copy()
         sim.bmat = sim.a[:, art]
         sim.in_basis[art] = True
-        sim.binv = np.diag(np.where(resid >= 0, 1.0, -1.0))
+        sim.binv = np.diag(art_sign)
 
         status = sim.run()
         phase1_obj = sim.x[art].sum()
@@ -439,12 +423,7 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     _, y_int = sim._reduced_costs()
     duals = sign * y_int / norms
     objective = float(lp.objective @ x)
-    reduced = lp.objective - lp.matrix.T @ duals
-    # bound duals: variables pinned at finite nonzero bounds carry their
-    # reduced cost into the dual objective
-    bound_terms = float(np.sum(np.where(np.isfinite(x) & (reduced != 0.0),
-                                        reduced * x, 0.0)))
-    gap = abs(objective - (float(lp.rhs @ duals) + bound_terms))
+    gap = abs(objective - float(lp.rhs @ duals))
 
     # residuals on the scaled problem
     excess = structural @ x - b_scaled
@@ -455,17 +434,17 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
 
     # optimal reduced-cost signs over structural and slack columns (the slack
     # ones encode the dual sign conditions on inequality rows): d == 0 on
-    # basic and free columns, d <= 0 at an upper bound, d >= 0 at a lower
-    # one, and any sign on a nonbasic fixed column, which sits at both
+    # basic and free columns, d >= 0 on a nonbasic nonnegative one, and any
+    # sign on a nonbasic fixed column, which sits at both its bounds
     ncols = n + n_slack
     d_int = sim.c[:ncols] - a_full[:, :ncols].T @ y_int
-    signed = np.where(sim.at_upper[:ncols], d_int, -d_int)
+    signed = -d_int
     signed[sim.fixed[:ncols]] = 0.0
     pinned = sim.in_basis[:ncols] | sim.free[:ncols]
     dual_residual = float(np.where(pinned, np.abs(d_int), signed).max(initial=0.0))
 
     sol = LpSolution(
-        status="optimal", x=x, duals=duals, reduced_costs=reduced,
+        status="optimal", x=x, duals=duals,
         objective_value=objective, duality_gap=gap,
         primal_residual=primal_residual,
         dual_residual=dual_residual, iterations=sim.iterations,

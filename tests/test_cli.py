@@ -299,8 +299,9 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
     ({}, {"1": {"a": None}, "2": "a"}, "weight None of 'a' at state '1' is not a number"),
     ({}, {"1": {"a": [1]}, "2": "a"}, "weight [1] of 'a' at state '1' is not a number"),
     ({}, {"1": {"a": math.nan}, "2": "a"}, "policy: entry (0, 0) at state index 0 outside [0, 1]"),
+    ({}, {"1": "a", "2": "a", "3": "a"}, "policy file names state '3', which the model lacks"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
-        "null-weight", "list-weight", "nan-weight"])
+        "null-weight", "list-weight", "nan-weight", "unknown-state"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**TWO_STATE, **model}))
@@ -311,6 +312,24 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "example"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    model = write_two_state(tmp_path)
+    report = tmp_path / "report.json"
+    assert main(["solve", "--model", str(model), "--out", str(report)]) == 0
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    argv = {"solve": ["solve", "--model", str(model)],
+            "oracle": ["oracle", "--model", str(model)],
+            "verify": ["verify", "--model", str(model), "--solution", str(report)],
+            "example": ["example", "--rho", "0.8"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"model error: cannot write report {out}: " in err
     assert "Traceback" not in err
 
 
