@@ -25,7 +25,6 @@ from .errors import ModelError
 from .model import MdpModel
 
 LEVEL_TOL = 1e-6
-BISECT_TOL = 1e-10
 
 
 class CertificationError(RuntimeError):
@@ -201,20 +200,6 @@ class AnalyticExample:
     supercritical: bool  # log(rho) > -1: sticky state dominates
 
 
-def _bias_gain(q: float, rho: float) -> float:
-    """1 - KL((q, 1-q) || (rho, 1-rho)) written on the self-loop weight."""
-    out = 1.0
-    if q > 0.0:
-        out -= q * math.log(q / rho)
-    if q < 1.0:
-        out -= (1.0 - q) * math.log((1.0 - q) / (1.0 - rho))
-    return out
-
-
-def _bias_gain_deriv(q: float, rho: float) -> float:
-    return math.log(rho / q) + math.log((1.0 - q) / (1.0 - rho))
-
-
 def analytic_example(rho: float) -> AnalyticExample:
     """Closed-form solution of the two-state chain.
 
@@ -222,11 +207,10 @@ def analytic_example(rho: float) -> AnalyticExample:
     there is 1 + log(rho).  For log(rho) < -1 the value is 0 and the
     extracted self-loop weight is the maximizer of B(q)/(1-q), with
     B(q) = 1 - q log(q/rho) - (1-q) log((1-q)/(1-rho)): stationarity of the
-    transient fixed point V = max_q [B(q) + q V].  The optimality condition
-    d(q) = B(q) + (1-q) B'(q) is strictly decreasing, with d(rho) = 1 and
-    d(q) -> 1 + log(rho) < 0 as q -> 1, so it is solved by bisection on
-    log q over [log rho, 0], to BISECT_TOL in log q; the root sits near
-    e * rho, below any fixed bracket in q for tiny rho.  The boundary
+    transient fixed point V = max_q [B(q) + q V].  With
+    B'(q) = log((1-q)/(1-rho)) - log(q/rho), the optimality condition
+    B(q) + (1-q) B'(q) = 0 reduces to 1 - log(q/rho) = 0, so q22 = e * rho,
+    which lies in (rho, 1) exactly when log(rho) < -1.  The boundary
     log(rho) = -1 is excluded.
     """
     if not 0.0 < rho < 1.0:
@@ -238,19 +222,7 @@ def analytic_example(rho: float) -> AnalyticExample:
         value = 1.0 + log_rho
         return AnalyticExample(rho=rho, phi_star=np.array([0.0, value]),
                                q22=1.0, lambda_bar=value, supercritical=True)
-
-    def d(q: float) -> float:
-        return _bias_gain(q, rho) + (1.0 - q) * _bias_gain_deriv(q, rho)
-
-    lo, hi = log_rho, 0.0
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if d(math.exp(mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q22 = math.exp(0.5 * (lo + hi))
-    return AnalyticExample(rho=rho, phi_star=np.zeros(2), q22=q22,
+    return AnalyticExample(rho=rho, phi_star=np.zeros(2), q22=math.e * rho,
                            lambda_bar=0.0, supercritical=False)
 
 

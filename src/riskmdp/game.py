@@ -517,7 +517,8 @@ def _crash_start(model: MdpModel):
         return rows, owner, None, None
     if not (pi > 0.0).all():
         return rows, owner, None, None
-    r = int(np.argmin(nu / pi))
+    with np.errstate(over="ignore"):   # nu_i / pi_i overflows where pi_i is subnormal
+        r = int(np.argmin(nu / pi))
     new = (twisted > 0.0).sum(axis=1) > 1
     owner = np.concatenate([owner, states[new]])
     order = np.argsort(owner, kind="stable")

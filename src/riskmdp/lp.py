@@ -234,7 +234,7 @@ class _Simplex:
         xb = self.x[bvars]
         room = np.where(delta > 0, self.upper[bvars] - xb, xb - self.lower[bvars])
         size = np.abs(delta)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):   # a dropped entry may divide by 0 or overflow
             theta = np.where(size > zero_tol, np.maximum(room, 0.0) / size, np.inf)
         limit = float(theta.min(initial=np.inf))
         if not np.isfinite(limit):
@@ -394,8 +394,6 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
             j = int(cand[0])
             w = sim.binv @ sim.a[:, j]
             sim._replace(r, j, w)
-            piv = w[r]
-            sim.x[j] = sim.x[bvar] / piv if abs(piv) > PIVOT_TOL else 0.0
             sim.x[bvar] = 0.0
             sim._recompute_basics()
     sim.upper[art] = 0.0

@@ -70,13 +70,19 @@ def kl_divergence(qrow, prow) -> float:
     """Kullback-Leibler divergence sum_j q_j log(q_j / p_j).
 
     Terms with q_j = 0 contribute 0; any q_j > 0 where p_j = 0 gives +inf.
+    A p_j below the smallest normal double would overflow q_j / p_j, so on
+    such a row the logs are taken apart.
     """
     q = np.asarray(qrow, dtype=float)
     p = np.asarray(prow, dtype=float)
     mask = q > 0.0
-    if np.any(p[mask] == 0.0):
+    qm, pm = q[mask], p[mask]
+    least = pm.min(initial=1.0)
+    if least == 0.0:
         return math.inf
-    return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
+    if least < TINY:
+        return float(np.sum(qm * (np.log(qm) - np.log(pm))))
+    return float(np.sum(qm * np.log(qm / pm)))
 
 
 def tilde_cost(model: MdpModel, i: int, qrow, u: int) -> float:

@@ -347,6 +347,32 @@ def two_successor_model(seed: int, s: int, m: int, cost_scale: float = 10.0) -> 
                     kernel=kernel, cost=rng.uniform(0.0, cost_scale, size=(s, m)))
 
 
+def structured_model(kind: str, seed: int, s: int, m: int) -> MdpModel:
+    """Random model of one structure, per-action two-successor rows split
+    U[0.05, 1] before normalization, costs U[0, 10]: "periodic" is a
+    deterministic cycle under every action, "absorbing" makes state 0
+    absorb, "disconnected" splits the states into two closed blocks, and
+    "differing" gives every (action, state) row its own successors."""
+    rng = np.random.default_rng(seed)
+    kernel = np.zeros((m, s, s))
+    for u in range(m):
+        for i in range(s):
+            if kind == "periodic":
+                succ = [(i + 1) % s]
+            elif kind == "absorbing" and i == 0:
+                succ = [0]
+            elif kind == "disconnected":
+                block = range(0, s // 2) if i < s // 2 else range(s // 2, s)
+                succ = [int(rng.choice(block)), block[0] + (i + 1 - block[0]) % len(block)]
+            else:
+                succ = list(rng.choice(s, size=min(2, s), replace=False))
+            np.add.at(kernel[u, i], succ, rng.uniform(0.05, 1.0, size=len(succ)))
+            kernel[u, i] /= kernel[u, i].sum()
+    return MdpModel(states=tuple(f"s{i}" for i in range(s)),
+                    actions=tuple(f"a{u}" for u in range(m)),
+                    kernel=kernel, cost=rng.uniform(0.0, 10.0, size=(s, m)))
+
+
 def wide_model(seed: int, index: int, s: int = 6, m: int = 2) -> MdpModel:
     """The benchmark's wide family: i+1 and three other successors per state,
     a Dirichlet(1) base row plus a uniform +-0.005 jitter per action and

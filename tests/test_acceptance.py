@@ -72,7 +72,7 @@ def test_criterion_2_subcritical_closed_form():
     assert abs(ana.q22 - scan_self_loop_weight(rho)) <= 1e-5
     assert elapsed < 5.0
     announce(f"CRITERION 2 PASS: subcritical value 0 within 2e-2, extracted "
-             f"q22 = {q22:.4f} interior, bisection matches 1e-6 scan within 1e-5, "
+             f"q22 = {q22:.4f} interior, closed form matches 1e-6 scan within 1e-5, "
              f"under 5 s")
 
 

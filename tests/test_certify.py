@@ -213,7 +213,7 @@ def test_analytic_subcritical_bisection():
     assert ana.lambda_bar == 0.0
     assert np.all(ana.phi_star == 0.0)
     # stationarity of the Gibbs response fixes the self-loop weight at e*rho
-    assert math.isclose(ana.q22, math.e * rho, abs_tol=1e-9)
+    assert ana.q22 == math.e * rho
 
 
 def test_analytic_subcritical_matches_dense_scan():

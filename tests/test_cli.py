@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskmdp
-from riskmdp.certify import BISECT_TOL
 from riskmdp.cli import REPORT_VERSION, main
 from riskmdp.grid import MAX_RESOLUTION
+from riskmdp.model import MdpModel
 
-from helpers import pure_policy, random_model
+from helpers import pure_policy, random_model, structured_model
 
 
 def write_two_state(tmp_path, rho=0.8, name="model.json"):
@@ -527,7 +529,8 @@ def test_example_tiny_rho_exits_cleanly(tmp_path, rho):
             gain = 1.0 - x * math.log(x / r) - (1.0 - x) * math.log((1.0 - x) / (1.0 - r))
             return gain + (1.0 - x) * (math.log(r / x) + math.log((1.0 - x) / (1.0 - r)))
 
-        assert d(q * math.exp(-BISECT_TOL)) > 0.0 > d(q * math.exp(BISECT_TOL))
+        tol = 1e-10   # in log q
+        assert d(q * math.exp(-tol)) > 0.0 > d(q * math.exp(tol))
 
 
 def test_example_bad_rho_exit_2():
@@ -566,6 +569,34 @@ def test_neg_inf_game_value_is_a_stated_solver_failure(tmp_path, capsys, method)
     assert ("at resolution 2" if method == "grid" else "of constraint generation") in err
     assert main(["oracle", "--model", str(path)]) == 0
     assert "lambda_bar = 0.100000" in capsys.readouterr().out
+
+
+# derandomized, so a run always draws the same models: differing supports,
+# absorbing, disconnected and periodic chains, s = 1, costs up to +-1e3 and
+# subnormal kernel entries; every command must end in a stated exit code
+@settings(max_examples=32, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["differing", "absorbing", "disconnected", "periodic"]),
+       seed=st.integers(0, 2**16), s=st.integers(1, 4), m=st.integers(1, 3),
+       cost_scale=st.sampled_from([1.0, 1e3]), subnormal=st.booleans())
+def test_commands_end_in_a_stated_exit_code(tmp_path_factory, kind, seed, s, m,
+                                            cost_scale, subnormal):
+    model = structured_model(kind, seed, s, m)
+    kernel = np.array(model.kernel)
+    if subnormal:
+        # state 0 may also move to the last state, with the least positive double
+        kernel[:, 0, s - 1] = np.where(kernel[:, 0, s - 1] > 0.0, kernel[:, 0, s - 1], 5e-324)
+    model = MdpModel(states=model.states, actions=model.actions, kernel=kernel,
+                     cost=(model.cost / 5.0 - 1.0) * cost_scale)
+    tmp = tmp_path_factory.mktemp("structured")
+    path = write_model(tmp, model)
+    stated = {0, 2, 3, 4, 5}
+    for method in ("grid", "congen"):
+        out = tmp / f"{method}.json"
+        assert main(["solve", "--model", str(path), "--method", method, "--n-max", "3",
+                     "--out", str(out)]) in stated
+        if out.exists():
+            assert main(["verify", "--model", str(path), "--solution", str(out)]) in stated
+    assert main(["oracle", "--model", str(path)]) in stated
 
 
 SOLVEBENCH = Path(__file__).resolve().parents[1] / "solvebench"

@@ -1124,6 +1124,21 @@ def test_congen_crash_falls_back_where_every_common_support_is_empty():
         solve_congen(model)
 
 
+@pytest.mark.parametrize("costs, crash", [([0.0, 1.0], False), ([1.0, 0.0], True)])
+def test_congen_crash_takes_a_subnormal_invariant_mass(costs, crash):
+    # a exits to b with probability 1e-310.  With the cost at b the twisted
+    # chain's pi is 0 at a and the Dirac rows come alone; with the cost at a,
+    # pi_b is subnormal, nu_b / pi_b overflows to +inf, and the crash point
+    # stands
+    model = MdpModel(states=("a", "b"), actions=("x",),
+                     kernel=np.array([[[1.0, 1e-310], [0.5, 0.5]]]),
+                     cost=np.array(costs)[:, None])
+    assert (game._crash_start(model)[2] is not None) == crash
+    sol = solve_congen(model)
+    assert sol.certified
+    assert abs(sol.lambda_bar - brute_force_lambda_star(model).value) <= 1e-9
+
+
 # derandomized: both solves stop within inner_tol of the value, so their
 # distance can come near inner_tol (8.9e-7 was the largest in 3,000 random
 # draws of these families with up to 8 states)

@@ -333,6 +333,16 @@ def test_badly_scaled_rows():
     np.testing.assert_allclose(sol.objective_value, 2.0, atol=1e-8)
 
 
+def test_subnormal_coefficient_drops_out_of_the_ratio_test():
+    # x enters with a 1e-310 entry in the second row: below the pivot
+    # tolerance it blocks nothing, though its ratio 1 / 1e-310 overflows
+    sol = solve(lp("min", [-1.0, -1.0], [(0, 0, 1.0), (1, 0, 1e-310), (1, 1, 1.0)],
+                   ["<=", "<="], [2.0, 1.0]))
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.x, [2.0, 1.0])
+    assert sol.objective_value == -3.0
+
+
 def _outcome(prog, basis=None):
     """(status, objective) of a solve, or ("error",) on LpError."""
     try:

@@ -15,6 +15,7 @@ import riskmdp
 from riskmdp import oracle
 from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError, ModelError
+from riskmdp.game import tilde_cost_table
 from riskmdp.model import KernelMatrix, MdpModel, StationaryPolicy, apply_policy
 from riskmdp.oracle import (
     NEG_INF,
@@ -36,6 +37,7 @@ from helpers import (
     pure_log_rho_min,
     pure_policy,
     random_model,
+    structured_model,
     two_successor_model,
     uniform_policy,
     weighted_sum,
@@ -108,6 +110,20 @@ def test_tilde_cost_absolute_continuity_failure():
                                               [[0.0, 1.0], [0.0, 1.0]]]),
                              cost=np.zeros((2, 2)))
     assert tilde_cost(deterministic, 0, np.array([0.0, 1.0]), 0) == NEG_INF
+
+
+@pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+def test_tilde_cost_scores_subnormal_kernel_entries(tiny):
+    # q / p overflows where p is below the smallest normal double; the
+    # stacked table takes the logs apart and stays finite
+    model = uncontrolled([[1.0, tiny, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]],
+                         [2.0, -1.0, 0.5])
+    for q in ([0.5, 0.5, 0.0], [1e-3, 1.0 - 1e-3, 0.0], [1.0 - tiny, tiny, 0.0]):
+        q = np.array(q)
+        val = tilde_cost(model, 0, q, 0)
+        assert math.isfinite(val)
+        assert val == pytest.approx(float(tilde_cost_table(model, 0, q[None])[0, 0]),
+                                    rel=1e-12)
 
 
 # -- growth rates -------------------------------------------------------------
@@ -601,30 +617,11 @@ def test_brute_force_is_the_same_with_one_and_two_blas_threads():
     assert results[0] == results[1]
 
 
-def _structured_model(kind, seed, s, m):
-    rng = np.random.default_rng(seed)
-    kernel = np.zeros((m, s, s))
-    for u in range(m):
-        for i in range(s):
-            if kind == "periodic":          # a deterministic cycle under every action
-                succ = [(i + 1) % s]
-            elif kind == "absorbing" and i == 0:
-                succ = [0]
-            elif kind == "disconnected":    # two closed blocks
-                block = range(0, s // 2) if i < s // 2 else range(s // 2, s)
-                succ = [int(rng.choice(block)), block[0] + (i + 1 - block[0]) % len(block)]
-            else:                           # "absorbing" elsewhere, "differing"
-                succ = list(rng.choice(s, size=min(2, s), replace=False))
-            np.add.at(kernel[u, i], succ, rng.uniform(0.05, 1.0, size=len(succ)))
-            kernel[u, i] /= kernel[u, i].sum()
-    return _named(kernel, rng.uniform(0.0, 10.0, size=(s, m)))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["periodic", "absorbing", "disconnected", "differing"]),
        st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
 def test_bracket_holds_the_eigenvalue_minimum_property(kind, seed, s, m):
-    model = _structured_model(kind, seed, s, m)
+    model = structured_model(kind, seed, s, m)
     _assert_certified(brute_force_lambda_star(model), pure_log_rho_min(model))
 
 
