@@ -9,9 +9,13 @@ it sits in, and the model generators from its tests/helpers.py.  Each rung
 is solved once with game.lp_solve and np.linalg.inv wrapped, for the counts
 that do not depend on the machine (LP solves, pivots, basis inversions and
 their sizes, restricted-master rounds, lambda_bar), then --repeats times
-unwrapped for the wall time of the library call (median, quartiles, min and
-max).  Each timed pass runs in its own child process, after one untimed
-pass there, so that no one process's fast or slow state sets every sample.
+unwrapped for the wall time of the library call (wall_s: median, quartiles,
+min and max), and --repeats times more for the wall time of the same solves
+as in-process `riskmdp.cli.main(["solve", ...])` calls on model files
+(cli_s: reading the model, its digest, the oracle and certificate blocks
+and writing the report included).  Each timed pass runs in its own child
+process, after one untimed pass there, so that no one process's fast or
+slow state sets every sample.
 Counts and pivots depend on the BLAS thread count, which the file records
 with the numpy version; set OPENBLAS_NUM_THREADS=1 to compare runs.  One
 line per rung goes to stdout.  The bounded benchmark (solvebench/) is
@@ -21,12 +25,14 @@ separate and untouched by this script.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -37,9 +43,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from helpers import random_model  # noqa: E402
-from riskmdp import game  # noqa: E402
+from riskmdp import cli, game  # noqa: E402
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 JITTER_SEEDS = range(8)
 
 # name -> (method, description, models); grid rungs run the default sweep
@@ -106,10 +112,36 @@ def timed_pass(name: str) -> float:
     return time.perf_counter() - start
 
 
-def _timed(name: str, repeats: int) -> dict:
-    """timed_pass of the rung, repeats times, each in a new child process."""
+def timed_cli_pass(name: str) -> float:
+    """Wall seconds of one pass of `riskmdp solve` calls, in process, over
+    the rung's models written to files, after an untimed one."""
+    method, _, build = RUNGS[name]
+    with tempfile.TemporaryDirectory() as work, open(os.devnull, "w") as quiet:
+        argvs = []
+        for k, model in enumerate(build()):
+            path = Path(work) / f"model-{k}.json"
+            path.write_text(json.dumps({
+                "states": list(model.states), "actions": list(model.actions),
+                "transitions": {a: model.kernel[u].tolist() for u, a in enumerate(model.actions)},
+                "costs": model.cost.tolist()}))
+            argvs.append(["solve", "--model", str(path), "--method", method,
+                          "--out", str(Path(work) / f"report-{k}.json")])
+        with contextlib.redirect_stdout(quiet):
+            for argv in argvs:
+                cli.main(argv)
+            start = time.perf_counter()
+            codes = [cli.main(argv) for argv in argvs]
+            seconds = time.perf_counter() - start
+    if any(codes):
+        raise RuntimeError(f"{name}: riskmdp solve exited {codes}")
+    return seconds
+
+
+def _timed(name: str, repeats: int, timer: str = "timed_pass") -> dict:
+    """The rung's timer (timed_pass or timed_cli_pass), repeats times, each
+    in a new child process."""
     child = (f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
-             f"import ladder; print(ladder.timed_pass({name!r}))")
+             f"import ladder; print(ladder.{timer}({name!r}))")
     times = [float(subprocess.run([sys.executable, "-c", child], check=True,
                                   capture_output=True, text=True).stdout)
              for _ in range(repeats)]
@@ -122,7 +154,8 @@ def run_rung(name: str, repeats: int) -> dict:
     method, description, build = RUNGS[name]
     models = build()
     return {"name": name, "method": method, "models": description,
-            **_counted(method, models), "wall_s": _timed(name, repeats)}
+            **_counted(method, models), "wall_s": _timed(name, repeats),
+            "cli_s": _timed(name, repeats, "timed_cli_pass")}
 
 
 def environment() -> dict:
@@ -154,7 +187,8 @@ def main(argv=None) -> Path:
         r = rungs[-1]
         print(f"{name}: lp_solves {r['lp_solves']}, pivots {r['pivots']}, "
               f"inversions {r['inversions']}, rounds {r['rounds']}, "
-              f"wall median {r['wall_s']['median']:.4f} s", flush=True)
+              f"wall median {r['wall_s']['median']:.4f} s, "
+              f"cli median {r['cli_s']['median']:.4f} s", flush=True)
     path = Path(args.out_dir) / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "tag": args.tag,
                                 "environment": environment(), "repeats": args.repeats,

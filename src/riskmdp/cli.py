@@ -15,11 +15,13 @@ only the "timings" block varies between identical runs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import certify, game, oracle
 from .errors import GuardError, ModelError
 from .lp import LpError
-from .model import MdpModel, StationaryPolicy, parse_model, read_json
+from .model import MdpModel, StationaryPolicy, number_array, parse_model, read_json
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -40,7 +42,37 @@ TOLERANCES = {"solve": ("stop_tol", "inner_tol"), "verify": ("tol",)}
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte on string
+    keys, but each list of floats is written in one join."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl: str) -> str:
+    # nl is a newline and obj's indentation; the checks run in json's order
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _floats((obj,), "")
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [f"{_escape(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if all(issubclass(t, float) for t in set(map(type, obj))):   # [] too
+        return "[" + inner + _floats(obj, "," + inner) + nl + "]" if obj else "[]"
+    items = [_encode(x, inner) for x in obj]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _floats(xs, sep: str) -> str:
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return sep.join(map(float.__repr__, xs))
 
 
 def model_digest(raw: dict) -> str:
@@ -70,30 +102,24 @@ def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
         if state not in table:
             raise ModelError(f"policy file misses state {state!r}")
         entry = table[state]
-        if isinstance(entry, str):
-            if entry not in act_index:
-                raise ModelError(f"unknown action {entry!r} at state {state!r}")
-            rows[i, act_index[entry]] = 1.0
-        elif isinstance(entry, dict):
-            for a, wgt in entry.items():
-                if a not in act_index:
-                    raise ModelError(f"unknown action {a!r} at state {state!r}")
-                if not isinstance(wgt, (int, float)):
-                    raise ModelError(f"weight {wgt!r} of {a!r} at state {state!r} "
-                                     "is not a number")
-                rows[i, act_index[a]] = wgt
-        else:
+        if isinstance(entry, str):   # a pure entry is the action at weight 1
+            entry = {entry: 1.0}
+        if not isinstance(entry, dict):
             raise ModelError(f"policy entry for state {state!r} must be an action "
                              "name or an action->weight object")
+        for a, wgt in entry.items():
+            if a not in act_index:
+                raise ModelError(f"unknown action {a!r} at state {state!r}")
+            if type(wgt) not in (int, float):   # a JSON number, not true
+                raise ModelError(f"weight {wgt!r} of {a!r} at state {state!r} "
+                                 "is not a number")
+            rows[i, act_index[a]] = wgt
     return StationaryPolicy(rows)
 
 
-def _vec(a) -> list:
-    return [float(x) for x in np.asarray(a).ravel()]
-
-
-def _mat(a) -> list:
-    return [[float(x) for x in row] for row in np.asarray(a)]
+def _list(a) -> list:
+    """A vector or matrix as (nested) lists of Python floats."""
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _policy_map(model: MdpModel, pure) -> dict:
@@ -105,7 +131,7 @@ def _brute_force(model: MdpModel) -> dict:
     return {
         "value": bf.value,
         "bracket": list(bf.bracket),
-        "per_state": _vec(bf.per_state),
+        "per_state": _list(bf.per_state),
         "argmin": _policy_map(model, bf.argmin),
         "converged": bf.converged,
     }
@@ -124,11 +150,11 @@ def _certificate_block(model: MdpModel, phi, v):
     cert = certify.build_certificate(model, phi, v)
     return cert, {
         "levels": [[model.states[i] for i in lvl] for lvl in cert.partition.levels],
-        "level_values": _vec(cert.partition.values),
-        "residual_dp1": _vec(cert.residual_dp1),
-        "residual_dp2": _vec(cert.residual_dp2),
-        "twisted_eigen": _vec(cert.twisted_eigen),
-        "twisted_averaging": _vec(cert.twisted_averaging),
+        "level_values": _list(cert.partition.values),
+        "residual_dp1": _list(cert.residual_dp1),
+        "residual_dp2": _list(cert.residual_dp2),
+        "twisted_eigen": _list(cert.twisted_eigen),
+        "twisted_averaging": _list(cert.twisted_averaging),
     }
 
 
@@ -148,12 +174,12 @@ def _normalized_potentials(phi, v) -> np.ndarray:
 
 def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
     return {
-        "phi_star": _vec(sol.value),
-        "potentials": _vec(_normalized_potentials(sol.value, sol.potentials)),
-        "q_star": _mat(sol.maximizer.entries),
+        "phi_star": _list(sol.value),
+        "potentials": _list(_normalized_potentials(sol.value, sol.potentials)),
+        "q_star": _list(sol.maximizer.entries),
         "v_star": _policy_map(model, sol.minimizer_pure),
-        "minimizer": _mat(sol.minimizer.rows),
-        "dual_w": _vec(sol.dual_w),
+        "minimizer": _list(sol.minimizer.rows),
+        "dual_w": _list(sol.dual_w),
         "duality_gap": sol.duality_gap,
         "num_constraints": sol.num_constraints,
     }
@@ -170,7 +196,7 @@ def cmd_solve(args, argv) -> int:
         method_block = {
             "resolutions": list(rep.resolutions),
             "rounds": list(rep.rounds),
-            "beta_trace": [_vec(b) for b in rep.beta_trace],
+            "beta_trace": [_list(b) for b in rep.beta_trace],
             "stopping_reason": rep.stopping_reason,
             "feasibility_violation": rep.feasibility_violation,
         }
@@ -223,7 +249,7 @@ def cmd_oracle(args, argv) -> int:
         body = {
             "mode": "policy",
             "policy_file": args.policy,
-            "per_state": _vec(rates.lam),
+            "per_state": _list(rates.lam),
             "lambda_max": rates.lambda_max,
             "iterations": rates.iterations,
             "converged": rates.converged,
@@ -244,10 +270,8 @@ def cmd_verify(args, argv) -> int:
     model = parse_model(raw)
     solution = read_json(args.solution, "solution report")
     try:
-        phi = np.asarray(solution["phi_star"], dtype=float)
-        v = np.asarray(solution["potentials"], dtype=float)
-        if phi.shape != (model.num_states,) or v.shape != phi.shape:
-            raise ValueError(f"phi_star and potentials need {model.num_states} values each")
+        phi = number_array(solution["phi_star"], (model.num_states,), "phi_star")
+        v = number_array(solution["potentials"], (model.num_states,), "potentials")
         if not (np.isfinite(phi).all() and np.isfinite(v).all()):
             raise ValueError("phi_star and potentials must be finite")
     except (KeyError, TypeError, ValueError) as exc:
@@ -256,21 +280,14 @@ def cmd_verify(args, argv) -> int:
     try:
         cert, cert_block = _certificate_block(model, phi, v)
     except certify.CertificationError as exc:
-        report = {
-            **_header(argv, raw),
-            "tolerance": args.tol,
-            "passed": False,
-            "error": str(exc),
-        }
         print(f"FAIL: {exc}", file=sys.stderr)
-        _emit(report, args.out)
+        _emit({**_header(argv, raw), "tolerance": args.tol, "passed": False,
+               "error": str(exc)}, args.out)
         return EXIT_RESIDUAL
     elapsed = time.perf_counter() - t0
-    worst_name, worst_state, worst_val = None, None, -1.0
-    for name, arr in cert.checks().items():
-        k = int(np.argmax(arr))
-        if float(arr[k]) > worst_val:
-            worst_name, worst_state, worst_val = name, k, float(arr[k])
+    # the first check with the largest residual, at its first state
+    worst_name, arr = max(cert.checks().items(), key=lambda item: item[1].max())
+    worst_state, worst_val = int(np.argmax(arr)), float(arr.max())
     passed = worst_val <= args.tol
     report = {
         **_header(argv, raw),
@@ -310,7 +327,7 @@ def cmd_example(args, argv) -> int:
         "command": argv,
         "rho": args.rho,
         "supercritical": ana.supercritical,
-        "phi_star": _vec(ana.phi_star),
+        "phi_star": _list(ana.phi_star),
         "q22": ana.q22,
         "lambda_bar": ana.lambda_bar,
         "poisson": poisson_block,
@@ -354,32 +371,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("grid", "congen"), default="grid")
     p.add_argument("--inner-tol", type=float, default=1e-6)
     p.add_argument("--max-rounds", type=int, default=50)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force value or per-policy rates")
     p.add_argument("--model", required=True)
     p.add_argument("--policy")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="re-check a solve report")
     p.add_argument("--model", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="built-in two-state chain diagnostics")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_example)
+    for p in sub.choices.values():   # every command writes its report to --out
+        p.add_argument("--out")
     return parser
+
+
+# one parser per process (parse_args leaves it unchanged); cmd_* are bound
+# when it is built, so patching cli.cmd_* after the first main call does nothing
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "solve" and not 0 <= args.n_start <= args.n_max:
         parser.error("solve: need 0 <= --n-start <= --n-max")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -202,16 +203,25 @@ def parse_model(obj) -> MdpModel:
     transitions = obj["transitions"]
     if not isinstance(transitions, dict) or set(transitions) != set(actions):
         raise ModelError("transitions must map exactly the declared actions")
-    try:
-        kernel = np.array([transitions[a] for a in actions], dtype=float)
-        cost = np.array(obj["costs"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"non-numeric model data: {exc}") from exc
-    if kernel.shape != (m, s, s):
-        raise ModelError(f"transitions shape {kernel.shape} != {(m, s, s)}")
-    if cost.shape != (s, m):
-        raise ModelError(f"costs shape {cost.shape} != {(s, m)}")
+    kernel = number_array([transitions[a] for a in actions], (m, s, s), "transitions")
+    cost = number_array(obj["costs"], (s, m), "costs")
     return MdpModel(states=states, actions=actions, kernel=kernel, cost=cost)
+
+
+def number_array(data, shape: tuple, what: str) -> np.ndarray:
+    """Nested JSON arrays of numbers as a float array of the given shape; an
+    entry must be an int or a float, where np.array alone takes "0.5" or true."""
+    try:
+        out = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"non-numeric {what}: {exc}") from exc
+    if out.shape != shape:
+        raise ModelError(f"{what} shape {out.shape} != {shape}")
+    for _ in shape[1:]:
+        data = chain.from_iterable(data)
+    if found := set(map(type, data)) - {int, float}:
+        raise ModelError(f"{what} must be JSON numbers, not {sorted(t.__name__ for t in found)}")
+    return out
 
 
 def read_json(path, what: str):

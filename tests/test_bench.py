@@ -12,7 +12,7 @@ from helpers import random_model
 
 LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
 RUNG_KEYS = {"name", "method", "models", "lp_solves", "pivots", "inversions",
-             "inverse_sizes", "rounds", "lambda_bar", "wall_s"}
+             "inverse_sizes", "rounds", "lambda_bar", "wall_s", "cli_s"}
 ENVIRONMENT_KEYS = {"python", "numpy", "blas", "blas_threads", "cpu_count", "machine"}
 
 
@@ -31,7 +31,7 @@ def test_ladder_writes_its_smallest_rung(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("congen-ring-32: lp_solves ")
     bench = json.loads(path.read_text())
     assert set(bench) == {"schema_version", "tag", "environment", "repeats", "rungs"}
-    assert (bench["schema_version"], bench["tag"], bench["repeats"]) == (1, "test", 2)
+    assert (bench["schema_version"], bench["tag"], bench["repeats"]) == (2, "test", 2)
     assert set(bench["environment"]) == ENVIRONMENT_KEYS
     [rung] = bench["rungs"]
     assert set(rung) == RUNG_KEYS
@@ -41,7 +41,8 @@ def test_ladder_writes_its_smallest_rung(tmp_path, capsys):
     assert sum(rung["inverse_sizes"].values()) == rung["inversions"]
     assert rung["rounds"] >= 1
     assert rung["lambda_bar"] == [solve_congen(random_model(3, 32, 3)).lambda_bar]
-    wall = rung["wall_s"]
-    assert set(wall) == {"samples", "median", "q1", "q3", "min", "max"}
-    assert wall["samples"] == 2 and all(math.isfinite(v) for v in wall.values())
-    assert 0.0 < wall["min"] <= wall["median"] <= wall["max"]
+    for key in ("wall_s", "cli_s"):
+        wall = rung[key]
+        assert set(wall) == {"samples", "median", "q1", "q3", "min", "max"}
+        assert wall["samples"] == 2 and all(math.isfinite(v) for v in wall.values())
+        assert 0.0 < wall["min"] <= wall["median"] <= wall["max"]

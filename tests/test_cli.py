@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskmdp
-from riskmdp.cli import REPORT_VERSION, main
+from riskmdp import cli
+from riskmdp.cli import REPORT_VERSION, canonical_json, main
 from riskmdp.grid import MAX_RESOLUTION
 from riskmdp.model import MdpModel
 
@@ -302,8 +303,16 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
     ({}, {"1": {"a": [1]}, "2": "a"}, "weight [1] of 'a' at state '1' is not a number"),
     ({}, {"1": {"a": math.nan}, "2": "a"}, "policy: entry (0, 0) at state index 0 outside [0, 1]"),
     ({}, {"1": "a", "2": "a", "3": "a"}, "policy file names state '3', which the model lacks"),
+    # np.array(..., dtype=float) reads "0.5" as 0.5 and true as 1.0
+    ({"transitions": {"a": [["1.0", 0.0], [0.2, 0.8]]}}, None,
+     "transitions must be JSON numbers, not ['str']"),
+    ({"transitions": {"a": [[True, False], [0.2, 0.8]]}}, None,
+     "transitions must be JSON numbers, not ['bool']"),
+    ({"costs": [["0.0"], [1.0]]}, None, "costs must be JSON numbers, not ['str']"),
+    ({}, {"1": {"a": True}, "2": "a"}, "weight True of 'a' at state '1' is not a number"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
-        "null-weight", "list-weight", "nan-weight", "unknown-state"])
+        "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
+        "bool-kernel-entry", "string-cost", "bool-weight"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**TWO_STATE, **model}))
@@ -380,6 +389,21 @@ def test_verify_rejects_nonfinite_reports(tmp_path, capsys, text):
     assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
     err = capsys.readouterr().err
     assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("phi, v, found", [(["0.5", 0.0], [0.0, 0.0], "phi_star must be "
+                                              "JSON numbers, not ['str']"),
+                                             ([0.0, 0.0], [True, 0.0], "potentials must be "
+                                              "JSON numbers, not ['bool']")],
+                         ids=["string-phi", "bool-potential"])
+def test_verify_rejects_reports_of_non_numbers(tmp_path, capsys, phi, v, found):
+    model = write_two_state(tmp_path)
+    solution = tmp_path / "report.json"
+    solution.write_text(json.dumps({"phi_star": phi, "potentials": v}))
+    assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read solution report {solution}: {found}" in err
     assert "Traceback" not in err
 
 
@@ -673,3 +697,126 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "lambda_bar = 0.776856" in proc.stdout
+
+
+def test_reports_are_json_dumps_bytes_of_every_report_kind(tmp_path, monkeypatch):
+    # canonical_json writes each list of floats in one join; its output must
+    # stay json.dumps(report, indent=2, allow_nan=False), on the report
+    # objects themselves (numpy floats included) and in the files written
+    reports = []
+
+    def record(obj):
+        reports.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", record)
+    model = write_model(tmp_path, random_model(11, 3, 2))
+    grid = tmp_path / "solve-grid.json"
+    tampered = tmp_path / "tampered.json"
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"policy": {"s0": "a1", "s1": {"a0": 0.5, "a1": 0.5},
+                                             "s2": "a0"}}))
+    flip = tmp_path / "flip.json"   # no state keeps its level: the certificate cannot be built
+    flip.write_text(json.dumps({"states": ["a", "b"], "actions": ["x"],
+                                "transitions": {"x": [[0, 1], [1, 0]]}, "costs": [[0], [0]]}))
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"phi_star": [0.0, 1.0], "potentials": [0.0, 0.0]}))
+    calls = {
+        "solve-grid": (["solve", "--model", str(model)], 0),
+        "solve-congen": (["solve", "--model", str(model), "--method", "congen"], 0),
+        "oracle": (["oracle", "--model", str(model)], 0),
+        "oracle-policy": (["oracle", "--model", str(model), "--policy", str(policy)], 0),
+        "verify-passed": (["verify", "--model", str(model), "--solution", str(grid)], 0),
+        "verify-failed": (["verify", "--model", str(model), "--solution", str(tampered)], 5),
+        "verify-error": (["verify", "--model", str(flip), "--solution", str(split)], 5),
+        "example-above": (["example", "--rho", "0.8"], 0),
+        "example-below": (["example", "--rho", "0.1"], 0),
+    }
+    for name, (argv, code) in calls.items():
+        if name == "verify-failed":
+            report = json.loads(grid.read_text())
+            report["phi_star"][0] += 0.1
+            tampered.write_text(json.dumps(report))
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == code, name
+        expected = json.dumps(reports[-1], indent=2, allow_nan=False)
+        assert canonical_json(reports[-1]) == expected, name
+        assert out.read_text() == expected + "\n", name
+    assert "error" in json.loads((tmp_path / "verify-error.json").read_text())
+    assert json.loads((tmp_path / "example-below.json").read_text())["poisson"] is None
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, -2.5e-308]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+LEAVES = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-2**70, 2**70), st.booleans(),
+                   st.none(), st.text(), st.sampled_from(["é", "λ̄ ≤ 1", " ", '"\\\n']))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(FLOATS), st.lists(FLOATS.map(np.float64)).map(tuple),
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4)), max_leaves=24))
+def test_canonical_json_is_json_dumps(obj):
+    assert canonical_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("where", ["alone", "float-list", "mixed-list", "dict"])
+def test_canonical_json_rejects_nonfinite_floats(bad, where):
+    obj = {"alone": bad, "float-list": [0.5, bad], "mixed-list": [1, "x", bad],
+           "dict": {"q": [[0.5], {"w": bad}]}}[where]
+    with pytest.raises(ValueError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        canonical_json(obj)
+
+
+def _report_without_timings(text: str) -> dict:
+    return strip_timings(json.loads(text[text.index("{\n"):]))
+
+
+def test_one_process_gives_each_call_the_report_of_a_fresh_process(tmp_path, capsys):
+    # main builds its parser once per process: flags, defaults and --out must
+    # not carry from one call to the next
+    model = write_model(tmp_path, random_model(11, 3, 2))
+    report = tmp_path / "report.json"
+    calls = [
+        (["solve", "--model", str(model), "--n-max", "-1"], "usage"),
+        (["solve", "--model", str(model), "--n-max", "4", "--out", str(report)], report),
+        (["solve", "--model", str(model), "--n-max", "4"], "stdout"),
+        (["verify", "--model", str(model), "--solution", str(report), "--tol", "0.1",
+          "--out", str(tmp_path / "verify-loose.json")], tmp_path / "verify-loose.json"),
+        (["verify", "--model", str(model), "--solution", str(report),
+          "--out", str(tmp_path / "verify.json")], tmp_path / "verify.json"),
+        (["solve", "--model", str(model), "--method", "congen",
+          "--out", str(tmp_path / "congen.json")], tmp_path / "congen.json"),
+    ]
+    in_process = []
+    for argv, out in calls:
+        if out == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            in_process.append((exc.value.code, capsys.readouterr().err))
+            continue
+        code = main(argv)
+        stdout = capsys.readouterr().out
+        in_process.append((code, _report_without_timings(
+            stdout if out == "stdout" else out.read_text())))
+    assert in_process[0][0] == 2 and "--n-start" in in_process[0][1]
+    assert in_process[2][1]["command"][-2:] == ["--n-max", "4"]
+    assert (in_process[3][1]["tolerance"], in_process[4][1]["tolerance"]) == (0.1, 1e-3)
+    assert in_process[5][1]["method"] == "congen" and "beta_trace" not in in_process[5][1]
+
+    package_root = str(Path(riskmdp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    for (argv, out), got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "riskmdp", *argv], capture_output=True,
+                              text=True, timeout=120, env=env)
+        if out == "usage":
+            assert (proc.returncode, proc.stderr) == got
+        else:
+            text = proc.stdout if out == "stdout" else out.read_text()
+            assert (proc.returncode, _report_without_timings(text)) == got, argv

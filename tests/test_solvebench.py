@@ -29,11 +29,13 @@ tracer.install(cli, game, lp, oracle, certify)
 code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *args])
 spans = sorted({span[0] for span in tracer.spans})
 lp_solves = sum(span[0] == "lp.solve" for span in tracer.spans)
+emits = sum(span[0] == "cli.emit" for span in tracer.spans)
 tracer.spans.clear()
 verify_code = cli.main(["verify", "--model", sys.argv[2], "--solution", sys.argv[3]])
 print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts, "lp_solves": lp_solves,
-                  "verify_code": verify_code,
-                  "verify_spans": sorted({span[0] for span in tracer.spans})}))
+                  "emits": emits, "verify_code": verify_code,
+                  "verify_spans": sorted({span[0] for span in tracer.spans}),
+                  "verify_emits": sum(span[0] == "cli.emit" for span in tracer.spans)}))
 """
 
 # every wrapper but lp.build (the solve path assembles its LPs directly)
@@ -66,6 +68,9 @@ def _traced_solve(tmp_path, model, *solve_args) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     assert set(result["verify_spans"]) == VERIFY_SPANS
+    # canonical_json recurses through a private helper, so a report is one
+    # cli.emit span and cli.emit_s counts its encoding once
+    assert (result["emits"], result["verify_emits"]) == (1, 1)
     result["report"] = json.loads((tmp_path / "report.json").read_text())
     return result
 
