@@ -32,7 +32,6 @@ from .model import (
     StationaryPolicy,
     apply_policy,
     parse_model,
-    union_support,
 )
 from .oracle import (
     BruteForceResult,

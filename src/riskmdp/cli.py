@@ -80,12 +80,6 @@ def model_digest(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _header(argv, raw: dict) -> dict:
-    """The keys every report on a model file starts with."""
-    return {"report_version": REPORT_VERSION, "command": argv,
-            "model_digest": model_digest(raw)}
-
-
 def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
     """Read a policy file: {"policy": {state: action}} for pure policies or
     {"policy": {state: {action: weight}}} for randomized ones."""
@@ -185,9 +179,7 @@ def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
     }
 
 
-def cmd_solve(args, argv) -> int:
-    raw = read_json(args.model, "model file")
-    model = parse_model(raw)
+def cmd_solve(args, model: MdpModel) -> tuple[dict, int]:
     timings = {}
     t0 = time.perf_counter()
     if args.method == "grid":
@@ -221,8 +213,7 @@ def cmd_solve(args, argv) -> int:
         cert_block = {"error": str(exc)}
     timings["certify"] = time.perf_counter() - t0
 
-    report = {
-        **_header(argv, raw),
+    body = {
         "method": args.method,
         **method_block,
         "lambda_bar": lambda_bar,
@@ -234,13 +225,10 @@ def cmd_solve(args, argv) -> int:
     print(f"lambda_bar = {lambda_bar:.6f}")
     print("v* :", ", ".join(f"{s} -> {a}" for s, a in
                             _policy_map(model, sol.minimizer_pure).items()))
-    _emit(report, args.out)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
-def cmd_oracle(args, argv) -> int:
-    raw = read_json(args.model, "model file")
-    model = parse_model(raw)
+def cmd_oracle(args, model: MdpModel) -> tuple[dict, int]:
     timings = {}
     t0 = time.perf_counter()
     if args.policy:
@@ -260,14 +248,10 @@ def cmd_oracle(args, argv) -> int:
         print(f"lambda_bar = {body['value']:.6f}")
         print("argmin :", ", ".join(f"{s} -> {a}" for s, a in body["argmin"].items()))
     timings["oracle"] = time.perf_counter() - t0
-    report = {**_header(argv, raw), **body, "timings": timings}
-    _emit(report, args.out)
-    return EXIT_OK
+    return {**body, "timings": timings}, EXIT_OK
 
 
-def cmd_verify(args, argv) -> int:
-    raw = read_json(args.model, "model file")
-    model = parse_model(raw)
+def cmd_verify(args, model: MdpModel) -> tuple[dict, int]:
     solution = read_json(args.solution, "solution report")
     try:
         phi = number_array(solution["phi_star"], (model.num_states,), "phi_star")
@@ -281,16 +265,13 @@ def cmd_verify(args, argv) -> int:
         cert, cert_block = _certificate_block(model, phi, v)
     except certify.CertificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
-        _emit({**_header(argv, raw), "tolerance": args.tol, "passed": False,
-               "error": str(exc)}, args.out)
-        return EXIT_RESIDUAL
+        return {"tolerance": args.tol, "passed": False, "error": str(exc)}, EXIT_RESIDUAL
     elapsed = time.perf_counter() - t0
     # the first check with the largest residual, at its first state
     worst_name, arr = max(cert.checks().items(), key=lambda item: item[1].max())
     worst_state, worst_val = int(np.argmax(arr)), float(arr.max())
     passed = worst_val <= args.tol
-    report = {
-        **_header(argv, raw),
+    body = {
         "tolerance": args.tol,
         "passed": passed,
         "worst": {"check": worst_name, "state": model.states[worst_state],
@@ -303,11 +284,10 @@ def cmd_verify(args, argv) -> int:
     else:
         print(f"FAIL: {worst_name} residual {worst_val:.3e} at state "
               f"{model.states[worst_state]} exceeds {args.tol:g}", file=sys.stderr)
-    _emit(report, args.out)
-    return EXIT_OK if passed else EXIT_RESIDUAL
+    return body, EXIT_OK if passed else EXIT_RESIDUAL
 
 
-def cmd_example(args, argv) -> int:
+def cmd_example(args, _) -> tuple[dict, int]:
     ana = certify.analytic_example(args.rho)
     model = certify.two_state_model(args.rho)
     poisson_block = None
@@ -322,9 +302,7 @@ def cmd_example(args, argv) -> int:
     rep = game.solve_sequence(model)
     elapsed = time.perf_counter() - t0
     gap = abs(rep.lambda_bar - ana.lambda_bar)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": argv,
+    body = {
         "rho": args.rho,
         "supercritical": ana.supercritical,
         "phi_star": _list(ana.phi_star),
@@ -340,8 +318,7 @@ def cmd_example(args, argv) -> int:
     if poisson_block is not None:
         print("poisson_insolvable =", str(poisson_block["insolvable"]).lower())
     print(f"lp solve gap = {gap:.3e}")
-    _emit(report, args.out)
-    return EXIT_OK
+    return body, EXIT_OK
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -409,7 +386,15 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, name) < math.inf:
             parser.error(f"{args.command}: --{name.replace('_', '-')} must be finite and >= 0")
     try:
-        return args.func(args, ["riskmdp"] + argv)
+        # every report starts with these keys; model_digest on a model file
+        header, model = {"report_version": REPORT_VERSION, "command": ["riskmdp"] + argv}, None
+        if hasattr(args, "model"):
+            raw = read_json(args.model, "model file")
+            model = parse_model(raw)
+            header["model_digest"] = model_digest(raw)
+        body, code = args.func(args, model)
+        _emit({**header, **body}, args.out)
+        return code
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL

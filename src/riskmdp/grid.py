@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MdpModel, union_support
+from .model import MdpModel
 
 # The finest resolution whose rows are exact doubles summing to exactly 1, measured
 # by pricing random instances at each n: at n = 54 an odd numerator above 2^53 rounds.
@@ -41,7 +41,7 @@ def build_grid(model: MdpModel) -> GridSpec:
     last successor first.  They hold every state's worst beta-constraint
     (the maximum of q.beta over a support simplex sits at a vertex)."""
     eye = np.eye(model.num_states)
-    return GridSpec(rows=tuple(eye[list(union_support(model, i))[::-1]] for i in range(len(eye))))
+    return GridSpec(rows=tuple(eye[np.flatnonzero(row)[::-1]] for row in model.support))
 
 
 def lattice_numerators(z: np.ndarray, resolution: int) -> np.ndarray:

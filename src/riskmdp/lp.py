@@ -225,8 +225,8 @@ class _Simplex:
     def _step(self, j, direction):
         """Column j enters, moving in direction; False if nothing blocks it."""
         w = self.binv @ self.a[:, j]
-        # entries below a relative threshold are treated as exact zeros so a
-        # noise-scale element can never be chosen as a pivot
+        # entries below a relative threshold are treated as exact zeros: theta is
+        # finite only where |w| > zero_tol, so no noise-scale pivot can be chosen
         zero_tol = max(PIVOT_TOL, 1e-11 * float(np.abs(w).max(initial=0.0)))
         delta = -direction * w  # change of basic values per unit step
         bvars = self.basis
@@ -247,12 +247,6 @@ class _Simplex:
             r = int(cand[np.argmin(bvars[cand])])  # index rule: terminates
         else:
             r = int(cand[np.argmax(np.abs(w[cand]))])  # stability rule
-        if abs(w[r]) < zero_tol:
-            self._refactor()
-            w = self.binv @ self.a[:, j]
-            zero_tol = max(PIVOT_TOL, 1e-11 * float(np.abs(w).max(initial=0.0)))
-            if abs(w[r]) < zero_tol:
-                raise LpError("pivot element vanished; basis numerically singular")
         self.x[bvars] += delta * limit
         self.x[j] = self.x[j] + direction * limit
         # the leaving variable keeps its stepped value (== the bound it

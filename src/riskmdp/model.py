@@ -155,13 +155,6 @@ class KernelMatrix:
         return cls(entries, model.support)
 
 
-def union_support(model: MdpModel, i: int) -> tuple[int, ...]:
-    """Successor states reachable from i under some action: {j : max_u p(j|i,u) > 0}."""
-    if not 0 <= i < model.num_states:
-        raise IndexError(f"state index {i} out of range")
-    return tuple(int(j) for j in np.flatnonzero(model.support[i]))
-
-
 def apply_policy(model: MdpModel, policy: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Collapse the controlled kernel and cost under a stationary policy.
 
@@ -193,6 +186,8 @@ def parse_model(obj) -> MdpModel:
         raise ModelError(f"model document missing keys: {sorted(missing)}")
     if not (isinstance(obj["states"], list) and isinstance(obj["actions"], list)):
         raise ModelError("states and actions must be JSON arrays")
+    if not (obj["states"] and obj["actions"]):
+        raise ModelError("need at least one state and one action")
     states = tuple(str(x) for x in obj["states"])
     actions = tuple(str(x) for x in obj["actions"])
     if len(set(states)) != len(states):

@@ -25,7 +25,7 @@ from riskmdp.errors import GuardError, ModelError
 from riskmdp.grid import GridSpec, lattice_numerators
 from riskmdp.lp import LinearProgram, LpError
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
-                           read_json, union_support)
+                           read_json)
 from riskmdp.oracle import NEG_INF, _communicating_classes, tilde_cost
 
 
@@ -42,6 +42,13 @@ def weighted_sum(weights, values) -> float:
             return NEG_INF
         total += w * v
     return total
+
+
+def union_support(model: MdpModel, i: int) -> tuple[int, ...]:
+    """Successor states reachable from i under some action: {j : max_u p(j|i,u) > 0}."""
+    if not 0 <= i < model.num_states:
+        raise IndexError(f"state index {i} out of range")
+    return tuple(int(j) for j in np.flatnonzero(model.support[i]))
 
 
 def load_model(path) -> MdpModel:
@@ -324,6 +331,10 @@ def pure_log_rho_min(model: MdpModel) -> float:
     states = np.arange(s)
     return min(class_log_rho(np.exp(model.cost[states, v])[:, None] * model.kernel[v, states])
                for v in map(np.array, itertools.product(range(model.num_actions), repeat=s)))
+
+
+# (states, actions) of the two-successor models the game tests sweep by seed
+TWO_SUCCESSOR_SHAPES = ((3, 2), (4, 3), (4, 2), (3, 3))
 
 
 def two_successor_model(seed: int, s: int, m: int, cost_scale: float = 10.0) -> MdpModel:

@@ -310,12 +310,22 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
      "transitions must be JSON numbers, not ['bool']"),
     ({"costs": [["0.0"], [1.0]]}, None, "costs must be JSON numbers, not ['str']"),
     ({}, {"1": {"a": True}, "2": "a"}, "weight True of 'a' at state '1' is not a number"),
+    ([TWO_STATE], None, "model document must be a JSON object"),
+    ({"states": ["1", "1"]}, None, "duplicate state labels"),
+    ({"states": [1, "1"]}, None, "duplicate state labels"),
+    ({"actions": ["a", "a"]}, None, "duplicate action labels"),
+    ({"transitions": {"a": [[1.0, 0.0], [0.2]]}}, None, "non-numeric transitions"),
+    ({"states": []}, None, "need at least one state and one action"),
+    ({"actions": []}, None, "need at least one state and one action"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
-        "bool-kernel-entry", "string-cost", "bool-weight"])
+        "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
+        "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
+        "ragged-transition-row", "no-states", "no-actions"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({**TWO_STATE, **model}))
+    # a dict overrides keys of the two-state model, a list is the whole document
+    path.write_text(json.dumps({**TWO_STATE, **model} if isinstance(model, dict) else model))
     argv = ["solve", "--model", str(path)]
     if policy is not None:
         argv = ["oracle", "--model", str(path), "--policy", str(tmp_path / "policy.json")]
@@ -349,6 +359,24 @@ def test_value_drop_in_the_sweep_exits_4(tmp_path, capsys, value_drop):
     err = capsys.readouterr().err
     assert "solver failure: value decreased by 1.000e-03 from resolution 2 to 3" in err
     assert "Traceback" not in err
+
+
+def test_solve_past_the_oracle_guard_writes_a_null_oracle(tmp_path):
+    # 2^21 pure policies exceed the enumeration guard: the solve reports no
+    # oracle block, and its report still verifies
+    model = write_model(tmp_path, random_model(1, 21, 2))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(model), "--method", "congen", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["oracle"] is None
+    assert main(["verify", "--model", str(model), "--solution", str(out)]) == 0
+
+
+def test_potentials_stay_unshifted_when_the_levels_are_ambiguous():
+    # 0, 8e-7 and 1.6e-6 chain together within LEVEL_TOL = 1e-6 but spread wider
+    v = [3.0, 1.0, 2.0]
+    got = cli._normalized_potentials(np.array([0.0, 8e-7, 1.6e-6]), v)
+    assert got.tolist() == v
+    assert cli._normalized_potentials(np.zeros(3), v).tolist() == [2.0, 0.0, 1.0]
 
 
 def test_oracle_guard_exit_3(tmp_path):

@@ -26,6 +26,7 @@ from riskmdp.game import (
 from riskmdp.oracle import brute_force_lambda_star, growth_rate, perron_policy
 
 from helpers import (
+    TWO_SUCCESSOR_SHAPES,
     as_stationary,
     assert_same_solution,
     binds,
@@ -578,7 +579,6 @@ def test_congen_crash_pivot_path_is_pinned():
     assert _congen_pivot_path("crash-lp") == [[0, True]]
 
 
-TWO_SUCCESSOR_SHAPES = ((3, 2), (4, 3), (4, 2), (3, 3))
 NEG_INF_OUTCOME = "came back infeasible: the game value is -inf"
 
 

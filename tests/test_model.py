@@ -14,10 +14,9 @@ from riskmdp.model import (
     StationaryPolicy,
     apply_policy,
     parse_model,
-    union_support,
 )
 
-from helpers import as_stationary, load_model, random_model, uniform_policy
+from helpers import as_stationary, load_model, random_model, uniform_policy, union_support
 
 EX41 = {
     "states": ["1", "2"],
