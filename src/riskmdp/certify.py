@@ -81,29 +81,17 @@ def build_partition(phi_star) -> LevelPartition:
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
     order = np.argsort(phi, kind="stable")
-    levels = []
-    current = [int(order[0])]
-    for k in range(1, len(order)):
-        i = int(order[k])
-        if phi[i] - phi[int(current[-1])] <= LEVEL_TOL:
-            current.append(i)
-        else:
-            levels.append(current)
-            current = [i]
-    levels.append(current)
-    values = []
-    for members in levels:
-        vals = phi[members]
-        if float(vals.max() - vals.min()) > LEVEL_TOL:
-            raise AmbiguousLevelsError(
-                f"states {sorted(members)} chain together within {LEVEL_TOL:g} "
-                f"but spread {float(vals.max() - vals.min()):.3e} exceeds it"
-            )
+    ranked = phi[order]
+    cuts = np.flatnonzero(np.diff(ranked) > LEVEL_TOL) + 1
+    levels, values = [], []
+    for members, vals in zip(np.split(order, cuts), np.split(ranked, cuts)):
+        members = sorted(members.tolist())
+        if vals[-1] - vals[0] > LEVEL_TOL:
+            raise AmbiguousLevelsError(f"states {members} chain together within {LEVEL_TOL:g} "
+                                       f"but spread {vals[-1] - vals[0]:.3e} exceeds it")
+        levels.append(tuple(members))
         values.append(float(vals.mean()))
-    return LevelPartition(
-        levels=tuple(tuple(sorted(members)) for members in levels),
-        values=tuple(values),
-    )
+    return LevelPartition(levels=tuple(levels), values=tuple(values))
 
 
 def hat_kernel(model: MdpModel, partition: LevelPartition) -> np.ndarray:

@@ -3,15 +3,17 @@
 Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b
 over three kinds of column: nonnegative [0, inf) (the default), free
 (-inf, inf) and fixed at 0 [0, 0]; any other bound is rejected.  Every
-column starts at 0.  The method is a revised simplex: two-phase start (or
-phase 2 straight from a given feasible basis), dense basis-inverse updates
-with periodic refactorization, and a permanent switch to Bland's rule after
-a run of degenerate pivots (anti-cycling).  The basis matrix is kept as
-state: a pivot replaces one of its columns, and only a refactorization
-gathers it anew.  The explicit inverse is updated in place by one rank-one
-step per pivot.  A warm start carries only the basis, and inverts it like
-any refactorization.  Free columns are handled natively, not by splitting,
-so dual extraction stays clean.
+column starts at 0, and the simplex knows its kind by two masks, free and
+fixed.  The method is a revised simplex: two-phase start (or phase 2
+straight from a given feasible basis), dense basis-inverse updates with
+periodic refactorization, and a permanent switch to Bland's rule after a
+run of degenerate pivots (anti-cycling).  The basis matrix is kept as state:
+a pivot replaces one of its columns, and only a refactorization gathers it
+anew.  The explicit inverse is updated in place by one rank-one step per
+pivot.  A warm start carries only the basis and inverts it like any
+refactorization; a singular or infeasible one raises LpError, and the solve
+starts cold.  Free columns are handled natively, not by splitting, so dual
+extraction stays clean.
 
 The constraint matrix comes in dense.  Rows are scaled to unit max-norm
 straight into the single dense working matrix (structural, slack and
@@ -141,24 +143,21 @@ class LpSolution:
 
 
 class _Simplex:
-    """Revised simplex on  min c.x, A x = b  over nonnegative, free and
-    fixed-at-0 columns; a nonbasic column sits at 0 (up to rounding)."""
+    """Revised simplex on  min c.x, A x = b; the masks free and fixed give each
+    column's kind (in neither: nonnegative), and a nonbasic column sits at 0."""
 
-    def __init__(self, a, b, c, lower, upper):
+    def __init__(self, a, b, c, free, fixed):
         self.a = a
         self.b = b
         self.c = c
-        self.lower = lower
-        self.upper = upper
+        self.free = free
+        self.fixed = fixed
         self.m, self.n = a.shape
         self.x = np.zeros(self.n)
-        self.basis = np.zeros(self.m, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.keep = np.zeros(self.n, dtype=bool)  # never chosen to leave
-        self.bmat = np.eye(self.m)  # a[:, basis], one column kept per pivot
-        self.binv = np.eye(self.m)
+        self.basis = self.bmat = self.binv = None  # set by the cold or the warm start
         self.outer = np.empty((self.m, self.m))  # rank-one update buffer
-        self.free = self.fixed = None  # column masks, set by run()
         self.iterations = 0
         self.bland = False
         self.degen_run = 0
@@ -232,7 +231,9 @@ class _Simplex:
         bvars = self.basis
         delta[self.keep[bvars]] = 0.0
         xb = self.x[bvars]
-        room = np.where(delta > 0, self.upper[bvars] - xb, xb - self.lower[bvars])
+        # room to the bound ahead: up to 0 if fixed, down to 0 unless free
+        room = np.where(delta > 0, np.where(self.fixed[bvars], 0.0, np.inf) - xb,
+                        np.where(self.free[bvars], np.inf, xb))
         size = np.abs(delta)
         with np.errstate(all="ignore"):   # a dropped entry may divide by 0 or overflow
             theta = np.where(size > zero_tol, np.maximum(room, 0.0) / size, np.inf)
@@ -267,8 +268,6 @@ class _Simplex:
 
     def run(self):
         """Iterate to optimality; returns 'optimal' or 'unbounded'."""
-        self.free = np.isneginf(self.lower)
-        self.fixed = self.upper == 0.0
         while True:
             if self.iterations >= MAX_ITERS:
                 raise LpError(f"iteration limit {MAX_ITERS} exceeded")
@@ -295,17 +294,16 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     """
     if basis is not None:
         try:
-            sol = _solve(lp, np.asarray(basis, dtype=np.intp))
-            if sol is not None:
-                return sol
+            return _solve(lp, np.asarray(basis, dtype=np.intp))
         except LpError:
-            pass  # a breakdown from the given basis: solve cold
+            pass  # no phase 2 from the given basis, or a breakdown in it: solve cold
     return _solve(lp, None)
 
 
-def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
-    """Install basis over the zero start point; False when it is singular or
-    its basic point leaves the bounds or the rows by more than FEAS_TOL."""
+def _warm_start(sim: _Simplex, basis: np.ndarray) -> None:
+    """Install basis over the zero start point.  Raises ValueError for a
+    malformed basis, and LpError when it is singular or its basic point
+    leaves the bounds or the rows by more than FEAS_TOL."""
     # (np.unique would import numpy.ma, 1.5 MB of resident memory)
     in_range = basis.shape == (sim.m,) and np.all(basis >= 0) and np.all(basis < sim.n)
     if in_range:
@@ -313,19 +311,17 @@ def _warm_start(sim: _Simplex, basis: np.ndarray) -> bool:
     if not in_range or np.count_nonzero(sim.in_basis) != sim.m:
         raise ValueError(f"basis must hold {sim.m} distinct column indices below {sim.n}")
     sim.basis = basis.copy()
-    try:
-        sim._refactor()
-    except LpError:
-        return False
+    sim._refactor()
     x = sim.x
-    return bool(np.all(np.isfinite(x))
-                and np.all(x >= sim.lower - FEAS_TOL) and np.all(x <= sim.upper + FEAS_TOL)
-                and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= FEAS_TOL)
+    if not (np.all(np.isfinite(x)) and np.all((x >= -FEAS_TOL) | sim.free)
+            and np.all((x <= FEAS_TOL) | ~sim.fixed)
+            and np.abs(sim.a @ x - sim.b).max(initial=0.0) <= FEAS_TOL):
+        raise LpError("the given basis does not start phase 2 within FEAS_TOL")
 
 
-def _solve(lp: LinearProgram, basis) -> LpSolution | None:
-    """One solve, from the given basis or (basis None) cold; None when the
-    given basis cannot start phase 2."""
+def _solve(lp: LinearProgram, basis) -> LpSolution:
+    """One solve, from the given basis or (basis None) cold; lp's bounds
+    become the simplex's free and fixed masks here, once."""
     m, n = lp.num_constraints, lp.num_vars
     sign = 1.0 if lp.sense == "min" else -1.0
 
@@ -333,36 +329,36 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     # max-norm, then slacks (<= rows get +slack, >= rows get -slack, both
     # slack >= 0), then artificials; the norms are taken and the scaling done
     # in place, so no other matrix-sized array is made
-    ineq = [k for k, rel in enumerate(lp.relations) if rel != "=="]
+    relations = np.array(lp.relations)
+    ineq = np.flatnonzero(relations != "==")
     n_slack = len(ineq)
-    a_full = np.zeros((m, n + n_slack + m))
+    ncols = n + n_slack  # the real columns, before the artificials
+    a_full = np.zeros((m, ncols + m))
     structural = a_full[:, :n]
     norms = np.abs(lp.matrix, out=structural).max(axis=1, initial=0.0)
     norms[norms == 0.0] = 1.0
     b_scaled = lp.rhs / norms
     np.divide(lp.matrix, norms[:, None], out=structural)
-    for pos, k in enumerate(ineq):
-        a_full[k, n + pos] = 1.0 if lp.relations[k] == "<=" else -1.0
-
-    lower = np.concatenate([lp.lower, np.zeros(n_slack + m)])
-    upper = np.concatenate([lp.upper, np.full(n_slack + m, np.inf)])
+    a_full[ineq, n + np.arange(n_slack)] = np.where(relations[ineq] == "<=", 1.0, -1.0)
+    # slacks and artificials are nonnegative until phase 2 fixes the artificials
+    pad = np.zeros(n_slack + m, dtype=bool)
+    free, fixed = np.append(np.isneginf(lp.lower), pad), np.append(lp.upper == 0.0, pad)
 
     # every column starts at 0, so the artificials take up b: each one's
     # sign makes its start value |b_k| nonnegative
-    art = np.arange(n + n_slack, n + n_slack + m)
+    art = np.arange(ncols, ncols + m)
     art_sign = np.where(b_scaled >= 0, 1.0, -1.0)
     a_full[np.arange(m), art] = art_sign
     phase2_c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
 
-    sim = _Simplex(a=a_full, b=b_scaled, c=phase2_c, lower=lower, upper=upper)
+    sim = _Simplex(a=a_full, b=b_scaled, c=phase2_c, free=free, fixed=fixed)
     if basis is not None:
         # artificials are zero-fixed from the start: a basic one may only
         # sit on a redundant row
-        sim.upper[art] = 0.0
-        if not _warm_start(sim, basis):
-            return None
+        sim.fixed[art] = True
+        _warm_start(sim, basis)
     else:
-        sim.c = np.concatenate([np.zeros(n + n_slack), np.ones(m)])  # phase 1
+        sim.c = np.concatenate([np.zeros(ncols), np.ones(m)])  # phase 1
         sim.x[art] = np.abs(b_scaled)
         sim.basis = art.copy()
         sim.bmat = sim.a[:, art]
@@ -380,17 +376,17 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     # column can pivot are redundant and keep a zero-fixed artificial
     for r in range(m):
         bvar = sim.basis[r]
-        if bvar < n + n_slack:
+        if bvar < ncols:
             continue
-        row = sim.binv[r, :] @ sim.a[:, : n + n_slack]
-        cand = np.flatnonzero((np.abs(row) > 1e-8) & ~sim.in_basis[: n + n_slack])
+        row = sim.binv[r, :] @ sim.a[:, :ncols]
+        cand = np.flatnonzero((np.abs(row) > 1e-8) & ~sim.in_basis[:ncols])
         if len(cand):
             j = int(cand[0])
             w = sim.binv @ sim.a[:, j]
             sim._replace(r, j, w)
             sim.x[bvar] = 0.0
             sim._recompute_basics()
-    sim.upper[art] = 0.0
+    sim.fixed[art] = True
     sim.x[art[~sim.in_basis[art]]] = 0.0
     # pivots keep a zero tableau row zero, so on the rows the artificials
     # still hold every entry is rounding noise; pivoting one out there would
@@ -399,27 +395,23 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
 
     sim.c = phase2_c
     sim.degen_run = 0
-    status = sim.run()
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=sim.iterations,
-                          warm_started=basis is not None)
-    # clean-up pass: rebuild the basis inverse and basic values from scratch,
-    # then let the iteration polish anything the accumulated updates drifted
-    sim._refactor()
-    status = sim.run()
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=sim.iterations,
-                          warm_started=basis is not None)
+    # phase 2, then a clean-up pass: rebuild the inverse and the basic values
+    # from scratch, and let the iteration polish what the updates drifted
+    for clean_up in (False, True):
+        if clean_up:
+            sim._refactor()
+        if sim.run() == "unbounded":
+            return LpSolution(status="unbounded", iterations=sim.iterations,
+                              warm_started=basis is not None)
 
     x = np.clip(sim.x[:n], lp.lower, lp.upper)
-    _, y_int = sim._reduced_costs()
+    d, y_int = sim._reduced_costs()
     duals = sign * y_int / norms
     objective = float(lp.objective @ x)
     gap = abs(objective - float(lp.rhs @ duals))
 
     # residuals on the scaled problem
     excess = structural @ x - b_scaled
-    relations = np.array(lp.relations)
     viol = np.where(relations == "==", np.abs(excess),
                     np.maximum(np.where(relations == "<=", excess, -excess), 0.0))
     primal_residual = float(viol.max(initial=0.0))
@@ -428,24 +420,21 @@ def _solve(lp: LinearProgram, basis) -> LpSolution | None:
     # ones encode the dual sign conditions on inequality rows): d == 0 on
     # basic and free columns, d >= 0 on a nonbasic nonnegative one, and any
     # sign on a nonbasic fixed column, which sits at both its bounds
-    ncols = n + n_slack
-    d_int = sim.c[:ncols] - a_full[:, :ncols].T @ y_int
-    signed = -d_int
-    signed[sim.fixed[:ncols]] = 0.0
+    d = d[:ncols]
+    signed = np.where(sim.fixed[:ncols], 0.0, -d)
     pinned = sim.in_basis[:ncols] | sim.free[:ncols]
-    dual_residual = float(np.where(pinned, np.abs(d_int), signed).max(initial=0.0))
+    dual_residual = float(np.where(pinned, np.abs(d), signed).max(initial=0.0))
 
-    sol = LpSolution(
-        status="optimal", x=x, duals=duals,
-        objective_value=objective, duality_gap=gap,
-        primal_residual=primal_residual,
-        dual_residual=dual_residual, iterations=sim.iterations,
-        basis=sim.basis.copy(), warm_started=basis is not None,
-    )
     if (primal_residual > 1e3 * FEAS_TOL or dual_residual > 1e3 * OPT_TOL
             or gap > 1e3 * GAP_TOL):
         raise LpError(
             f"optimality certificate failed: primal residual {primal_residual:.3e}, "
             f"dual residual {dual_residual:.3e}, duality gap {gap:.3e}"
         )
-    return sol
+    return LpSolution(
+        status="optimal", x=x, duals=duals,
+        objective_value=objective, duality_gap=gap,
+        primal_residual=primal_residual,
+        dual_residual=dual_residual, iterations=sim.iterations,
+        basis=sim.basis.copy(), warm_started=basis is not None,
+    )

@@ -205,18 +205,20 @@ def parse_model(obj) -> MdpModel:
 
 def number_array(data, shape: tuple, what: str) -> np.ndarray:
     """Nested JSON arrays of numbers as a float array of the given shape; an
-    entry must be an int or a float, where np.array alone takes "0.5" or true."""
-    try:
-        out = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"non-numeric {what}: {exc}") from exc
-    if out.shape != shape:
-        raise ModelError(f"{what} shape {out.shape} != {shape}")
-    for _ in shape[1:]:
-        data = chain.from_iterable(data)
-    if found := set(map(type, data)) - {int, float}:
+    entry must be an int or a float, where np.array alone takes "0.5" or true,
+    and an int must fit a double."""
+    items = [data]
+    for depth, size in enumerate(shape):
+        if not all(isinstance(x, list) and len(x) == size for x in items):
+            raise ModelError(f"{what} shape != {shape}: an entry at depth {depth} "
+                             f"is not an array of length {size}")
+        items = list(chain.from_iterable(items))
+    if found := set(map(type, items)) - {int, float}:
         raise ModelError(f"{what} must be JSON numbers, not {sorted(t.__name__ for t in found)}")
-    return out
+    try:
+        return np.array(items, dtype=float).reshape(shape)
+    except OverflowError as exc:
+        raise ModelError(f"{what}: {exc}") from exc
 
 
 def read_json(path, what: str):

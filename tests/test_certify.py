@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riskmdp.certify import (
+    LEVEL_TOL,
     AmbiguousLevelsError,
     CertificationError,
     analytic_example,
@@ -43,6 +44,58 @@ def test_partition_clusters_by_tolerance():
 def test_partition_reports_ambiguous_chains():
     with pytest.raises(AmbiguousLevelsError):
         build_partition([0.0, 0.6e-6, 1.2e-6])
+    # the chain is found in value order, whatever the state order
+    with pytest.raises(AmbiguousLevelsError, match=r"states \[0, 1, 2\] chain together"):
+        build_partition([1.2e-6, 0.0, 0.6e-6])
+
+
+def test_partition_of_an_unsorted_vector_with_three_clusters():
+    phi = np.array([0.9, 0.1 + 4e-7, -0.5, 0.1, 0.9 - 3e-7, -0.5 + 1e-7, 0.1 + 2e-7, 0.9])
+    part = build_partition(phi)
+    assert part.levels == ((2, 5), (1, 3, 6), (0, 4, 7))
+    assert part.values[0] < part.values[1] < part.values[2]
+    for members, value in zip(part.levels, part.values):
+        # the mean of the members' values, taken in ascending order
+        assert value == np.mean(np.sort(phi[list(members)]))
+
+
+def _reference_partition(phi):
+    """The link-by-link statement of the clustering: a sorted value joins
+    the current level when it lies within LEVEL_TOL of the level's last one."""
+    order = np.argsort(phi, kind="stable")
+    levels = [[int(order[0])]]
+    for i in order[1:].tolist():
+        if phi[i] - phi[levels[-1][-1]] <= LEVEL_TOL:
+            levels[-1].append(i)
+        else:
+            levels.append([i])
+    for members in levels:
+        spread = float(phi[members].max() - phi[members].min())
+        if spread > LEVEL_TOL:
+            return (f"states {sorted(members)} chain together within {LEVEL_TOL:g} "
+                    f"but spread {spread:.3e} exceeds it")
+    return (tuple(tuple(sorted(m)) for m in levels),
+            tuple(float(phi[m].mean()) for m in levels))
+
+
+def test_partition_matches_the_link_by_link_reference():
+    rng = np.random.default_rng(5)
+    raised = 0
+    for _ in range(500):
+        s = int(rng.integers(1, 10))
+        centers = rng.uniform(-3.0, 3.0, int(rng.integers(1, 4)))
+        phi = (centers[rng.integers(0, len(centers), s)]
+               + rng.choice([0.0, 4e-7, 6e-7, 2e-6], s) * rng.choice([-1.0, 1.0], s))
+        want = _reference_partition(phi)
+        if isinstance(want, str):
+            raised += 1
+            with pytest.raises(AmbiguousLevelsError) as info:
+                build_partition(phi)
+            assert str(info.value) == want
+        else:
+            part = build_partition(phi)
+            assert (part.levels, part.values) == want
+    assert 50 <= raised <= 450
 
 
 # -- restricted kernel --------------------------------------------------------
@@ -207,7 +260,7 @@ def test_analytic_supercritical():
     assert ana.supercritical
 
 
-def test_analytic_subcritical_bisection():
+def test_analytic_subcritical_closed_form():
     rho = math.exp(-2)
     ana = analytic_example(rho)
     assert ana.lambda_bar == 0.0

@@ -314,14 +314,16 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
     ({"states": ["1", "1"]}, None, "duplicate state labels"),
     ({"states": [1, "1"]}, None, "duplicate state labels"),
     ({"actions": ["a", "a"]}, None, "duplicate action labels"),
-    ({"transitions": {"a": [[1.0, 0.0], [0.2]]}}, None, "non-numeric transitions"),
+    ({"transitions": {"a": [[1.0, 0.0], [0.2]]}}, None,
+     "transitions shape != (1, 2, 2): an entry at depth 2 is not an array of length 2"),
+    ({"costs": [[0], [10**400]]}, None, "costs: int too large to convert to float"),
     ({"states": []}, None, "need at least one state and one action"),
     ({"actions": []}, None, "need at least one state and one action"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
         "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
         "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
-        "ragged-transition-row", "no-states", "no-actions"])
+        "ragged-transition-row", "int-cost-past-double-range", "no-states", "no-actions"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     # a dict overrides keys of the two-state model, a list is the whole document

@@ -136,9 +136,9 @@ def _reference_dual_residual(sim, n, n_slack):
     for j in range(n + n_slack):
         if sim.in_basis[j]:
             worst = max(worst, abs(d[j]))
-        elif j < n and np.isneginf(sim.lower[j]) and np.isposinf(sim.upper[j]):
+        elif j < n and sim.free[j]:
             worst = max(worst, abs(d[j]))
-        elif j < n and sim.lower[j] == sim.upper[j]:
+        elif j < n and sim.fixed[j]:
             continue  # a fixed column sits at both bounds: any sign holds
         else:
             worst = max(worst, max(0.0, -d[j]))
