@@ -37,7 +37,7 @@ EXIT_GUARD = 3
 EXIT_SOLVER = 4
 EXIT_RESIDUAL = 5
 
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 TOLERANCES = {"solve": ("stop_tol", "inner_tol"), "verify": ("tol",)}
 
 
@@ -75,9 +75,14 @@ def _floats(xs, sep: str) -> str:
     return sep.join(map(float.__repr__, xs))
 
 
-def model_digest(raw: dict) -> str:
-    blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+def model_digest(model: MdpModel) -> str:
+    """sha256 of the validated model: its state and action names, then its
+    kernel and its cost as little-endian doubles, so a file's whitespace,
+    key order and number spelling (1 or 1.0) do not change it."""
+    h = hashlib.sha256(json.dumps([model.states, model.actions]).encode("utf-8"))
+    for a in (model.kernel, model.cost):
+        h.update(a.astype("<f8", copy=False))
+    return h.hexdigest()
 
 
 def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
@@ -107,7 +112,10 @@ def load_policy(path: str, model: MdpModel) -> StationaryPolicy:
             if type(wgt) not in (int, float):   # a JSON number, not true
                 raise ModelError(f"weight {wgt!r} of {a!r} at state {state!r} "
                                  "is not a number")
-            rows[i, act_index[a]] = wgt
+            try:
+                rows[i, act_index[a]] = wgt
+            except OverflowError as exc:   # an int past the double range
+                raise ModelError(f"weight of {a!r} at state {state!r}: {exc}") from exc
     return StationaryPolicy(rows)
 
 
@@ -179,7 +187,7 @@ def _solution_block(model: MdpModel, sol: game.GameSolution) -> dict:
     }
 
 
-def cmd_solve(args, model: MdpModel) -> tuple[dict, int]:
+def cmd_solve(args, model: MdpModel, _digest: str) -> tuple[dict, int]:
     timings = {}
     t0 = time.perf_counter()
     if args.method == "grid":
@@ -228,7 +236,7 @@ def cmd_solve(args, model: MdpModel) -> tuple[dict, int]:
     return body, EXIT_OK
 
 
-def cmd_oracle(args, model: MdpModel) -> tuple[dict, int]:
+def cmd_oracle(args, model: MdpModel, _digest: str) -> tuple[dict, int]:
     timings = {}
     t0 = time.perf_counter()
     if args.policy:
@@ -251,7 +259,7 @@ def cmd_oracle(args, model: MdpModel) -> tuple[dict, int]:
     return {**body, "timings": timings}, EXIT_OK
 
 
-def cmd_verify(args, model: MdpModel) -> tuple[dict, int]:
+def cmd_verify(args, model: MdpModel, digest: str) -> tuple[dict, int]:
     solution = read_json(args.solution, "solution report")
     try:
         phi = number_array(solution["phi_star"], (model.num_states,), "phi_star")
@@ -260,19 +268,22 @@ def cmd_verify(args, model: MdpModel) -> tuple[dict, int]:
             raise ValueError("phi_star and potentials must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cannot read solution report {args.solution}: {exc}") from exc
+    # recorded, not checked: verify certifies the given values against the given model
+    head = {"model_digest_matches": solution.get("model_digest") == digest,
+            "tolerance": args.tol}
     t0 = time.perf_counter()
     try:
         cert, cert_block = _certificate_block(model, phi, v)
     except certify.CertificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
-        return {"tolerance": args.tol, "passed": False, "error": str(exc)}, EXIT_RESIDUAL
+        return {**head, "passed": False, "error": str(exc)}, EXIT_RESIDUAL
     elapsed = time.perf_counter() - t0
     # the first check with the largest residual, at its first state
     worst_name, arr = max(cert.checks().items(), key=lambda item: item[1].max())
     worst_state, worst_val = int(np.argmax(arr)), float(arr.max())
     passed = worst_val <= args.tol
     body = {
-        "tolerance": args.tol,
+        **head,
         "passed": passed,
         "worst": {"check": worst_name, "state": model.states[worst_state],
                   "residual": worst_val},
@@ -287,7 +298,7 @@ def cmd_verify(args, model: MdpModel) -> tuple[dict, int]:
     return body, EXIT_OK if passed else EXIT_RESIDUAL
 
 
-def cmd_example(args, _) -> tuple[dict, int]:
+def cmd_example(args, *_) -> tuple[dict, int]:
     ana = certify.analytic_example(args.rho)
     model = certify.two_state_model(args.rho)
     poisson_block = None
@@ -386,13 +397,13 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, name) < math.inf:
             parser.error(f"{args.command}: --{name.replace('_', '-')} must be finite and >= 0")
     try:
-        # every report starts with these keys; model_digest on a model file
+        # every report starts with these keys, model_digest on a model file;
+        # each cmd_*(args, model, digest) returns (body, exit code)
         header, model = {"report_version": REPORT_VERSION, "command": ["riskmdp"] + argv}, None
         if hasattr(args, "model"):
-            raw = read_json(args.model, "model file")
-            model = parse_model(raw)
-            header["model_digest"] = model_digest(raw)
-        body, code = args.func(args, model)
+            model = parse_model(read_json(args.model, "model file"))
+            header["model_digest"] = model_digest(model)
+        body, code = args.func(args, model, header.get("model_digest"))
         _emit({**header, **body}, args.out)
         return code
     except ModelError as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -53,7 +54,7 @@ def test_solve_two_state_chain(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "lambda_bar = 0.776856" in stdout
     report = json.loads(out.read_text())
-    assert report["report_version"] == 6
+    assert report["report_version"] == 7
     assert abs(report["lambda_bar"] - (1 + math.log(0.8))) <= 2e-2
     assert report["q_star"][1][1] >= 1 - 1e-6
     assert report["oracle"]["gap"] <= 1e-6 + 2e-2
@@ -317,13 +318,16 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
     ({"transitions": {"a": [[1.0, 0.0], [0.2]]}}, None,
      "transitions shape != (1, 2, 2): an entry at depth 2 is not an array of length 2"),
     ({"costs": [[0], [10**400]]}, None, "costs: int too large to convert to float"),
+    ({}, {"1": {"a": 10**400}, "2": "a"},
+     "weight of 'a' at state '1': int too large to convert to float"),
     ({"states": []}, None, "need at least one state and one action"),
     ({"actions": []}, None, "need at least one state and one action"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
         "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
         "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
-        "ragged-transition-row", "int-cost-past-double-range", "no-states", "no-actions"])
+        "ragged-transition-row", "int-cost-past-double-range", "int-weight-past-double-range",
+        "no-states", "no-actions"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     # a dict overrides keys of the two-state model, a list is the whole document
@@ -472,6 +476,72 @@ def test_verify_accepts_version_1_reports(tmp_path):
         assert main(["verify", "--model", str(model), "--solution", str(legacy)]) == 0
 
 
+TWO_ACTIONS = {"states": ["1", "2"], "actions": ["a", "b"],
+               "transitions": {"a": [[1.0, 0.0], [0.2, 0.8]], "b": [[0.5, 0.5], [0.0, 1.0]]},
+               "costs": [[0.0, 0.5], [1.0, 2.0]]}
+
+
+def _file_digest(tmp_path, text: str) -> str:
+    """model_digest of the report of an oracle call on a model file holding text."""
+    path, out = tmp_path / "digest-model.json", tmp_path / "digest-report.json"
+    path.write_text(text)
+    assert main(["oracle", "--model", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())["model_digest"]
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(TWO_ACTIONS, indent=3),
+    json.dumps({k: TWO_ACTIONS[k] for k in ("costs", "transitions", "actions", "states")}),
+    json.dumps({**TWO_ACTIONS, "transitions": {"b": [[0.5, 0.5], [0, 1]],
+                                               "a": [[1, 0], [0.2, 0.8]]}}),
+    json.dumps({**TWO_ACTIONS, "costs": [[0, 0.5], [1, 2]]}),
+], ids=["whitespace", "key-order", "int-kernel-entries", "int-costs"])
+def test_model_digest_ignores_the_spelling_of_the_file(tmp_path, text):
+    assert _file_digest(tmp_path, text) == _file_digest(tmp_path, json.dumps(TWO_ACTIONS))
+
+
+@pytest.mark.parametrize("change", [
+    {"transitions": {**TWO_ACTIONS["transitions"],
+                     "a": [[1.0, 0.0], [float(np.nextafter(0.2, 1.0)), 0.8]]}},
+    {"costs": [[0.0, 0.5], [1.0, 2.5]]},
+    {"states": ["1", "3"]},
+    # the same chain with its states, or its actions, listed in the other order
+    {"states": ["2", "1"], "transitions": {"a": [[0.8, 0.2], [0.0, 1.0]],
+                                           "b": [[1.0, 0.0], [0.5, 0.5]]},
+     "costs": [[1.0, 2.0], [0.0, 0.5]]},
+    {"actions": ["b", "a"], "costs": [[0.5, 0.0], [2.0, 1.0]]},
+], ids=["kernel-entry-one-ulp", "one-cost", "renamed-state", "reordered-states",
+        "reordered-actions"])
+def test_model_digest_covers_names_order_and_every_double(tmp_path, change):
+    assert (_file_digest(tmp_path, json.dumps({**TWO_ACTIONS, **change}))
+            != _file_digest(tmp_path, json.dumps(TWO_ACTIONS)))
+
+
+def test_verify_reports_whether_the_report_is_of_this_model(tmp_path):
+    model = write_two_state(tmp_path)
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps({**json.loads(model.read_text()), "states": ["x", "y"]}))
+    out = tmp_path / "report.json"
+    assert main(["solve", "--model", str(model), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    # the version-6 digest: the model document re-encoded with sorted keys
+    v6 = tmp_path / "v6.json"
+    v6.write_text(json.dumps(dict(report, report_version=6, model_digest=hashlib.sha256(
+        json.dumps(json.loads(model.read_text()), sort_keys=True,
+                   separators=(",", ":")).encode()).hexdigest())))
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(dict(report, phi_star=[0.0, 0.1])))
+    for model_file, solution, code, matches in ((model, out, 0, True),
+                                                (renamed, out, 0, False),
+                                                (model, v6, 0, False),
+                                                (model, tampered, 5, True),
+                                                (renamed, tampered, 5, False)):
+        checked = tmp_path / "verify.json"
+        assert main(["verify", "--model", str(model_file), "--solution", str(solution),
+                     "--out", str(checked)]) == code
+        assert json.loads(checked.read_text())["model_digest_matches"] is matches
+
+
 def test_non_utf8_files_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
@@ -518,7 +588,8 @@ REPORT_LAYOUTS = {
         "per_state", "lambda_max", "iterations", "converged", ("timings", ["oracle"]),
     ],
     "verify": [
-        "report_version", "command", "model_digest", "tolerance", "passed",
+        "report_version", "command", "model_digest", "model_digest_matches",
+        "tolerance", "passed",
         ("worst", ["check", "state", "residual"]),
         "levels", "level_values", "residual_dp1", "residual_dp2",
         "twisted_eigen", "twisted_averaging", ("timings", ["certify"]),
@@ -527,7 +598,7 @@ REPORT_LAYOUTS = {
 
 
 def test_report_layouts_are_pinned_to_the_version(tmp_path):
-    assert REPORT_VERSION == 6
+    assert REPORT_VERSION == 7
     model = write_two_state(tmp_path)
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps({"policy": {"1": "a", "2": "a"}}))
