@@ -309,14 +309,21 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     )
 
 
-def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
-    """Each state's most-violating kernel row for the V-constraint family, (s, s).
-
-    Only rows on I_i, the intersection of state i's action supports, bind,
-    and there q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u)) is the
-    exact concave maximizer; an empty I_i gives a zero row.
-    """
+def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray, resolution=None) -> np.ndarray:
+    """Each state's most-violating kernel row for the V-constraint family,
+    (s, s), exact or on the resolution's lattice.  Only rows on I_i, the
+    intersection of state i's action supports, bind (an empty I_i gives a
+    zero row), and there a row q earns sum_u y(u) (c(i,u) - KL(q || p_u)):
+    w (q.z - q.log q) plus a constant, with w = sum_u y(u) and
+    z = (V + sum_u y(u) log p_u) / w on I_i.  Its exact maximizer is
+    q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u))."""
     mask = (model.kernel > 0.0).all(axis=0)
+    if resolution is not None:
+        rows = np.zeros((model.num_states,) * 2)
+        for i in np.flatnonzero(mask.any(axis=1)):
+            z = vvec[mask[i]] + y[i] @ np.log(model.kernel[:, i][:, mask[i]])
+            rows[i, mask[i]] = lattice_numerators(z / y[i].sum(), resolution) / 2.0**resolution
+        return rows
     z = np.tile(vvec, (len(y), 1))
     for u, p in enumerate(model.kernel):
         z += y[:, u, None] * np.log(np.where(p > 0.0, p, 1.0))
@@ -329,13 +336,13 @@ def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _v_violations(model: MdpModel, rows, beta, vvec, y) -> np.ndarray:
-    """Each state's V-constraint violation at its row of rows, (s, s), as the
-    LP prices it; -inf where the row is zero (an empty I_i)."""
-    states = np.arange(model.num_states)
-    viol = (_rowdot(tilde_cost_table(model, states, rows), y) + _rowdot(rows, vvec)
-            - vvec - beta)
-    return np.where(rows.any(axis=1), viol, NEG_INF)
+def _price(model: MdpModel, beta, vvec, y, resolution=None):
+    """(rows, violations): each state's most violated V-constraint, gibbs_rows'
+    at the resolution, as the LP prices it; -inf at a zero row (an empty I_i)."""
+    rows = gibbs_rows(model, y, vvec, resolution)
+    ctab = tilde_cost_table(model, np.arange(model.num_states), rows)
+    viol = _rowdot(ctab, y) + _rowdot(rows, vvec) - vvec - beta
+    return rows, np.where(rows.any(axis=1), viol, NEG_INF)
 
 
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
@@ -345,50 +352,34 @@ def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray
     state i.  The beta-family's worst row is the Dirac row at the first
     union-support successor jbest maximizing beta (the maximum of q.beta over
     a support simplex sits at a vertex), violated by beta[jbest] - beta[i];
-    the V-family's is gibbs_rows', violated by -inf where that row is zero.
+    the V-family's is _price's exact one.
     """
     jbest = np.where(model.support, beta, NEG_INF).argmax(axis=1)
-    rows = gibbs_rows(model, y, vvec)
-    return jbest, beta[jbest] - beta, rows, _v_violations(model, rows, beta, vvec, y)
+    return jbest, beta[jbest] - beta, *_price(model, beta, vvec, y)
 
 
-def _lattice_cuts(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray,
-                  resolution: int):
-    """Each state's most violated V-constraint on the resolution's lattice;
-    returns (rows, violations), a zero row violated by -inf at an empty I_i.
-
-    At state i a row q on I_i earns sum_u y(u) (c(i,u) - KL(q || p_u)), which
-    is w (q.z - q.log q) plus a constant, with w = sum_u y(u) and
-    z = (V + sum_u y(u) log p_u) / w on I_i.
-    """
-    common = (model.kernel > 0.0).all(axis=0)
-    rows = np.zeros((model.num_states,) * 2)
-    for i in np.flatnonzero(common.any(axis=1)):
-        mask = common[i]
-        z = vvec[mask] + y[i] @ np.log(model.kernel[:, i][:, mask])
-        rows[i, mask] = lattice_numerators(z / y[i].sum(), resolution) / 2.0**resolution
-    return rows, _v_violations(model, rows, beta, vvec, y)
-
-
-def _restricted_master(model: MdpModel, master, price, tol: float, close: float,
-                       resolution=None, max_solves=None, basis=None, point=None):
+def _restricted_master(model: MdpModel, master, tol: float, resolution=None,
+                       max_solves=None, basis=None, point=None):
     """Grow master = (rows, owner, round), the round None before the first
     solve (which takes point, if given and verified, or starts from basis,
-    if given; see _solve_pair), until price(beta, V, y), one
-    row and violation per state, adds no row: one violated by more than tol
-    and further than close (max-norm) from its state's rows.  A new row goes
+    if given; see _solve_pair), until _price at the resolution (None: exact
+    rows), one row and violation per state, adds no row: one violated by
+    more than tol and not close to a row its state holds.  A new row goes
     after its state's old ones and the round's basis follows (w, slacks and
     artificials shift by two per row), so it starts the next solve.  Only
     the latest round is kept.  Returns the master, the rows pricing gave its
     round, the rounds made (a verified point counts as one), and whether
     pricing (rather than max_solves) ended them.
     """
+    # close in max-norm: lattice rows are exact dyadics, and from n ~ 40 two
+    # distinct ones can lie within 1e-12, so there only an equal row is not new
+    close = 1e-12 if resolution is None else 0.0
     rows, owner, rnd = master
     solves = int(rnd is None)
     if rnd is None:
         rnd = _solve_pair(model, rows, owner, resolution=resolution, basis=basis, point=point)
     while True:
-        cut_rows, viol = price(rnd.beta, rnd.vvec, rnd.y)
+        cut_rows, viol = _price(model, rnd.beta, rnd.vvec, rnd.y, resolution)
         near = np.abs(rows - cut_rows[owner]).max(axis=1) <= close
         fresh = np.flatnonzero((viol > tol) & (np.bincount(owner, near, minlength=len(viol)) == 0))
         if not fresh.size or solves == max_solves:
@@ -410,11 +401,12 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                    stop_tol: float = 1e-4) -> ConvergenceReport:
     """Sweep resolutions n_start..n_max, tracking the value trace.
 
-    One restricted master grows from the Dirac rows until no lattice row is
-    violated beyond the simplex's optimality tolerance: the LP over the whole
-    lattice, whose implied primal's rows num_constraints counts: a beta-row
-    per lattice row, a V-row per one on I_i.  Lattice n lies in lattice
-    n + 1, so n + 1 first prices n's master.  n past MAX_RESOLUTION: GuardError.
+    One restricted master grows from the Dirac rows, priced on lattice n
+    (_price at resolution n), until no lattice row is violated beyond the
+    simplex's optimality tolerance: the LP over the whole lattice, whose
+    implied primal's rows num_constraints counts: a beta-row per lattice
+    row, a V-row per one on I_i.  Lattice n lies in lattice n + 1, so n + 1
+    first prices n's master.  n past MAX_RESOLUTION: GuardError.
 
     The trace must be componentwise nondecreasing: refining the grid only
     enlarges the maximizer's strategy set, so the value can only go up.
@@ -434,9 +426,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
     reason = "n_max"
     master = (*build_grid(model).stacked(), None)
     for n in range(n_start, n_max + 1):
-        master, priced, solves, _ = _restricted_master(
-            model, master, lambda beta, vvec, y, n=n: _lattice_cuts(model, beta, vvec, y, n),
-            OPT_TOL, 0.0, n)
+        master, priced, solves, _ = _restricted_master(model, master, OPT_TOL, n)
         rnd = master[2]
         if trace:
             drop = float((trace[-1] - rnd.beta).max())
@@ -543,14 +533,13 @@ def _crash_start(model: MdpModel):
 def solve_congen(model: MdpModel, inner_tol: float = 1e-6,
                  max_rounds: int = 50) -> GameSolution:
     """Constraint-generation solve of the semi-infinite game programs: the
-    restricted master priced by exact separation (gibbs_rows, via _separate; a
-    cut within 1e-12 of a row its state holds is not new), started from
+    restricted master priced by exact Gibbs rows (_price with no resolution;
+    a row within 1e-12 of one its state holds is not new), started from
     _crash_start's rows, point and basis.  Terminates when no constraint is
     violated by more than inner_tol; hitting max_rounds (the first round
     counts, LP or not) returns the last iterate marked uncertified.
     """
     rows, owner, basis, point = _crash_start(model)
     master, priced, solves, done = _restricted_master(
-        model, (rows, owner, None), lambda *triple: _separate(model, *triple)[2:],
-        inner_tol, 1e-12, max_solves=max_rounds, basis=basis, point=point)
+        model, (rows, owner, None), inner_tol, max_solves=max_rounds, basis=basis, point=point)
     return replace(_extract(model, *master, priced), certified=done, rounds=solves)

@@ -188,8 +188,7 @@ def parse_model(obj) -> MdpModel:
         raise ModelError("states and actions must be JSON arrays")
     if not (obj["states"] and obj["actions"]):
         raise ModelError("need at least one state and one action")
-    states = tuple(str(x) for x in obj["states"])
-    actions = tuple(str(x) for x in obj["actions"])
+    states, actions = _labels(obj["states"], "state"), _labels(obj["actions"], "action")
     if len(set(states)) != len(states):
         raise ModelError("duplicate state labels")
     if len(set(actions)) != len(actions):
@@ -201,6 +200,15 @@ def parse_model(obj) -> MdpModel:
     kernel = number_array([transitions[a] for a in actions], (m, s, s), "transitions")
     cost = number_array(obj["costs"], (s, m), "costs")
     return MdpModel(states=states, actions=actions, kernel=kernel, cost=cost)
+
+
+def _labels(items: list, what: str) -> tuple[str, ...]:
+    """Labels from JSON strings and integers (an integer by its digits); any
+    other value, a boolean included, is refused rather than spelled by str()."""
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise ModelError(f"{what} label {json.dumps(x)} is not a JSON string or integer")
+    return tuple(map(str, items))
 
 
 def number_array(data, shape: tuple, what: str) -> np.ndarray:
@@ -226,5 +234,5 @@ def read_json(path, what: str):
     names the file in the ModelError a read or decode failure raises."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable, or an integer past the digit limit
         raise ModelError(f"cannot read {what} {path}: {exc}") from exc

@@ -233,8 +233,7 @@ def _perron_start(logc: np.ndarray, cols: np.ndarray, groups):
     return start, np.isfinite(start).all(axis=0) & ~lost_row.any(axis=0)
 
 
-def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
-              max_iters: int, best: float):
+def _brackets(logc: np.ndarray, cols: np.ndarray, groups, best: float):
     """Collatz-Wielandt brackets on log rho for a batch of chains.
 
     Each chain's log matrix is stored only on the union-support columns, state
@@ -252,12 +251,13 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
     _perron_start, in batches of at most BLOCK_ENTRIES dense entries, unless
     its estimate has a non-finite entry; lo and hi keep their running max
     and min across the restart.
-    A chain finishes when every class bracket is at most rate_tol wide.  It
-    is dropped when its lower end (the largest lo over its classes) exceeds
-    best, the smallest upper end (the largest hi over its classes) seen so
-    far, which starts from the caller's value.  Stopped chains leave the batch
-    once they make up half of it.  Every operation acts per chain, so a
-    chain's brackets do not depend on which other chains share its batch.
+    A chain finishes when every class bracket is at most RATE_TOL wide, and
+    stops unfinished after MAX_POWER_ITERS steps.  It is dropped when its
+    lower end (the largest lo over its classes) exceeds best, the smallest
+    upper end (the largest hi over its classes) seen so far, which starts
+    from the caller's value.  Stopped chains leave the batch once they make
+    up half of it.  Every operation acts per chain, so a chain's brackets do
+    not depend on which other chains share its batch.
     Returns lo and hi (G, P) at each chain's last step, step counts, closed
     flags and best.
     """
@@ -268,10 +268,10 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
     ln = np.zeros((s, p))
     lo, hi = np.full((g, p), -math.inf), np.full((g, p), math.inf)
     out_lo, out_hi = np.empty((g, p)), np.empty((g, p))
-    steps = np.full(p, max_iters)
+    steps = np.full(p, MAX_POWER_ITERS)
     closed = np.zeros(p, dtype=bool)
     chunk = max(1, BLOCK_ENTRIES // (s * s))
-    for step in range(1, max_iters + 1):
+    for step in range(1, MAX_POWER_ITERS + 1):
         lnew = _support_matvec(logc, cols, ln)
         r = lnew - ln
         if groups is None:
@@ -285,7 +285,7 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
         lo = np.maximum(lo, rmin)
         hi = np.minimum(hi, rmax)
         best = min(best, float(hi.max(axis=0)[active].min()))
-        done = (hi - lo <= rate_tol).all(axis=0)
+        done = (hi - lo <= RATE_TOL).all(axis=0)
         stop = active & (done | (np.minimum(lo, hi).max(axis=0) > best))
         if stop.any():
             out_lo[:, live[stop]], out_hi[:, live[stop]] = lo[:, stop], hi[:, stop]
@@ -324,8 +324,8 @@ def _brackets(logc: np.ndarray, cols: np.ndarray, groups, rate_tol: float,
     return out_lo, out_hi, steps, closed, best
 
 
-def _class_rates(logc: np.ndarray, cols: np.ndarray, graph: np.ndarray, rate_tol: float,
-                 max_iters: int, best: float = math.inf):
+def _class_rates(logc: np.ndarray, cols: np.ndarray, graph: np.ndarray,
+                 best: float = math.inf):
     """Per-state growth rates and brackets of a batch of chains with support
     graphs graph ((s, s, P), or (s, s, 1) shared).
 
@@ -347,7 +347,7 @@ def _class_rates(logc: np.ndarray, cols: np.ndarray, graph: np.ndarray, rate_tol
         member = (labels[None] == reps[:, None, None]) & cyclic[None]
         groups = (member, np.where(cyclic, np.searchsorted(reps, labels), len(reps)))
         np.copyto(logc, NEG_INF, where=(labels[cols.T] != labels[None]) & cyclic[None])
-    lo, hi, steps, closed, best = _brackets(logc, cols, groups, rate_tol, max_iters, best)
+    lo, hi, steps, closed, best = _brackets(logc, cols, groups, best)
     lo = np.minimum(lo, hi)
     mid = (lo + hi) / 2.0
     if groups is None:
@@ -367,8 +367,7 @@ def growth_rate(model: MdpModel, policy: StationaryPolicy) -> GrowthRates:
     cols, pad = _support_columns(model.support)
     prob = p_v[np.arange(model.num_states)[None, :], cols.T][:, :, None]
     logc = _log_entries(c_v[:, None], prob, pad)
-    lam, _, _, steps, closed, _ = _class_rates(
-        logc, cols, _support_graph(model, logc, cols), RATE_TOL, MAX_POWER_ITERS)
+    lam, _, _, steps, closed, _ = _class_rates(logc, cols, _support_graph(model, logc, cols))
     return GrowthRates(lam=lam[:, 0], lambda_max=float(lam.max()),
                        iterations=int(steps[0]), converged=bool(closed[0]))
 
@@ -452,7 +451,7 @@ def brute_force_lambda_star(model: MdpModel) -> BruteForceResult:
         choices = (index[:, None] // place[None, :]) % m
         logc = _pure_log_entries(model, choices, cols, pad)
         lam, lo, hi, _, closed, best = _class_rates(
-            logc, cols, _support_graph(model, logc, cols), RATE_TOL, MAX_POWER_ITERS, best)
+            logc, cols, _support_graph(model, logc, cols), best)
         kept = [c for c in kept if c[0] <= best]
         kept += [(lo[j], hi[j], closed[j], choices[j], lam[:, j])
                  for j in np.flatnonzero(lo <= best)]

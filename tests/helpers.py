@@ -514,7 +514,7 @@ def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
     """The game LP pair over the fully enumerated grid, solved cold."""
     rows, owner = build_grid(model, resolution).stacked()
     rnd = game._solve_pair(model, rows, owner, resolution=resolution)
-    priced, _ = game._lattice_cuts(model, rnd.beta, rnd.vvec, rnd.y, resolution)
+    priced, _ = game._price(model, rnd.beta, rnd.vvec, rnd.y, resolution)
     return game._extract(model, rows, owner, rnd, priced, resolution)
 
 
@@ -526,20 +526,26 @@ def solve_extracting_every_round(solve, model: MdpModel, *args):
     in order.  The solvers once worked this way: the returned solution must
     equal the last round's extraction."""
     extracted, latest = [], []
-    solve_pair, restricted_master = game._solve_pair, game._restricted_master
+    solve_pair, restricted_master, price = game._solve_pair, game._restricted_master, game._price
 
     def record(model, rows, owner, **kwargs):
         latest[:] = [rows, owner, solve_pair(model, rows, owner, **kwargs)]
         extracted.append(None)
         return latest[2]
 
-    def eager(model, master, price, *args, **kwargs):
-        def priced(*triple):
-            # a round carried to the next resolution is priced again there
-            cut_rows, viol = price(*triple)
-            extracted[-1] = game._extract(model, *latest, cut_rows)
-            return cut_rows, viol
-        return restricted_master(model, master, priced, *args, **kwargs)
+    def priced(model, *args):
+        # a round carried to the next resolution is priced again there
+        cut_rows, viol = price(model, *args)
+        extracted[-1] = game._extract(model, *latest, cut_rows)
+        return cut_rows, viol
+
+    def eager(*args, **kwargs):
+        # the master's pricing only: the grid's stop rule also prices, in _separate
+        game._price = priced
+        try:
+            return restricted_master(*args, **kwargs)
+        finally:
+            game._price = price
 
     game._solve_pair, game._restricted_master = record, eager
     try:
@@ -778,7 +784,7 @@ def priced_violation(model: MdpModel, i: int, row, y_row, vvec, beta_i) -> float
 
 def lattice_cut(model: MdpModel, i: int, y_row, vvec, beta_i, resolution: int):
     """State i's most violated V-constraint on the resolution's lattice, one
-    state at a time: the reference of game._lattice_cuts.  Returns (row,
+    state at a time: the reference of game._price at a resolution.  Returns (row,
     violation), a zero row violated by -inf where I_i is empty."""
     mask = common_support(model)[i]
     row = np.zeros(model.num_states)

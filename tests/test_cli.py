@@ -322,12 +322,19 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
      "weight of 'a' at state '1': int too large to convert to float"),
     ({"states": []}, None, "need at least one state and one action"),
     ({"actions": []}, None, "need at least one state and one action"),
+    # str() would read these as "None", "True" and "100.0"
+    ({"states": [None, [1]]}, None, "state label null is not a JSON string or integer"),
+    ({"states": ["1", [1]]}, None, "state label [1] is not a JSON string or integer"),
+    ({"actions": [True], "transitions": {"True": [[1.0, 0.0], [0.2, 0.8]]}}, None,
+     "action label true is not a JSON string or integer"),
+    ({"states": [1e2, "2"]}, None, "state label 100.0 is not a JSON string or integer"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
         "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
         "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
         "ragged-transition-row", "int-cost-past-double-range", "int-weight-past-double-range",
-        "no-states", "no-actions"])
+        "no-states", "no-actions", "null-state-label", "list-state-label", "bool-action-label",
+        "float-state-label"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     # a dict overrides keys of the two-state model, a list is the whole document
@@ -554,6 +561,16 @@ def test_non_utf8_files_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "model error: cannot read" in err
         assert "Traceback" not in err
+
+
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of over 4,300 digits
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(TWO_STATE).replace("[1.0]]", "[" + "1" * 5000 + "]]"))
+    assert main(["solve", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"model error: cannot read model file {path}: Exceeds the limit" in err
+    assert "Traceback" not in err
 
 
 # Top-level keys of each report in order, with the keys of nested objects.

@@ -480,7 +480,7 @@ def test_states_without_long_run_mass_take_their_priced_rows(monkeypatch, dirac_
     if sol is result:
         priced = gibbs_rows(model, y, vvec)
     else:
-        priced, _ = game._lattice_cuts(model, sol.value, vvec, y, result.resolutions[-1])
+        priced, _ = game._price(model, sol.value, vvec, y, result.resolutions[-1])
     free = np.flatnonzero(masses[-1] <= game.MU_MASS_TOL)
     assert len(masses) == 1 and free.tolist() == [1, 2, 3]
     assert sol.maximizer.entries[free].tobytes() == priced[free].tobytes()
@@ -594,7 +594,7 @@ def test_dirac_lps_of_two_successor_models_solve():
                     game._solve_pair(model, rows, owner, resolution=0)
             else:
                 rnd = game._solve_pair(model, rows, owner, resolution=0)
-                priced, _ = game._lattice_cuts(model, rnd.beta, rnd.vvec, rnd.y, 0)
+                priced, _ = game._price(model, rnd.beta, rnd.vvec, rnd.y, 0)
                 game._extract(model, rows, owner, rnd, priced)
 
 
@@ -646,32 +646,33 @@ def test_congen_working_set_keeps_per_state_order(monkeypatch, dirac_seed):
     # cut.  The Dirac seed already holds every beta-family cut, so no round
     # adds a Dirac row.
     model = random_model(105, 4, 2)
-    solve_pair, separate = game._solve_pair, game._separate
+    solve_pair, price = game._solve_pair, game._price
     seen, cuts_seen = [], []
 
     def record_pair(model, rows, owner, **kwargs):
         seen.append((rows.copy(), owner.copy()))
         return solve_pair(model, rows, owner, **kwargs)
 
-    def record_cuts(*args):
-        cuts_seen.append(separate(*args))
-        return cuts_seen[-1]
+    def record_cuts(model, beta, vvec, y, *args):
+        jbest = np.where(model.support, beta, -math.inf).argmax(axis=1)
+        cuts_seen.append((jbest, *price(model, beta, vvec, y, *args)))
+        return cuts_seen[-1][1:]
 
     monkeypatch.setattr(game, "_solve_pair", record_pair)
-    monkeypatch.setattr(game, "_separate", record_cuts)
+    monkeypatch.setattr(game, "_price", record_cuts)
     sol = solve_congen(model)
     assert sol.certified and sol.rounds == len(seen) >= 3
     for _, owner in seen:
         assert np.all(np.diff(owner) >= 0)
     busiest = 0
     for (rows, owner), cuts in zip(seen, cuts_seen):
-        for i, (jbest, _, _, _) in enumerate(zip(*cuts)):
+        for i, (jbest, _, _) in enumerate(zip(*cuts)):
             dirac = np.zeros(model.num_states)
             dirac[jbest] = 1.0
             assert any(np.array_equal(r, dirac) for r in rows[owner == i])
     for (rows, owner), cuts, (nxt, nxt_owner) in zip(seen, cuts_seen, seen[1:]):
         grown = 0
-        for i, (_, _, row, viol) in enumerate(zip(*cuts)):
+        for i, (_, row, viol) in enumerate(zip(*cuts)):
             listed = list(rows[owner == i])
             if viol > 1e-6 and not any(np.abs(r - row).max() <= 1e-12 for r in listed):
                 listed.append(row)
@@ -679,6 +680,33 @@ def test_congen_working_set_keeps_per_state_order(monkeypatch, dirac_seed):
             grown += len(listed) > int((owner == i).sum())
         busiest = max(busiest, grown)
     assert busiest >= 3
+
+
+def test_master_adds_a_near_row_only_on_a_lattice(monkeypatch):
+    # pricing returns, once, a violated row 1e-13 from a Dirac row its state
+    # holds: distinct lattice rows can lie that close, so on a lattice it is
+    # a new row, while among exact rows it is the held one
+    model = random_model(105, 4, 2)
+    rows, owner = game.build_grid(model).stacked()
+    j, k = np.flatnonzero(model.support[0])[:2]
+    near = np.zeros((model.num_states,) * 2)
+    near[0, j], near[0, k] = 1.0 - 1e-13, 1e-13
+    calls = []
+
+    def price_once(model, beta, vvec, y, resolution=None):
+        calls.append(resolution)
+        viol = np.full(model.num_states, -math.inf)
+        viol[0] = 1.0 if len(calls) == 1 else -math.inf
+        return near, viol
+
+    monkeypatch.setattr(game, "_price", price_once)
+    for resolution, added in ((3, 1), (None, 0)):
+        calls.clear()
+        (got, got_owner, _), _, solves, done = game._restricted_master(
+            model, (rows, owner, None), OPT_TOL, resolution)
+        assert done and solves == 1 + added and calls == [resolution] * solves
+        assert len(got) == len(rows) + added
+        assert any(np.array_equal(r, near[0]) for r in got[got_owner == 0]) == bool(added)
 
 
 def test_gibbs_row_pure_policy_reduction():
@@ -696,14 +724,17 @@ def test_gibbs_row_pure_policy_reduction():
 
 
 def test_gibbs_rows_empty_intersection_gives_zero_row():
-    # every row is worth -inf at x, so its V-constraint cannot be violated
+    # every row is worth -inf at x, so its V-constraint cannot be violated,
+    # exactly or on a lattice
     model = MdpModel(states=("x", "y"), actions=("a", "b"),
                      kernel=np.array([[[1.0, 0.0], [1.0, 0.0]],
                                       [[0.0, 1.0], [1.0, 0.0]]]),
                      cost=np.zeros((2, 2)))
     y = np.full((2, 2), 0.5)
-    np.testing.assert_array_equal(gibbs_rows(model, y, np.zeros(2)), [[0.0, 0.0], [1.0, 0.0]])
-    assert game._separate(model, np.zeros(2), np.zeros(2), y)[3][0] == -math.inf
+    for resolution in (None, 0, 3):
+        np.testing.assert_array_equal(gibbs_rows(model, y, np.zeros(2), resolution),
+                                      [[0.0, 0.0], [1.0, 0.0]])
+        assert game._price(model, np.zeros(2), np.zeros(2), y, resolution)[1][0] == -math.inf
 
 
 def test_tilde_cost_table_matches_scalar_oracle():
@@ -816,7 +847,7 @@ def test_lattice_cut_prices_as_the_lp(y, resolution):
     beta, vvec = rng.uniform(0.0, 1.0, (2, 3))
     for model in (DIFFERING_SUPPORTS, NARROW_ACTION):
         grid = build_grid(model, resolution)
-        cut_rows, viols = game._lattice_cuts(model, beta, vvec, y, resolution)
+        cut_rows, viols = game._price(model, beta, vvec, y, resolution)
         for i, row, viol in zip(range(3), cut_rows, viols):
             ctab, binding = game._rewards(model, grid.rows[i], np.full(len(grid.rows[i]), i))
             rows = grid.rows[i][binding]
@@ -887,7 +918,7 @@ def test_stacked_pricers_match_per_state_references(model):
                 assert rows[i].tobytes() == row.tobytes()
                 assert viol[i] == priced_violation(model, i, row, y[i], vvec, beta[i])
         for n in (0, 1, 3):
-            cut_rows, cut_viol = game._lattice_cuts(model, beta, vvec, y, n)
+            cut_rows, cut_viol = game._price(model, beta, vvec, y, n)
             for i in range(s):
                 row, ref = lattice_cut(model, i, y[i], vvec, beta[i], n)
                 assert cut_rows[i].tobytes() == row.tobytes() and cut_viol[i] == ref

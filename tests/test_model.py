@@ -75,6 +75,12 @@ def test_parse_errors():
         load_model("/nonexistent/path.json")
 
 
+def test_integer_labels_read_as_their_digits():
+    model = parse_model(dict(EX41, states=[1, 2], actions=[0],
+                             transitions={"0": EX41["transitions"]["a"]}))
+    assert model.states == ("1", "2") and model.actions == ("0",)
+
+
 def test_negative_kernel_entry_rejected():
     with pytest.raises(ModelError, match="outside"):
         parse_model(dict(EX41, transitions={"a": [[1.1, -0.1], [0.2, 0.8]]}))

@@ -306,17 +306,17 @@ def _policies(model, limit=128, seed=0):
     return np.random.default_rng(seed).integers(0, m, size=(limit, s))
 
 
-def _support_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
+def _support_rates(model, choices):
     cols, pad = oracle._support_columns(model.support)
     logc = oracle._pure_log_entries(model, choices, cols, pad)
     graph = oracle._support_graph(model, logc, cols)
-    lam, lo, hi, steps, closed, _ = oracle._class_rates(logc, cols, graph, oracle.RATE_TOL,
-                                                        max_iters)
+    lam, lo, hi, steps, closed, _ = oracle._class_rates(logc, cols, graph)
     return lam.T, lo, hi, steps, closed
 
 
-def _dense_rates(model, choices, max_iters=oracle.MAX_POWER_ITERS):
-    return dense_log_rates(dense_log_matrices(model, choices), oracle.RATE_TOL, max_iters)
+def _dense_rates(model, choices):
+    return dense_log_rates(dense_log_matrices(model, choices), oracle.RATE_TOL,
+                           oracle.MAX_POWER_ITERS)
 
 
 BIT_FOR_BIT = {
@@ -357,7 +357,7 @@ def test_support_iteration_equals_dense_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("quantile", [25, 75])
-def test_support_iteration_stopped_partway_equals_dense(quantile):
+def test_support_iteration_stopped_partway_equals_dense(monkeypatch, quantile):
     # policies are dropped at many different steps, and the batch sheds them
     # once half of it has stopped: at the 25th percentile of the step counts
     # fewer than half have stopped, at the 75th more than half (the batch has
@@ -367,8 +367,9 @@ def test_support_iteration_stopped_partway_equals_dense(quantile):
     choices = _policies(model)
     steps = _support_rates(model, choices)[3]
     cut = int(np.percentile(steps, quantile))
-    got = _support_rates(model, choices, max_iters=cut)
-    ref = _dense_rates(model, choices, max_iters=cut)
+    monkeypatch.setattr(oracle, "MAX_POWER_ITERS", cut)
+    got = _support_rates(model, choices)
+    ref = _dense_rates(model, choices)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     _, _, _, got_steps, closed = got
