@@ -143,25 +143,30 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
 
     Row order: s kernel-balance equalities (one per state, paired with V),
     s mass equalities (paired with beta), then s*|U| reward rows (paired
-    with the y variables).
+    with the y variables).  Column order: mu and nu in stacked row order,
+    then w, one per state.
     """
     s, m = model.num_states, model.num_actions
     n_mu = rows.shape[0]
     mu_cols = np.arange(n_mu)
-    a = np.zeros((2 * s + s * m, 2 * n_mu + s))
-    # kernel balance, delta_ij - q_j, at state j's row of each mu column
-    a[:s, :n_mu] -= rows.T
-    a[owner, mu_cols] += 1.0
-    a[s + owner, mu_cols] = 1.0                    # mass balance, mu part
-    a[s:2 * s, n_mu:2 * n_mu] = a[:s, :n_mu]      # mass balance, nu part
-    a[2 * s + owner[:, None] * m + np.arange(m), mu_cols[:, None]] = ctab
-    a[2 * s + np.arange(s * m), 2 * n_mu + np.arange(s * m) // m] = -1.0
-    is_w = np.arange(a.shape[1]) >= 2 * n_mu
-    return LinearProgram(
-        "max", is_w.astype(float), a, ("==",) * (2 * s) + (">=",) * (s * m),
-        np.repeat([0.0, 1.0, 0.0], [s, s, s * m]),
-        lower=np.where(is_w, -np.inf, 0.0),
-        upper=np.concatenate([np.where(binds, np.inf, 0.0), np.full(n_mu + s, np.inf)]),
+    # kernel balance, delta_ij - q_j, at state j's row of each mu column (the
+    # diagonal's two triplets sum); the nu columns repeat it in the mass rows
+    k, j = np.nonzero(rows)
+    bal_rows, bal_cols = np.concatenate([j, owner]), np.concatenate([k, mu_cols])
+    bal_vals = np.concatenate([-rows[k, j], np.ones(n_mu)])
+    reward_rows = 2 * s + np.arange(s * m).reshape(s, m)   # (state, action)
+    # triplets: kernel balance (mu), its copy in the mass rows (nu), the
+    # mass rows' 1 (mu), each mu column's rewards, and each w's -1
+    return LinearProgram.build(
+        np.repeat([0.0, 1.0], [2 * n_mu, s]),
+        np.concatenate([bal_rows, s + bal_rows, s + owner, reward_rows[owner].ravel(),
+                        reward_rows.ravel()]),
+        np.concatenate([bal_cols, n_mu + bal_cols, mu_cols, np.repeat(mu_cols, m),
+                        np.repeat(2 * n_mu + np.arange(s), m)]),
+        np.concatenate([bal_vals, bal_vals, np.ones(n_mu), ctab.ravel(), np.full(s * m, -1.0)]),
+        ("==",) * (2 * s) + (">=",) * (s * m), np.repeat([0.0, 1.0, 0.0], [s, s, s * m]),
+        free=np.arange(2 * n_mu + s) >= 2 * n_mu,
+        fixed=np.concatenate([~binds, np.zeros(n_mu + s, dtype=bool)]),
     )
 
 

@@ -1,11 +1,11 @@
 """Self-contained linear programming kernel.
 
-Solves   min/max  c.x   s.t.   A x {<=, ==, >=} b
-over three kinds of column: nonnegative [0, inf) (the default), free
-(-inf, inf) and fixed at 0 [0, 0]; any other bound is rejected.  Every
-column starts at 0, and the simplex knows its kind by two masks, free and
-fixed.  The method is a revised simplex: two-phase start (or phase 2
-straight from a given feasible basis), dense basis-inverse updates with
+Solves   max c.x   s.t.   A x == b  or  A x >= b  (per row)
+with A given as (row, column, value) triplets whose duplicates sum.  A
+column is nonnegative unless its free mask (-inf, inf) or its fixed mask
+(at 0) is set.  Every column starts at 0, and the simplex knows its kind by
+those two masks.  The method is a revised simplex: two-phase start (or phase
+2 straight from a given feasible basis), dense basis-inverse updates with
 periodic refactorization, and a permanent switch to Bland's rule after a
 run of degenerate pivots (anti-cycling).  The basis matrix is kept as state:
 a pivot replaces one of its columns, and only a refactorization gathers it
@@ -15,19 +15,16 @@ refactorization; a singular or infeasible one raises LpError, and the solve
 starts cold.  Free columns are handled natively, not by splitting, so dual
 extraction stays clean.
 
-The constraint matrix comes in dense.  Rows are scaled to unit max-norm
-straight into the single dense working matrix (structural, slack and
-artificial columns side by side), and every product with the constraint
-matrix reads that matrix or the input one.  FEAS_TOL, OPT_TOL and GAP_TOL
-are absolute on the scaled problem and the scaling is undone on output.  An
-optimal solution certifies itself: its primal residual, dual residual and
-duality gap must each lie within 1e3 times its tolerance, or the solve
-raises LpError.
+The triplets are scattered straight into the single dense working matrix
+(structural, slack and artificial columns side by side), whose rows are
+then scaled to unit max-norm in place; every product with the constraint
+matrix reads that matrix.  FEAS_TOL, OPT_TOL and GAP_TOL are absolute on the
+scaled problem and the scaling is undone on output.  An optimal solution
+certifies itself: its primal residual, dual residual and duality gap must
+each lie within 1e3 times its tolerance, or the solve raises LpError.
 
-Dual sign convention (so that b.y equals the primal objective at optimum):
-
-    min problems:  >= rows have dual >= 0, <= rows dual <= 0, == rows free;
-    max problems:  the signs flip (<= rows dual >= 0).
+The duals satisfy b.y = c.x at optimum: an == row's is free and a >= row's
+is <= 0.
 
 All pivoting choices break ties by lowest index, so identical inputs produce
 identical pivot sequences and outputs.
@@ -48,7 +45,7 @@ BLAND_AFTER = 500  # consecutive degenerate pivots before switching rule
 REFACTOR_EVERY = 64
 MAX_ITERS = 200_000
 
-RELATIONS = ("<=", "==", ">=")
+RELATIONS = ("==", ">=")
 
 
 class LpError(RuntimeError):
@@ -58,62 +55,46 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Dense LP description.  Each column is nonnegative (lower 0, upper inf:
-    the default), free (-inf, inf) or fixed at 0 (0, 0)."""
+    """max objective.x subject to one == or >= relation per row, the
+    constraint matrix as (rows, cols, vals) triplets whose duplicates sum.
+    Each column is nonnegative unless its free or its fixed (at 0) mask is
+    set.  Construct it with build."""
 
-    sense: str
     objective: np.ndarray
-    matrix: np.ndarray  # (num_constraints, num_vars)
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        n = self.objective.shape[0]
-        m = self.rhs.shape[0]
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bound arrays must match the variable count")
-        if self.matrix.shape != (m, n):
-            raise ValueError(f"matrix shape {self.matrix.shape} is not {(m, n)}")
-        if len(self.relations) != m:
-            raise ValueError("one relation per constraint required")
-        if any(r not in RELATIONS for r in self.relations):
-            raise ValueError(f"relations must be one of {RELATIONS}")
-        kinds = ((self.lower == 0.0) & ((self.upper == 0.0) | np.isposinf(self.upper))
-                 | np.isneginf(self.lower) & np.isposinf(self.upper))
-        if not kinds.all():
-            j = int(np.argmin(kinds))
-            raise ValueError(f"column {j} has bounds [{self.lower[j]}, {self.upper[j]}]; "
-                             "a column must be [0, inf), (-inf, inf) or [0, 0]")
-        for name, a in (("objective", self.objective), ("matrix", self.matrix),
-                        ("rhs", self.rhs)):
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{name} must be finite")
+    free: np.ndarray
+    fixed: np.ndarray
 
     @classmethod
-    def build(cls, sense, objective, rows, cols, vals, relations, rhs,
-              lower=None, upper=None) -> "LinearProgram":
-        """Construct from (row, col, value) triplets; duplicates are summed."""
+    def build(cls, objective, rows, cols, vals, relations, rhs,
+              free=None, fixed=None) -> "LinearProgram":
+        """Check and store the program; free and fixed default to no column."""
         objective = np.asarray(objective, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
-        n = objective.shape[0]
-        index = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+        m, n = rhs.shape[0], objective.shape[0]
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         vals = np.asarray(vals, dtype=float)
-        if len(index[0]) != len(index[1]) or len(index[1]) != len(vals):
+        if not len(rows) == len(cols) == len(vals):
             raise ValueError("triplet arrays must have equal length")
-        matrix = np.zeros((rhs.shape[0], n))
-        # np.add.at would wrap a negative index onto a real entry
-        for name, ix, bound in zip(("row", "column"), index, matrix.shape):
+        # the solve's flat scatter would wrap a stray index onto a real entry
+        for name, ix, bound in (("row", rows, m), ("column", cols, n)):
             if len(ix) and (ix.min() < 0 or ix.max() >= bound):
                 raise ValueError(f"triplet {name} index out of range")
-        np.add.at(matrix, index, vals)
-        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        return cls(sense=sense, objective=objective, matrix=matrix,
-                   relations=tuple(relations), rhs=rhs, lower=lower, upper=upper)
+        free = np.zeros(n, dtype=bool) if free is None else np.asarray(free, dtype=bool)
+        fixed = np.zeros(n, dtype=bool) if fixed is None else np.asarray(fixed, dtype=bool)
+        if free.shape != (n,) or fixed.shape != (n,) or (free & fixed).any():
+            raise ValueError("free and fixed must be disjoint masks over the columns")
+        if len(relations) != m or any(r not in RELATIONS for r in relations):
+            raise ValueError(f"one relation of {RELATIONS} per constraint required")
+        for name, a in (("objective", objective), ("vals", vals), ("rhs", rhs)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite")
+        return cls(objective=objective, rows=rows, cols=cols, vals=vals,
+                   relations=tuple(relations), rhs=rhs, free=free, fixed=fixed)
 
     @property
     def num_vars(self) -> int:
@@ -284,7 +265,7 @@ def solve(lp: LinearProgram, *, basis=None) -> LpSolution:
     """Solve an LP; returns primal and dual solutions with an optimality check.
 
     basis, if given, holds m column indices into the working matrix
-    [structural | slack (one per inequality row, in row order) | artificial
+    [structural | slack (one per >= row, in row order) | artificial
     (one per row)], such as the `basis` of an earlier solution.  Nonbasic
     columns start at 0; when the basis is nonsingular and its point lies
     within bounds, phase 1 is skipped.  Otherwise, or on a numerical
@@ -320,36 +301,35 @@ def _warm_start(sim: _Simplex, basis: np.ndarray) -> None:
 
 
 def _solve(lp: LinearProgram, basis) -> LpSolution:
-    """One solve, from the given basis or (basis None) cold; lp's bounds
-    become the simplex's free and fixed masks here, once."""
+    """One solve, from the given basis or (basis None) cold."""
     m, n = lp.num_constraints, lp.num_vars
-    sign = 1.0 if lp.sense == "min" else -1.0
 
-    # the one dense copy: structural columns with rows scaled to unit
-    # max-norm, then slacks (<= rows get +slack, >= rows get -slack, both
-    # slack >= 0), then artificials; the norms are taken and the scaling done
-    # in place, so no other matrix-sized array is made
-    relations = np.array(lp.relations)
-    ineq = np.flatnonzero(relations != "==")
+    # the one dense copy: structural columns, the triplets summed and each
+    # row then scaled to unit max-norm in place, then a -slack (>= 0) per >=
+    # row, then artificials; no other matrix-sized array is made
+    eq = np.array(lp.relations) == "=="
+    ineq = np.flatnonzero(~eq)
     n_slack = len(ineq)
     ncols = n + n_slack  # the real columns, before the artificials
     a_full = np.zeros((m, ncols + m))
+    np.add.at(a_full.reshape(-1), lp.rows * a_full.shape[1] + lp.cols, lp.vals)
     structural = a_full[:, :n]
-    norms = np.abs(lp.matrix, out=structural).max(axis=1, initial=0.0)
+    # max |a_kj| over the summed entries, without an abs copy
+    norms = np.maximum(structural.max(axis=1, initial=0.0), -structural.min(axis=1, initial=0.0))
     norms[norms == 0.0] = 1.0
     b_scaled = lp.rhs / norms
-    np.divide(lp.matrix, norms[:, None], out=structural)
-    a_full[ineq, n + np.arange(n_slack)] = np.where(relations[ineq] == "<=", 1.0, -1.0)
+    structural /= norms[:, None]
+    a_full[ineq, n + np.arange(n_slack)] = -1.0
     # slacks and artificials are nonnegative until phase 2 fixes the artificials
     pad = np.zeros(n_slack + m, dtype=bool)
-    free, fixed = np.append(np.isneginf(lp.lower), pad), np.append(lp.upper == 0.0, pad)
+    free, fixed = np.append(lp.free, pad), np.append(lp.fixed, pad)
 
     # every column starts at 0, so the artificials take up b: each one's
     # sign makes its start value |b_k| nonnegative
     art = np.arange(ncols, ncols + m)
     art_sign = np.where(b_scaled >= 0, 1.0, -1.0)
     a_full[np.arange(m), art] = art_sign
-    phase2_c = np.concatenate([sign * lp.objective, np.zeros(n_slack + m)])
+    phase2_c = np.concatenate([-lp.objective, np.zeros(n_slack + m)])  # min -c.x
 
     sim = _Simplex(a=a_full, b=b_scaled, c=phase2_c, free=free, fixed=fixed)
     if basis is not None:
@@ -404,16 +384,15 @@ def _solve(lp: LinearProgram, basis) -> LpSolution:
             return LpSolution(status="unbounded", iterations=sim.iterations,
                               warm_started=basis is not None)
 
-    x = np.clip(sim.x[:n], lp.lower, lp.upper)
+    x = np.clip(sim.x[:n], np.where(lp.free, -np.inf, 0.0), np.where(lp.fixed, 0.0, np.inf))
     d, y_int = sim._reduced_costs()
-    duals = sign * y_int / norms
+    duals = -y_int / norms
     objective = float(lp.objective @ x)
     gap = abs(objective - float(lp.rhs @ duals))
 
     # residuals on the scaled problem
     excess = structural @ x - b_scaled
-    viol = np.where(relations == "==", np.abs(excess),
-                    np.maximum(np.where(relations == "<=", excess, -excess), 0.0))
+    viol = np.where(eq, np.abs(excess), np.maximum(-excess, 0.0))
     primal_residual = float(viol.max(initial=0.0))
 
     # optimal reduced-cost signs over structural and slack columns (the slack

