@@ -28,7 +28,8 @@ the minimizer nothing, so such a row's V-constraint never binds.  It keeps
 its beta-row (nu column), its mu column is fixed at 0, and its entries in the
 one, finite, reward table are 0.  A state that cannot reach a cycle of the
 graph i -> j in I_i along union-support edges has game value -inf in this
-limit, and the dual comes back infeasible.
+limit, and the dual comes back infeasible; with no such state, an infeasible
+dual is a numerical failure.
 
 Constraint generation starts from a crash point: at a pure policy found by
 risk-sensitive policy iteration, the twisted kernel rows, the dual vertex
@@ -48,7 +49,7 @@ from .errors import GuardError
 from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
 from .lp import OPT_TOL, LinearProgram, LpError, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
-from .oracle import NEG_INF, perron_policy, tilde_cost
+from .oracle import NEG_INF, _communicating_classes, perron_policy, tilde_cost
 
 MU_MASS_TOL = 1e-10       # below this a state's maximizer row is its priced row
 SUPPORT_TOL = 1e-9        # purification's candidate actions: y entries above this
@@ -136,10 +137,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
-          ctab: np.ndarray, binds: np.ndarray) -> LinearProgram:
+def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray) -> LinearProgram:
     """max sum(w) over (mu >= 0, nu >= 0, w free), one (mu, nu) column pair
-    per stacked kernel row; mu is fixed at 0 where the row does not bind.
+    per stacked kernel row, with _rewards' table; mu is fixed at 0 where the
+    row does not bind.
 
     Row order: s kernel-balance equalities (one per state, paired with V),
     s mass equalities (paired with beta), then s*|U| reward rows (paired
@@ -147,13 +148,15 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
     then w, one per state.
     """
     s, m = model.num_states, model.num_actions
+    ctab, binds = _rewards(model, rows, owner)
     n_mu = rows.shape[0]
     mu_cols = np.arange(n_mu)
-    # kernel balance, delta_ij - q_j, at state j's row of each mu column (the
-    # diagonal's two triplets sum); the nu columns repeat it in the mass rows
-    k, j = np.nonzero(rows)
-    bal_rows, bal_cols = np.concatenate([j, owner]), np.concatenate([k, mu_cols])
-    bal_vals = np.concatenate([-rows[k, j], np.ones(n_mu)])
+    # kernel balance delta_ij - q_j at state j's row of each mu column, one
+    # triplet per coefficient as the LP sums it; nu repeats it in the mass rows
+    balance = -rows
+    balance[mu_cols, owner] += 1.0
+    bal_cols, bal_rows = np.nonzero(balance)
+    bal_vals = balance[bal_cols, bal_rows]
     reward_rows = 2 * s + np.arange(s * m).reshape(s, m)   # (state, action)
     # triplets: kernel balance (mu), its copy in the mass rows (nu), the
     # mass rows' 1 (mu), each mu column's rewards, and each w's -1
@@ -170,41 +173,49 @@ def _dual(model: MdpModel, rows: np.ndarray, owner: np.ndarray,
     )
 
 
-def _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, x) -> float:
-    """Checks the scaled feasibility residuals of both programs and strong
-    duality at the dual point x = (mu, nu, w); raises on breach, returns the
-    duality gap."""
-    s, m = model.num_states, model.num_actions
-    n_mu = owner.shape[0]
-    mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
-    # primal: one beta-row per kernel row, one V-row per binding one
-    beta_resid = rows @ beta - beta[owner]
-    v_resid = _rowdot(ctab, y[owner]) + rows @ vvec - vvec[owner] - beta[owner]
-    v_scale = np.maximum(1.0, np.abs(ctab).max(axis=1))
-    primal_viol = max(float(beta_resid.max()),
-                      float((v_resid / v_scale)[binds].max(initial=-np.inf)))
-    # dual: kernel and mass balance per state, then one reward row per
-    # (state, action), scaled by the largest coefficient on it; the bounds
-    # need no check: lp.solve clips x to them, and _crash_start's point
-    # holds them by construction (mu only on binding rows, mu and nu >= 0)
-    mu_mass = np.bincount(owner, mu, minlength=s)
-    nu_mass = np.bincount(owner, nu, minlength=s)
-    reward = np.zeros((s, m))
-    np.add.at(reward, owner, ctab * mu[:, None])
-    r_scale = np.ones((s, m))
-    np.maximum.at(r_scale, owner, np.abs(ctab))
-    dual_viol = max(float(np.abs(mu_mass - rows.T @ mu).max()),
-                    float(np.abs(nu_mass - rows.T @ nu + mu_mass - 1.0).max()),
-                    float(((w[:, None] - reward) / r_scale).max()))
-    if primal_viol > GAME_FEAS_TOL or dual_viol > GAME_FEAS_TOL:
-        raise LpError(
-            f"game LP verification failed: primal residual {primal_viol:.3e}, "
-            f"dual residual {dual_viol:.3e}"
-        )
-    gap = abs(float(beta.sum()) - float(w.sum()))
-    if gap > GAME_GAP_TOL:
+def _residuals(index, coefs, terms, target, tight) -> np.ndarray:
+    """The sums of terms by index less target: the excess where tight, else
+    the shortfall, net of a float sum's rounding bound (eps times its count
+    and its terms' magnitudes: one rounding of a term of 1e10 exceeds
+    GAME_FEAS_TOL), over its largest coefficient, at least 1; NaN from NaN."""
+    n = target.shape[0]
+    scale = np.ones(n)
+    np.maximum.at(scale, index, np.abs(coefs))
+    excess = np.bincount(index, terms, minlength=n) - target
+    rounding = (np.finfo(float).eps * np.bincount(index, minlength=n)
+                * np.bincount(index, np.abs(terms), minlength=n))
+    return np.maximum(np.where(tight, np.abs(excess), -excess) - rounding, 0.0) / scale
+
+
+def _verify_pair(prog: LinearProgram, beta, vvec, y, x) -> float:
+    """Checks both programs' scaled feasibility residuals and strong duality
+    at the point x = (mu, nu, w) of _dual's program prog, read off its
+    triplets: its rows at x, and the primal's rows as its reduced costs at
+    (V, beta, -y), none at a fixed column (a row with no V-row).  Raises on
+    breach, a NaN included; returns the duality gap.  The bounds need no
+    check: lp.solve clips x to them, and _crash_start's point holds them."""
+    duals = np.concatenate([vvec, beta, -y.ravel()])
+    with np.errstate(invalid="ignore", over="ignore"):   # a non-finite point: NaN
+        dual_viol = float(_residuals(prog.rows, prog.vals, prog.vals * x[prog.cols], prog.rhs,
+                                     np.array(prog.relations) == "==").max())
+        primal_viol = float(_residuals(prog.cols, prog.vals, prog.vals * duals[prog.rows],
+                                       prog.objective, prog.free)[~prog.fixed].max())
+    if not (primal_viol <= GAME_FEAS_TOL and dual_viol <= GAME_FEAS_TOL):
+        raise LpError(f"game LP verification failed: primal residual {primal_viol:.3e}, "
+                      f"dual residual {dual_viol:.3e}")
+    gap = abs(float(beta.sum()) - float(x[-len(beta):].sum()))
+    if not gap <= GAME_GAP_TOL:
         raise LpError(f"strong duality violated: |sum(beta) - sum(w)| = {gap:.3e}")
     return gap
+
+
+def _neg_inf_states(model: MdpModel) -> np.ndarray:
+    """(s,) bool: the states that cannot reach, along union-support edges, a
+    cycle of the graph i -> j in I_i, where the game value is -inf."""
+    graphs = np.stack([(model.kernel > 0.0).all(axis=0), model.support], axis=2)
+    _, reach = _communicating_classes(graphs)
+    on_cycle = np.diagonal(reach[:, :, 0])
+    return ~((reach[:, :, 1] | np.eye(model.num_states, dtype=bool)) & on_cycle).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -234,19 +245,22 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     errors.
     """
     s, m = model.num_states, model.num_actions
-    ctab, binds = _rewards(model, rows, owner)
+    prog = _dual(model, rows, owner)
+    binds = ~prog.fixed[:owner.shape[0]]
     if point is not None:
         try:
-            return _Round(*point, basis, binds,
-                          _verify_pair(model, rows, owner, ctab, binds, *point))
+            return _Round(*point, basis, binds, _verify_pair(prog, *point))
         except LpError:
             pass  # not an optimum of this LP: solve it from basis
     where = "of constraint generation" if resolution is None else f"at resolution {resolution}"
     try:
-        sol = lp_solve(_dual(model, rows, owner, ctab, binds), basis=basis)
+        sol = lp_solve(prog, basis=basis)
     except LpError as exc:
         raise LpError(f"game LP solve {where} failed: {exc}") from exc
     if sol.status == "infeasible":
+        if not _neg_inf_states(model).any():
+            raise LpError(f"game LP {where} came back infeasible, yet every state reaches a "
+                          "cycle of the common action supports: a numerical failure of the LP")
         raise LpError(f"game LP {where} came back infeasible: the game value is -inf at "
                       "some state, as mixed strategies cut every cycle of the common action "
                       "supports it reaches; `riskmdp oracle` gives the pure value")
@@ -258,7 +272,7 @@ def _solve_pair(model: MdpModel, rows: np.ndarray, owner: np.ndarray, *,
     if np.any(sums <= 0.0):
         raise LpError("dual multipliers did not yield a minimizer policy")
     y /= sums
-    gap = _verify_pair(model, rows, owner, ctab, binds, beta, vvec, y, sol.x)
+    gap = _verify_pair(prog, beta, vvec, y, sol.x)
     return _Round(beta, vvec, y, sol.x, sol.basis, binds, gap)
 
 

@@ -569,7 +569,7 @@ def build_dual(model: MdpModel, grid: FullGrid) -> LinearProgram:
     if grid.num_states != model.num_states:
         raise ValueError("grid was built for a different model shape")
     rows, owner = grid.stacked()
-    return game._dual(model, rows, owner, *game._rewards(model, rows, owner))
+    return game._dual(model, rows, owner)
 
 
 def solve_game(model: MdpModel, resolution: int) -> game.GameSolution:
@@ -645,7 +645,7 @@ def closed_form_applies(model: MdpModel) -> bool:
     if point is None:
         return False
     try:
-        game._verify_pair(model, rows, owner, *game._rewards(model, rows, owner), *point)
+        game._verify_pair(game._dual(model, rows, owner), *point)
     except LpError:
         return False
     return True

@@ -53,10 +53,15 @@ def test_ladder_writes_its_smallest_rung(tmp_path, capsys):
 REGRESS = LADDER.parent / "regress.py"
 
 
-def test_regress_writes_a_small_slice_of_its_sets():
+def _regress():
     spec = importlib.util.spec_from_file_location("regress", REGRESS)
     regress = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regress)
+    return regress
+
+
+def test_regress_writes_a_small_slice_of_its_sets():
+    regress = _regress()
     data = regress.collect("test", corpus_models=corpus()[:2], workload_models=1,
                            two_successor_seeds=2)
     assert set(data) == {"schema_version", "tag", "environment", *regress.SECTIONS}
@@ -89,3 +94,21 @@ def test_regress_writes_a_small_slice_of_its_sets():
     assert [line.split(":")[0] for line in regress.compare(data, moved)] == [
         "reports trap/solve", "two_successor s3m2-0/grid"]
     assert regress.summary(data)[0] == "solve: 11 by exit code {0: 11}"
+
+
+def test_regress_compare_exits_1_on_a_move(tmp_path, capsys):
+    # CI and every change read --compare by its exit code
+    regress = _regress()
+    data = {"schema_version": 1, "tag": "a", "environment": {"numpy": "2"},
+            "reports": {"m/solve": {"argv": ["solve"], "exit": 0, "sha256": "0" * 64}},
+            "lp_calls": {"m/solve": [["optimal", 3, "0" * 16]]},
+            "two_successor": {"s3m2-0/grid": [0, "0" * 64, 1, 3, "0" * 16]}}
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    a.write_text(regress._text(data), encoding="utf-8")
+    b.write_text(regress._text({**data, "tag": "b"}), encoding="utf-8")
+    assert regress.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "no move"
+    data["two_successor"]["s3m2-0/grid"][0] = 4
+    b.write_text(regress._text(data), encoding="utf-8")
+    assert regress.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.startswith("two_successor s3m2-0/grid: [0, ")

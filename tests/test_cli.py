@@ -723,10 +723,30 @@ def test_neg_inf_game_value_is_a_stated_solver_failure(tmp_path, capsys, method)
     err = capsys.readouterr().err
     assert "came back infeasible: the game value is -inf" in err
     assert "cut every cycle" in err and "riskmdp oracle" in err
+    assert "numerical failure" not in err
     assert "Traceback" not in err and "None" not in err
     assert ("at resolution 2" if method == "grid" else "of constraint generation") in err
     assert main(["oracle", "--model", str(path)]) == 0
     assert "lambda_bar = 0.100000" in capsys.readouterr().out
+
+
+def test_large_costs_are_no_neg_inf_outcome(tmp_path, capsys):
+    # every state reaches a cycle of the common supports, so the game value
+    # is finite, -1e10; at costs of 1e10 the grid's first LP still comes
+    # back infeasible, which is a numerical failure, not the -inf outcome
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "actions": ["x", "y"],
+        "transitions": {"x": [[0.5, 0.5], [0.5, 0.5]], "y": [[0.9, 0.1], [0.2, 0.8]]},
+        "costs": [[1e10, -1e10], [-1e10, 1e10]],
+    }))
+    assert main(["solve", "--model", str(path), "--method", "grid"]) == 4
+    err = capsys.readouterr().err
+    assert "at resolution 2 came back infeasible" in err and "a numerical failure" in err
+    assert "-inf" not in err and "Traceback" not in err
+    for argv in (["solve", "--method", "congen"], ["oracle"]):
+        assert main([*argv, "--model", str(path)]) == 0
+        assert "lambda_bar = -10000000000.000000" in capsys.readouterr().out
 
 
 # derandomized, so a run always draws the same models: differing supports,

@@ -122,7 +122,7 @@ def _assert_dual_is_transpose_of_primal(model, rows, owner):
     s = model.num_states
     n_ineq = rows.shape[0]
     prog_p = primal_from_rows(model, rows, owner)
-    prog_d = game._dual(model, rows, owner, *game._rewards(model, rows, owner))
+    prog_d = game._dual(model, rows, owner)
     # primal rows: [beta-rows, V-rows of the binding rows, simplex]; cols: [V, beta, y]
     # dual rows: [kernel-balance, mass, reward]; cols: [mu, nu, w]
     binding = np.array([binds(model, i, q) for i, q in zip(owner, rows)], dtype=bool)
@@ -163,6 +163,70 @@ def test_differing_supports_dual_fixes_the_mu_columns_off_the_common_support():
     # columns carry no reward
     assert np.abs(dense(lp)).max() <= 10.0
     assert not dense(lp)[6:, :len(rows)][:, fixed].any()
+
+
+@pytest.mark.parametrize("model", [corpus()[0][1], corpus()[-1][1], DIFFERING_SUPPORTS],
+                         ids=[corpus()[0][0], corpus()[-1][0], "differing-supports"])
+def test_verify_pair_rejects_each_broken_residual_kind(model):
+    # at the LP optimum, one row's right-hand side (one column's objective)
+    # is set 3 tolerances, scaled by its largest coefficient (at least 1),
+    # off the point's activity there, in the direction only its own test
+    # catches: above it on a >= row or a nonnegative column, below it on an
+    # == row or a free column
+    rows, owner = build_grid(model, 2).stacked()
+    rnd = game._solve_pair(model, rows, owner, resolution=2)
+    prog, beta, vvec, y, x = game._dual(model, rows, owner), rnd.beta, rnd.vvec, rnd.y, rnd.x
+    s = model.num_states
+    n_mu = (prog.num_vars - s) // 2
+    matrix = dense(prog)
+    step = 3.0 * game.GAME_FEAS_TOL
+    rows_off = (matrix @ x, np.maximum(1.0, np.abs(matrix).max(axis=1)))
+    cols_off = (matrix.T @ np.concatenate([vvec, beta, -y.ravel()]),
+                np.maximum(1.0, np.abs(matrix).max(axis=0)))
+    game._verify_pair(prog, beta, vvec, y, x)
+
+    def broken(field, k, sign):
+        activity, scale = rows_off if field == "rhs" else cols_off
+        value = getattr(prog, field).copy()
+        value[k] = activity[k] + sign * step * scale[k]
+        return replace(prog, **{field: value})
+
+    binding = np.flatnonzero(~prog.fixed[:n_mu])
+    cases = {
+        "kernel balance": ("rhs", s - 1, -1.0, "dual"),
+        "mass": ("rhs", s, -1.0, "dual"),
+        "reward": ("rhs", 2 * s + 1, 1.0, "dual"),
+        "beta": ("objective", n_mu + binding[-1], 1.0, "primal"),
+        "V of a binding row": ("objective", binding[-1], 1.0, "primal"),
+        "sum(y) = 1": ("objective", 2 * n_mu + s - 1, -1.0, "primal"),
+    }
+    for field, k, sign, side in cases.values():
+        with pytest.raises(LpError, match=rf"{side} residual 3\.000e-08"):
+            game._verify_pair(broken(field, k, sign), beta, vvec, y, x)
+    # a fixed mu column has no V-row: its violation is no breach
+    for k in np.flatnonzero(prog.fixed):
+        game._verify_pair(broken("objective", k, 1.0), beta, vvec, y, x)
+    # the dual stays feasible with a smaller w, but the objectives part
+    x = x.copy()
+    x[-1] -= 3.0 * game.GAME_GAP_TOL
+    with pytest.raises(LpError, match="strong duality violated"):
+        game._verify_pair(prog, beta, vvec, y, x)
+
+
+@pytest.mark.parametrize("entry,value", [(3, math.nan), (0, math.nan), (1, math.nan),
+                                         (2, math.nan), (3, math.inf)],
+                         ids=["nan-x", "nan-beta", "nan-V", "nan-y", "inf-x"])
+def test_verify_pair_rejects_a_non_finite_point(entry, value):
+    # random_model(3, 8, 3)'s crash point verifies; one NaN entry, or an inf
+    # in x, must not (a NaN compares false against every tolerance)
+    model = random_model(3, 8, 3)
+    rows, owner, _, point = game._crash_start(model)
+    prog = game._dual(model, rows, owner)
+    game._verify_pair(prog, *point)
+    point = [a.copy() for a in point]
+    point[entry].flat[0] = value
+    with pytest.raises(LpError):
+        game._verify_pair(prog, *point)
 
 
 def test_primal_and_dual_objectives_agree():
@@ -579,6 +643,15 @@ def test_congen_crash_pivot_path_is_pinned():
 
 
 NEG_INF_OUTCOME = "came back infeasible: the game value is -inf"
+
+
+def test_graph_test_flags_the_reference_states():
+    # the library's -inf graph test, on the oracle's closure, against the
+    # reference's boolean squaring
+    models = [DIFFERING_SUPPORTS, *(two_successor_model(seed, s, m)
+                                    for s, m in TWO_SUCCESSOR_SHAPES for seed in range(50))]
+    for model in models:
+        np.testing.assert_array_equal(game._neg_inf_states(model), neg_inf_states(model))
 
 
 def test_dirac_lps_of_two_successor_models_solve():
