@@ -23,7 +23,7 @@ from .game import (
     solve_congen,
     solve_sequence,
 )
-from .grid import GridSpec, build_grid, lattice_numerators
+from .grid import lattice_numerators
 from .lp import LinearProgram, LpError, LpSolution
 from .model import (
     KernelMatrix,

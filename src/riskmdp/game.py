@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GuardError
-from .grid import MAX_RESOLUTION, build_grid, lattice_numerators
+from .grid import MAX_RESOLUTION, lattice_numerators
 from .lp import OPT_TOL, LinearProgram, LpError, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
 from .oracle import NEG_INF, _communicating_classes, perron_policy, tilde_cost
@@ -212,7 +213,7 @@ def _verify_pair(prog: LinearProgram, beta, vvec, y, x) -> float:
 def _neg_inf_states(model: MdpModel) -> np.ndarray:
     """(s,) bool: the states that cannot reach, along union-support edges, a
     cycle of the graph i -> j in I_i, where the game value is -inf."""
-    graphs = np.stack([(model.kernel > 0.0).all(axis=0), model.support], axis=2)
+    graphs = np.stack([model.common, model.support], axis=2)
     _, reach = _communicating_classes(graphs)
     on_cycle = np.diagonal(reach[:, :, 0])
     return ~((reach[:, :, 1] | np.eye(model.num_states, dtype=bool)) & on_cycle).any(axis=1)
@@ -280,7 +281,7 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
              priced: np.ndarray, resolution=None) -> GameSolution:
     """The game solution of a round: the maximizer rows and the purified
     minimizer.  priced holds each state's row from the pricing call at the
-    round's (beta, V, y), a zero row at an empty I_i."""
+    round's (beta, V, y)."""
     s, m = model.num_states, model.num_actions
     n_mu = rows.shape[0]
     beta, vvec, y, x = rnd.beta, rnd.vvec, rnd.y, rnd.x
@@ -291,11 +292,12 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     # mu mass, dropping weights of at most MU_MASS_TOL of it (rounding noise
     # on rows that are not tight); without it they are a degenerate face of
     # the dual optimum, and the priced row stands in.  nu takes over only
-    # where that row is zero, as no row there has a V-constraint (x is
-    # clipped to its bounds, so nu >= 0, and the verified mass balance keeps
-    # mu mass + nu mass >= 1 - GAME_FEAS_TOL at every state).  The minimizer
-    # is purified at the extracted row: among support actions (y rows sum to
-    # 1, so there is one), the one whose V-constraint there is tightest
+    # where I_i is empty (the priced row is zero), as no row there has a
+    # V-constraint (x is clipped to its bounds, so nu >= 0, and the verified
+    # mass balance keeps mu mass + nu mass >= 1 - GAME_FEAS_TOL at every
+    # state).  The minimizer is purified at the extracted row: among support
+    # actions (y rows sum to 1, so there is one), the one whose V-constraint
+    # there is tightest
     qstar = priced.copy()
     choice = []
     bounds = np.searchsorted(owner, np.arange(s + 1))
@@ -305,7 +307,7 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
         if mass > MU_MASS_TOL:
             weights = np.where(mu[block] > MU_MASS_TOL * mass, mu[block], 0.0)
             qstar[i] = weights / weights.sum() @ rows[block]
-        elif not priced[i].any():
+        elif not model.common[i].any():
             qstar[i] = nu[block] / nu[block].sum() @ rows[block]
         slacks = np.full(m, np.inf)
         for u in np.flatnonzero(y[i] > SUPPORT_TOL):
@@ -336,7 +338,7 @@ def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray, resolution=None
     w (q.z - q.log q) plus a constant, with w = sum_u y(u) and
     z = (V + sum_u y(u) log p_u) / w on I_i.  Its exact maximizer is
     q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u))."""
-    mask = (model.kernel > 0.0).all(axis=0)
+    mask = model.common
     if resolution is not None:
         rows = np.zeros((model.num_states,) * 2)
         for i in np.flatnonzero(mask.any(axis=1)):
@@ -357,11 +359,11 @@ def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray, resolution=None
 
 def _price(model: MdpModel, beta, vvec, y, resolution=None):
     """(rows, violations): each state's most violated V-constraint, gibbs_rows'
-    at the resolution, as the LP prices it; -inf at a zero row (an empty I_i)."""
+    at the resolution, as the LP prices it; -inf at an empty I_i (a zero row)."""
     rows = gibbs_rows(model, y, vvec, resolution)
     ctab = tilde_cost_table(model, np.arange(model.num_states), rows)
     viol = _rowdot(ctab, y) + _rowdot(rows, vvec) - vvec - beta
-    return rows, np.where(rows.any(axis=1), viol, NEG_INF)
+    return rows, np.where(model.common.any(axis=1), viol, NEG_INF)
 
 
 def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray):
@@ -375,6 +377,26 @@ def _separate(model: MdpModel, beta: np.ndarray, vvec: np.ndarray, y: np.ndarray
     """
     jbest = np.where(model.support, beta, NEG_INF).argmax(axis=1)
     return jbest, beta[jbest] - beta, *_price(model, beta, vvec, y)
+
+
+class _Seed(NamedTuple):
+    rows: np.ndarray
+    owner: np.ndarray
+
+    @property
+    def total_rows(self) -> int:   # read by the benchmark's tracer alone
+        return self.owner.shape[0]
+
+
+def build_grid(model: MdpModel) -> _Seed:
+    """The Dirac seed both restricted masters start from, stacked (rows,
+    owner): one Dirac row per union-support successor, last successor
+    first, state by state.  They hold every state's worst beta-constraint
+    (the maximum of q.beta over a support simplex sits at a vertex).  The
+    name stays for the benchmark's tracer alone, which wraps game.build_grid
+    and counts its total_rows."""
+    owner, last = np.nonzero(model.support[:, ::-1])
+    return _Seed(np.eye(model.num_states)[model.num_states - 1 - last], owner)
 
 
 def _restricted_master(model: MdpModel, master, tol: float, resolution=None,
@@ -443,7 +465,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
                          "whose lattice rows are exact in double precision")
     trace, resolutions, rounds = [], [], []
     reason = "n_max"
-    master = (*build_grid(model).stacked(), None)
+    master = (*build_grid(model), None)
     for n in range(n_start, n_max + 1):
         master, priced, solves, _ = _restricted_master(model, master, OPT_TOL, n)
         rnd = master[2]
@@ -467,7 +489,7 @@ def solve_sequence(model: MdpModel, n_start: int = 2, n_max: int = 8,
             break
 
     # lattice points on each state's union support (beta-rows) and on I_i (V-rows)
-    sizes = [*model.support.sum(axis=1), *(model.kernel > 0.0).all(axis=0).sum(axis=1)]
+    sizes = [*model.support.sum(axis=1), *model.common.sum(axis=1)]
     implied = sum(math.comb(2**n + k - 1, k - 1) for k in sizes if k > 0)
     return ConvergenceReport(
         resolutions=tuple(resolutions),
@@ -507,12 +529,11 @@ def _crash_start(model: MdpModel):
     V-constraint, or pi is not positive, the Dirac rows come alone and basis
     and point are None.
     """
-    rows, owner = build_grid(model).stacked()
+    rows, owner = build_grid(model)
     s, m = model.num_states, model.num_actions
     states = np.arange(s)
     choice, log_h = perron_policy(model)
-    if log_h is None or not np.array_equal(model.kernel[choice, states] > 0.0,
-                                           (model.kernel > 0.0).all(axis=0)):
+    if log_h is None or not np.array_equal(model.kernel[choice, states] > 0.0, model.common):
         return rows, owner, None, None
     pure = np.eye(m)[choice]
     twisted = gibbs_rows(model, pure, log_h)

@@ -2,46 +2,19 @@
 
 At resolution n the maximizer's kernel rows are integers over N = 2^n on
 each state's union support.  The lattice is never enumerated: the game's
-restricted master starts from the Dirac rows built here and adds the rows
-lattice_numerators prices.
+restricted master starts from its Dirac rows (game.build_grid) and adds the
+rows lattice_numerators prices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .model import MdpModel
 
 # The finest resolution whose rows are exact doubles summing to exactly 1, measured
 # by pricing random instances at each n: at n = 54 an odd numerator above 2^53 rounds.
 MAX_RESOLUTION = 53
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Per-state (count, s) kernel-row matrices, zero off the union support."""
-
-    rows: tuple[np.ndarray, ...]
-
-    @property
-    def total_rows(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """All rows stacked state by state, and the state owning each row."""
-        owner = np.repeat(np.arange(len(self.rows)), [len(r) for r in self.rows])
-        return np.concatenate(self.rows), owner
-
-
-def build_grid(model: MdpModel) -> GridSpec:
-    """The resolution-0 lattice: one Dirac row per union-support successor,
-    last successor first.  They hold every state's worst beta-constraint
-    (the maximum of q.beta over a support simplex sits at a vertex)."""
-    eye = np.eye(model.num_states)
-    return GridSpec(rows=tuple(eye[np.flatnonzero(row)[::-1]] for row in model.support))
 
 
 def lattice_numerators(z: np.ndarray, resolution: int) -> np.ndarray:

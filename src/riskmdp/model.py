@@ -12,7 +12,7 @@ they are safe for concurrent read access.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -58,6 +58,11 @@ class MdpModel:
     actions: tuple[str, ...]
     kernel: np.ndarray
     cost: np.ndarray
+    # read-only boolean (s, s) masks, set from the kernel: the union support,
+    # max_u p(j|i,u) > 0, and I_i, the successors every action at state i
+    # reaches, min_u p(j|i,u) > 0
+    support: np.ndarray = field(init=False, repr=False, compare=False)
+    common: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, m = len(self.states), len(self.actions)
@@ -77,9 +82,10 @@ class MdpModel:
         )
         object.__setattr__(self, "kernel", _frozen(kernel))
         object.__setattr__(self, "cost", _frozen(cost))
-        support = kernel.max(axis=0) > 0.0  # union over actions, (s, s)
-        support.setflags(write=False)
-        object.__setattr__(self, "_support", support)
+        for name, mask in (("support", kernel.max(axis=0) > 0.0),
+                           ("common", kernel.min(axis=0) > 0.0)):
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
 
     @property
     def num_states(self) -> int:
@@ -88,11 +94,6 @@ class MdpModel:
     @property
     def num_actions(self) -> int:
         return len(self.actions)
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean (s, s) union-support mask: max_u p(j|i,u) > 0."""
-        return self._support
 
 
 @dataclass(frozen=True)

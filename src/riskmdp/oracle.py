@@ -155,8 +155,7 @@ def _support_graph(model: MdpModel, logc: np.ndarray, cols: np.ndarray) -> np.nd
     p moves from i to j.  When every action at a state shares one support,
     every policy's graph is the union support graph, returned once as
     (s, s, 1); otherwise (s, s, P), read off logc's finite entries."""
-    kernel = model.kernel
-    if np.array_equal(kernel > 0.0, np.broadcast_to(model.support, kernel.shape)):
+    if np.array_equal(model.common, model.support):
         return model.support[:, :, None]
     k, s, p = logc.shape
     graph = np.zeros((s, s, p), dtype=bool)

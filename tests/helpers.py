@@ -24,7 +24,7 @@ import numpy as np
 from riskmdp import game, oracle
 from riskmdp.certify import build_certificate
 from riskmdp.errors import GuardError, ModelError
-from riskmdp.grid import GridSpec, lattice_numerators
+from riskmdp.grid import lattice_numerators
 from riskmdp.lp import LinearProgram, LpError, LpSolution, solve as lp_solve
 from riskmdp.model import (KernelMatrix, MdpModel, PurePolicy, StationaryPolicy, parse_model,
                            read_json)
@@ -101,7 +101,9 @@ def random_model(seed: int, s: int, m: int, kernel_jitter: float = 0.005) -> Mdp
     Every action at a state shares the same two-successor support (so the
     union support stays small and absolute continuity never fails between
     actions), the cycle i -> i+1 is always supported (irreducibility), and
-    kernel entries stay within [0.2, 0.8].  Costs are uniform on [0, 1].
+    kernel entries lie within [0.25 - kernel_jitter, 0.75 + kernel_jitter],
+    so kernel_jitter must stay below 0.25 (ValueError otherwise); at s = 1
+    the one state loops to itself.  Costs are uniform on [0, 1].
 
     Per-state action kernels differ only by `kernel_jitter`: when actions
     move the chain very differently, a randomized minimizer can undercut
@@ -112,13 +114,16 @@ def random_model(seed: int, s: int, m: int, kernel_jitter: float = 0.005) -> Mdp
     bound that effect far below the test tolerances while costs still make
     the control problem nontrivial.
     """
+    if not kernel_jitter < 0.25:
+        raise ValueError(f"kernel_jitter {kernel_jitter} would allow negative entries; "
+                         "keep it below 0.25")
     rng = np.random.default_rng(seed)
     kernel = np.zeros((m, s, s))
     for i in range(s):
         nxt = (i + 1) % s
         others = [j for j in range(s) if j != nxt]
         partner = int(rng.choice(others)) if others else nxt
-        lo, hi = sorted({nxt, partner})
+        lo, hi = sorted((nxt, partner))
         base = rng.uniform(0.25, 0.75)
         for u in range(m):
             if lo == hi:
@@ -451,6 +456,19 @@ def structured_model(kind: str, seed: int, s: int, m: int) -> MdpModel:
                     kernel=kernel, cost=rng.uniform(0.0, 10.0, size=(s, m)))
 
 
+def support_models() -> list[MdpModel]:
+    """Models of every support shape the tests sweep: the corpus, the
+    two-successor models of seeds 0-49 in each shape, structured_model's
+    kinds at seeds 0-9, and one-state models."""
+    return [*(model for _, model in corpus()),
+            *(two_successor_model(seed, s, m)
+              for s, m in TWO_SUCCESSOR_SHAPES for seed in range(50)),
+            *(structured_model(kind, seed, 4, 2) for seed in range(10)
+              for kind in ("periodic", "absorbing", "disconnected", "differing")),
+            *(random_model(seed, 1, m) for seed in range(3) for m in (1, 2, 3)),
+            two_successor_model(0, 1, 2)]
+
+
 def wide_model(seed: int, index: int, s: int = 6, m: int = 2) -> MdpModel:
     """The benchmark's wide family: i+1 and three other successors per state,
     a Dirichlet(1) base row plus a uniform +-0.005 jitter per action and
@@ -521,13 +539,14 @@ def enumerate_rows(support_size: int, resolution: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class FullGrid(GridSpec):
+class FullGrid:
     """Every dyadic row of each state at one resolution.
 
     numerators[i] lists integer tuples over supports[i]; rows[i] is the
     matching (count, s) float matrix with zeros off the support.
     """
 
+    rows: tuple[np.ndarray, ...]
     resolution: int
     num_states: int
     supports: tuple[tuple[int, ...], ...]
@@ -535,6 +554,11 @@ class FullGrid(GridSpec):
 
     def row_count(self, i: int) -> int:
         return len(self.numerators[i])
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """All rows stacked state by state, and the state owning each row."""
+        owner = np.repeat(np.arange(self.num_states), [len(r) for r in self.rows])
+        return np.concatenate(self.rows), owner
 
 
 def build_grid(model: MdpModel, resolution: int) -> FullGrid:
@@ -625,7 +649,7 @@ def dirac_start(model: MdpModel):
     """game._crash_start's fallback: the Dirac rows alone and no basis or
     point, so constraint generation's first LP starts cold.  Tests that pin
     that cold first round patch it in for the crash."""
-    return (*game.build_grid(model).stacked(), None, None)
+    return (*game.build_grid(model), None, None)
 
 
 _CRASH_START = game._crash_start

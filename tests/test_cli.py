@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskmdp
-from riskmdp import cli
+from riskmdp import cli, game
 from riskmdp.cli import REPORT_VERSION, canonical_json, main
 from riskmdp.grid import MAX_RESOLUTION
+from riskmdp.lp import LpError, LpSolution
 from riskmdp.model import MdpModel
 
 from helpers import pure_policy, random_model, structured_model
@@ -331,13 +332,19 @@ DEEP = "[" * 200_000  # nested past the JSON decoder's recursion limit
     ({"states": [1e2, "2"]}, None, "state label 100.0 is not a JSON string or integer"),
     (DEEP, None, "cannot read model file"),
     ({}, DEEP, "cannot read policy file"),
+    ({}, json.dumps({"policy": ["a", "a"]}), "policy file must contain a 'policy' object"),
+    ({}, {"1": "a"}, "policy file misses state '2'"),
+    ({}, {"1": ["a"], "2": "a"},
+     "policy entry for state '1' must be an action name or an action->weight object"),
+    ({}, {"1": "b", "2": "a"}, "unknown action 'b' at state '1'"),
 ], ids=["int-states", "int-actions", "string-states", "nan-kernel", "string-weight",
         "null-weight", "list-weight", "nan-weight", "unknown-state", "string-kernel-entry",
         "bool-kernel-entry", "string-cost", "bool-weight", "top-level-array",
         "duplicate-states", "duplicate-int-and-string-states", "duplicate-actions",
         "ragged-transition-row", "int-cost-past-double-range", "int-weight-past-double-range",
         "no-states", "no-actions", "null-state-label", "list-state-label", "bool-action-label",
-        "float-state-label", "deep-nested-model", "deep-nested-policy"])
+        "float-state-label", "deep-nested-model", "deep-nested-policy", "policy-not-an-object",
+        "policy-missing-state", "list-policy-entry", "unknown-policy-action"])
 def test_malformed_input_files_exit_2(tmp_path, capsys, model, policy, message):
     path = tmp_path / "model.json"
     # a dict overrides keys of the two-state model, a list is the whole
@@ -377,6 +384,29 @@ def test_value_drop_in_the_sweep_exits_4(tmp_path, capsys, value_drop):
     assert main(["solve", "--model", str(write_two_state(tmp_path))]) == 4
     err = capsys.readouterr().err
     assert "solver failure: value decreased by 1.000e-03 from resolution 2 to 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method, where", [("grid", "at resolution 2"),
+                                           ("congen", "of constraint generation")])
+@pytest.mark.parametrize("failure, message", [
+    (LpError("singular basis"), "game LP solve {} failed: singular basis"),
+    (LpSolution(status="unbounded"), "game LP {} came back unbounded"),
+], ids=["raises", "unbounded"])
+def test_game_lp_failures_exit_4(tmp_path, capsys, monkeypatch, crash_lp, method, where,
+                                 failure, message):
+    # the first game LP fails under either method (congen's first round is
+    # an LP from the crash basis); the error names the LP
+    def failing(prog, basis=None):
+        if isinstance(failure, Exception):
+            raise failure
+        return failure
+
+    monkeypatch.setattr(game, "lp_solve", failing)
+    argv = ["solve", "--model", str(write_two_state(tmp_path)), "--method", method]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"solver failure: {message.format(where)}" in err
     assert "Traceback" not in err
 
 

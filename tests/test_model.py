@@ -16,7 +16,8 @@ from riskmdp.model import (
     parse_model,
 )
 
-from helpers import as_stationary, load_model, random_model, uniform_policy, union_support
+from helpers import (as_stationary, common_support, load_model, random_model, support_models,
+                     uniform_policy, union_support)
 
 EX41 = {
     "states": ["1", "2"],
@@ -153,6 +154,27 @@ def test_union_support_is_union_of_per_action_supports():
         for u in range(3):
             per_action |= set(np.flatnonzero(model.kernel[u, i]))
         assert set(union_support(model, i)) == per_action
+
+
+def test_common_support_is_the_intersection_of_action_supports():
+    # I_i, stored read-only beside the union support, on shared and differing
+    # supports and on one-state models
+    models = support_models()
+    assert any(m.num_states == 1 for m in models)
+    assert any(not np.array_equal(m.common, m.support) for m in models)
+    for model in models:
+        assert model.common.dtype == bool and model.common.shape == model.support.shape
+        np.testing.assert_array_equal(model.common, common_support(model))
+        assert not model.common.flags.writeable and not model.support.flags.writeable
+
+
+def test_random_model_one_state_and_jitter_bound():
+    # one state loops to itself under every action; a jitter of 0.25 or more
+    # could give a negative entry, and is refused
+    model = random_model(0, 1, 3)
+    np.testing.assert_array_equal(model.kernel, np.ones((3, 1, 1)))
+    with pytest.raises(ValueError, match="kernel_jitter"):
+        random_model(0, 3, 2, kernel_jitter=0.25)
 
 
 def test_kernel_matrix_support_invariant():

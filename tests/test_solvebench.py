@@ -22,7 +22,7 @@ from tracing import Tracer
 from riskmdp import certify, cli, game, lp, oracle
 args = sys.argv[4:]
 if args[:1] == ["dirac-seed"]:   # constraint generation's first LP cold, from the Dirac rows
-    game._crash_start = lambda model: (*game.build_grid(model).stacked(), None, None)
+    game._crash_start = lambda model: (*game.build_grid(model), None, None)
     args = args[1:]
 tracer = Tracer()
 tracer.install(cli, game, lp, oracle, certify)
