@@ -14,12 +14,12 @@ restricted master for both methods): it has 2s + s|U| rows, a new kernel row
 is a new (mu, nu) column pair, and the primal solution is read off its
 multipliers, exact at a simplex vertex.  Pricing a round needs only those
 multipliers; the strategies are extracted (maximizer rows, purification)
-once per solve, from the round it returns, in one pass over each state's
-block of rows.  A state's maximizer row is read off its occupation weights
-where it carries long-run mass; elsewhere those weights are not determined,
-and the row is the one the last pricing call gave the state.  The primal
-lives in tests/helpers.py, where the dual is checked to be its exact
-transpose.
+once per solve, from the round it returns, in one stacked pass over its
+rows; only a state that mixes rows or actions is taken alone.  A state's
+maximizer row is read off its occupation weights where it carries long-run
+mass; elsewhere those weights are not determined, and the row is the one
+the last pricing call gave the state.  The primal lives in
+tests/helpers.py, where the dual is checked to be its exact transpose.
 
 A row that leaves I_i, the intersection of state i's action supports, is
 worth -inf to every action whose support it leaves.  The LP is the limit of
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError
-from .grid import MAX_RESOLUTION, lattice_numerators
+from .grid import MAX_RESOLUTION, lattice_numerators, row_sums
 from .lp import OPT_TOL, LinearProgram, LpError, solve as lp_solve
 from .model import KernelMatrix, MdpModel, PurePolicy, StationaryPolicy
 from .oracle import NEG_INF, _communicating_classes, perron_policy, tilde_cost
@@ -287,7 +287,6 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     beta, vvec, y, x = rnd.beta, rnd.vvec, rnd.y, rnd.x
     mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
 
-    # one pass over each state's block of rows (owner is nondecreasing).
     # Maximizer rows come from the occupation weights where a state carries
     # mu mass, dropping weights of at most MU_MASS_TOL of it (rounding noise
     # on rows that are not tight); without it they are a degenerate face of
@@ -297,11 +296,17 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
     # mass balance keeps mu mass + nu mass >= 1 - GAME_FEAS_TOL at every
     # state).  The minimizer is purified at the extracted row: among support
     # actions (y rows sum to 1, so there is one), the one whose V-constraint
-    # there is tightest
+    # there is tightest.  One stacked pass (owner is nondecreasing) settles
+    # every state; only those that mix rows (or nu) or actions take a loop
     qstar = priced.copy()
-    choice = []
+    positive = mu > 0.0
+    count = np.bincount(owner, positive, minlength=s)
+    # a block with one positive mu sums to it in any order, and the mixture
+    # puts 1.0 on that row alone: such a state takes the row as it is
+    alone = (count == 1) & (np.bincount(owner, mu, minlength=s) > MU_MASS_TOL)
+    qstar[alone] = rows[positive & alone[owner]]
     bounds = np.searchsorted(owner, np.arange(s + 1))
-    for i in range(s):
+    for i in np.flatnonzero((count > 1) | ~model.common.any(axis=1)):
         block = slice(bounds[i], bounds[i + 1])
         mass = mu[block].sum()
         if mass > MU_MASS_TOL:
@@ -309,13 +314,17 @@ def _extract(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd: _Round,
             qstar[i] = weights / weights.sum() @ rows[block]
         elif not model.common[i].any():
             qstar[i] = nu[block] / nu[block].sum() @ rows[block]
+    # a state with one support action (its largest y) takes it, as the
+    # scan would, whether that action's slack is finite or not
+    choice = y.argmax(axis=1)
+    for i in np.flatnonzero((y > SUPPORT_TOL).sum(axis=1) > 1):
         slacks = np.full(m, np.inf)
         for u in np.flatnonzero(y[i] > SUPPORT_TOL):
             val = tilde_cost(model, i, qstar[i], u)
             if val != NEG_INF:
                 slacks[u] = vvec[i] + beta[i] - (val + float(qstar[i] @ vvec))
-        choice.append(int(np.argmin(slacks)) if np.isfinite(slacks).any()
-                      else int(np.argmax(y[i])))
+        if np.isfinite(slacks).any():
+            choice[i] = np.argmin(slacks)
 
     return GameSolution(
         resolution=resolution,
@@ -339,22 +348,15 @@ def gibbs_rows(model: MdpModel, y: np.ndarray, vvec: np.ndarray, resolution=None
     z = (V + sum_u y(u) log p_u) / w on I_i.  Its exact maximizer is
     q(j) proportional to exp(V_j + sum_u y(u) log p(j|i,u))."""
     mask = model.common
-    if resolution is not None:
-        rows = np.zeros((model.num_states,) * 2)
-        for i in np.flatnonzero(mask.any(axis=1)):
-            z = vvec[mask[i]] + y[i] @ np.log(model.kernel[:, i][:, mask[i]])
-            rows[i, mask[i]] = lattice_numerators(z / y[i].sum(), resolution) / 2.0**resolution
-        return rows
     z = np.tile(vvec, (len(y), 1))
     for u, p in enumerate(model.kernel):
         z += y[:, u, None] * np.log(np.where(p > 0.0, p, 1.0))
+    if resolution is not None:
+        z = np.where(mask, z / y.sum(axis=1, keepdims=True), NEG_INF)
+        return lattice_numerators(z, resolution) / 2.0**resolution
     z -= np.where(mask, z, NEG_INF).max(axis=1, keepdims=True)
     rows = np.exp(z, out=np.zeros_like(z), where=mask)
-    # a row's k terms are summed alone: zeros between them regroup numpy's pairwise sum
-    sizes = mask.sum(axis=1)
-    for k in set(sizes.tolist()) - {0}:
-        rows[sizes == k] /= rows[sizes == k][mask[sizes == k]].reshape(-1, k).sum(axis=1)[:, None]
-    return rows
+    return np.divide(rows, row_sums(rows, mask)[:, None], out=rows, where=mask)
 
 
 def _price(model: MdpModel, beta, vvec, y, resolution=None):

@@ -17,36 +17,73 @@ import numpy as np
 MAX_RESOLUTION = 53
 
 
+def row_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's sum of its entries under mask, bit for bit as np.sum of
+    those entries alone (zeros between them would regroup numpy's pairwise
+    sum), so rows of k terms are summed together; 0 for an empty row."""
+    sizes = mask.sum(axis=1)
+    sums = np.zeros(x.shape[0])
+    for k in set(sizes.tolist()) - {0}:
+        sums[sizes == k] = x[sizes == k][mask[sizes == k]].reshape(-1, k).sum(axis=1)
+    return sums
+
+
+def _ranks(z: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """N times the gain of raising each entry of z from its count c, less
+    log N: (z - log(c + 1)) - c log1p(1/c), z itself at c = 0, with math's
+    logs (numpy's differ in the last bit)."""
+    return np.array([x - math.log(c + 1) - c * math.log1p(1.0 / c) if c else x
+                     for x, c in zip(z.ravel().tolist(), counts.ravel().tolist())]).reshape(z.shape)
+
+
 def lattice_numerators(z: np.ndarray, resolution: int) -> np.ndarray:
     """Integers k >= 0 with sum(k) = N = 2^resolution maximizing
-    sum_j (k_j/N) z_j - (k_j/N) log(k_j/N).
+    sum_j (k_j/N) z_j - (k_j/N) log(k_j/N), for one row z or for each row of
+    a stack, where -inf marks an entry off the row's support (its k_j is 0;
+    a row with no finite entry gets zeros).
 
     Separable and concave, so greedy marginal allocation is exact (Gross
     1956; Ibaraki and Katoh, Resource Allocation Problems, 1988): the optimum
     holds the N units of largest gain, ties to the lowest index.  Start from
-    floor(N * softmax(z)), the continuous optimum, settle the units it lacks
-    or exceeds, then move a unit while the best one out outranks the worst one
-    held (each move raises the held set, so the moves end).  Gains are doubles:
+    floor(N * softmax(z)), the continuous optimum, give the units it lacks
+    to its best raises, drop any it exceeds one by one, then move a unit
+    while the best one out outranks the worst one held (each move raises the
+    held set, so the moves end).  The rows of a stack take each step at
+    once, each as if alone, on their finite entries.  Gains are doubles:
     from n = 47 (|z| up to 30; larger |z| lowers it) rounding ties or swaps
     consecutive units, and the result is optimal only to that rounding.
     """
-    total = 2**resolution
     z = np.asarray(z, dtype=float)
-    gibbs = np.exp(z - z.max())
-    k = [int(c) for c in np.floor(total * (gibbs / gibbs.sum()))]
-    zs = z.tolist()
-
-    def rank(j, c):  # N times the gain of raising k_j from c, less log N; tie-break
-        return (zs[j] if c == 0 else zs[j] - math.log(c + 1) - c * math.log1p(1.0 / c)), -j
-
+    if z.ndim == 1:
+        return lattice_numerators(z[None], resolution)[0]
+    total = 2**resolution
+    out = np.zeros(z.shape, dtype=np.int64)
+    finite = np.isfinite(z)
+    at = np.flatnonzero(finite.any(axis=1))
+    if not at.size:
+        return out
+    # each row's finite entries first, in order: the lowest index stays lowest
+    cols = np.argsort(~finite[at], axis=1, kind="stable")[:, :finite.sum(axis=1).max()]
+    z = z[at[:, None], cols]
+    finite = np.isfinite(z)
+    gibbs = np.exp(z - z.max(axis=1, keepdims=True))
+    k = np.floor(total * (gibbs / row_sums(gibbs, finite)[:, None])).astype(np.int64)
+    rows, last = np.arange(z.shape[0]), z.shape[1] - 1
+    # the missing units go to the best raises, one each, ties to the lowest
+    # index (the loop gives any left over at n ~ 53, where N * softmax rounds)
+    fill = np.minimum(total - k.sum(axis=1), finite.sum(axis=1))
+    order = np.argsort(-_ranks(z, k), axis=1, kind="stable")
+    k[rows[:, None], order] += np.arange(last + 1) < fill[:, None]
     while True:
-        up = max(range(len(k)), key=lambda j: rank(j, k[j]))
-        held = [j for j in range(len(k)) if k[j]]
-        down = min(held, key=lambda j: rank(j, k[j] - 1)) if held else None
-        short = total - sum(k)
-        if short == 0 and (up == down or rank(up, k[up]) <= rank(down, k[down] - 1)):
-            return np.array(k, dtype=np.int64)
-        if short >= 0:
-            k[up] += 1
-        if short <= 0:
-            k[down] -= 1
+        gain = _ranks(z, k)                                        # of each unit out
+        loss = np.where(k > 0, _ranks(z, np.maximum(k - 1, 0)), np.inf)   # of each held
+        up = gain.argmax(axis=1)                                   # ties: lowest index
+        down = last - loss[:, ::-1].argmin(axis=1)                 # ties: highest index
+        short = total - k.sum(axis=1)
+        best, worst = gain[rows, up], loss[rows, down]
+        moves = (short != 0) | ((up != down) & ((best > worst) | ((best == worst) & (up < down))))
+        if not moves.any():
+            out[at[:, None], cols] = k
+            return out
+        k[rows, up] += moves & (short >= 0)
+        k[rows, down] -= moves & (short <= 0)

@@ -538,6 +538,34 @@ def enumerate_rows(support_size: int, resolution: int) -> list[tuple[int, ...]]:
     return out
 
 
+def greedy_numerators(z, resolution: int) -> np.ndarray:
+    """grid.lattice_numerators of one row as it once ran, one unit per step:
+    from floor(N * softmax(z)), add the best raise while units are missing,
+    drop the worst held unit while they exceed N, then swap the best raise
+    for the worst held unit while it outranks it; ranks are (gain, -index),
+    so ties go to the lowest index."""
+    total = 2**resolution
+    z = np.asarray(z, dtype=float)
+    gibbs = np.exp(z - z.max())
+    k = [int(c) for c in np.floor(total * (gibbs / gibbs.sum()))]
+    zs = z.tolist()
+
+    def rank(j, c):  # N times the gain of raising k_j from c, less log N; tie-break
+        return (zs[j] if c == 0 else zs[j] - math.log(c + 1) - c * math.log1p(1.0 / c)), -j
+
+    while True:
+        up = max(range(len(k)), key=lambda j: rank(j, k[j]))
+        held = [j for j in range(len(k)) if k[j]]
+        down = min(held, key=lambda j: rank(j, k[j] - 1)) if held else None
+        short = total - sum(k)
+        if short == 0 and (up == down or rank(up, k[up]) <= rank(down, k[down] - 1)):
+            return np.array(k, dtype=np.int64)
+        if short >= 0:
+            k[up] += 1
+        if short <= 0:
+            k[down] -= 1
+
+
 @dataclass(frozen=True)
 class FullGrid:
     """Every dyadic row of each state at one resolution.
@@ -607,6 +635,48 @@ def full_grid_solution(model: MdpModel, resolution: int) -> game.GameSolution:
     rnd = game._solve_pair(model, rows, owner, resolution=resolution)
     priced, _ = game._price(model, rnd.beta, rnd.vvec, rnd.y, resolution)
     return game._extract(model, rows, owner, rnd, priced, resolution)
+
+
+def extract_reference(model: MdpModel, rows: np.ndarray, owner: np.ndarray, rnd,
+                      priced: np.ndarray, resolution=None) -> game.GameSolution:
+    """game._extract state by state, as it once ran: the reference its one
+    stacked pass must equal bit for bit.  Each state's block of rows mixes
+    its mu weights above MU_MASS_TOL of its mass, or its nu weights at an
+    empty I_i, or keeps its priced row; the minimizer is purified there by
+    a scan of its support actions with the scalar tilde_cost."""
+    s, m = model.num_states, model.num_actions
+    n_mu = rows.shape[0]
+    beta, vvec, y, x = rnd.beta, rnd.vvec, rnd.y, rnd.x
+    mu, nu, w = x[:n_mu], x[n_mu:2 * n_mu], x[2 * n_mu:]
+    qstar = priced.copy()
+    choice = []
+    bounds = np.searchsorted(owner, np.arange(s + 1))
+    for i in range(s):
+        block = slice(bounds[i], bounds[i + 1])
+        mass = mu[block].sum()
+        if mass > game.MU_MASS_TOL:
+            weights = np.where(mu[block] > game.MU_MASS_TOL * mass, mu[block], 0.0)
+            qstar[i] = weights / weights.sum() @ rows[block]
+        elif not model.common[i].any():
+            qstar[i] = nu[block] / nu[block].sum() @ rows[block]
+        slacks = np.full(m, np.inf)
+        for u in np.flatnonzero(y[i] > game.SUPPORT_TOL):
+            val = tilde_cost(model, i, qstar[i], u)
+            if val != NEG_INF:
+                slacks[u] = vvec[i] + beta[i] - (val + float(qstar[i] @ vvec))
+        choice.append(int(np.argmin(slacks)) if np.isfinite(slacks).any()
+                      else int(np.argmax(y[i])))
+    return game.GameSolution(
+        resolution=resolution,
+        value=beta,
+        potentials=vvec,
+        minimizer=StationaryPolicy(y),
+        minimizer_pure=PurePolicy(tuple(choice)),
+        maximizer=KernelMatrix.for_model(model, qstar),
+        dual_w=w,
+        duality_gap=rnd.gap,
+        num_constraints=n_mu + int(rnd.binds.sum()),
+    )
 
 
 def solve_extracting_every_round(solve, model: MdpModel, *args):

@@ -41,6 +41,7 @@ from helpers import (
     crash_lp_start,
     dense,
     dirac_start,
+    extract_reference,
     full_grid_solution,
     game_payoff,
     gibbs_row,
@@ -56,6 +57,7 @@ from helpers import (
     solve_game,
     solve_general,
     sticky_ring,
+    structured_model,
     support_models,
     trap_ring,
     two_successor_model,
@@ -548,6 +550,99 @@ def test_states_without_long_run_mass_take_their_priced_rows(monkeypatch, dirac_
     free = np.flatnonzero(masses[-1] <= game.MU_MASS_TOL)
     assert len(masses) == 1 and free.tolist() == [1, 2, 3]
     assert sol.maximizer.entries[free].tobytes() == priced[free].tobytes()
+
+
+def _checked_extractions(monkeypatch) -> list:
+    """Route game._extract through a check against extract_reference, the
+    per-state loop it replaced: field for field, bit for bit.  Returns the
+    list of the solutions checked."""
+    extract, checked = game._extract, []
+
+    def check(*args, **kwargs):
+        got = extract(*args, **kwargs)
+        assert_same_solution(got, extract_reference(*args, **kwargs))
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(game, "_extract", check)
+    return checked
+
+
+# mass-free states (the trap), a minimizer that mixes actions, and three
+# states with an empty I_i, whose maximizer rows mix nu
+STACKED_EXTRACT_MODELS = {
+    **dict(corpus()),
+    "trap": trap_ring(),
+    "mixed-minimizer": random_model(106, 4, 3, kernel_jitter=0.24),
+    "empty-common-supports": structured_model("differing", 16, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_EXTRACT_MODELS)
+def test_stacked_extraction_equals_the_per_state_loop(monkeypatch, name):
+    model = STACKED_EXTRACT_MODELS[name]
+    checked = _checked_extractions(monkeypatch)
+    solve_sequence(model)
+    solve_congen(model)
+    assert len(checked) == 2
+    if name == "mixed-minimizer":
+        for sol in checked:
+            assert ((sol.minimizer.rows > game.SUPPORT_TOL).sum(axis=1) > 1).any()
+    if name == "empty-common-supports":
+        assert (~model.common.any(axis=1)).sum() == 3
+
+
+@pytest.mark.parametrize("shape", TWO_SUCCESSOR_SHAPES, ids=lambda shape: "s%dm%d" % shape)
+def test_stacked_extraction_equals_the_per_state_loop_on_two_successor_models(
+        monkeypatch, shape):
+    # seeds 0-59 under both methods' defaults; a -inf outcome extracts nothing
+    checked = _checked_extractions(monkeypatch)
+    solved = 0
+    for seed in range(60):
+        model = two_successor_model(seed, *shape)
+        for solve in (solve_sequence, solve_congen):
+            if neg_inf_states(model).any():
+                with pytest.raises(LpError, match=NEG_INF_OUTCOME):
+                    solve(model)
+            else:
+                solve(model)
+                solved += 1
+    assert len(checked) == solved > 0
+
+
+# derandomized: synthetic rounds whose mu mass is spread over 8 to 12 rows
+# at one state, with weights either side of the MU_MASS_TOL cut, mass-free
+# states, an empty I_i (nu), and minimizer rows pure, mixing, or with
+# entries either side of SUPPORT_TOL
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), s=st.integers(1, 5), m=st.integers(1, 3))
+def test_stacked_extraction_equals_the_per_state_loop_on_any_round(seed, s, m):
+    rng = np.random.default_rng(seed)
+    model = (two_successor_model(seed, s, m) if seed % 2
+             else random_model(seed, s, m, kernel_jitter=0.2))
+    sizes = rng.integers(1, 5, size=s)
+    sizes[rng.integers(s)] = rng.integers(8, 13)
+    owner = np.repeat(np.arange(s), sizes)
+    rows = np.zeros((len(owner), s))
+    for r, i in enumerate(owner):
+        rows[r, model.support[i]] = rng.dirichlet(np.ones(model.support[i].sum()))
+    scale = rng.uniform(0.0, 1.0, size=len(owner)) * rng.choice([0.0, 1.0], size=len(owner))
+    cut = rng.choice([1.0, 1e-10, 0.5e-10, 2e-10, 1e-13], size=len(owner))
+    mu = scale * cut * rng.choice([0.0, 1.0], p=[0.2, 0.8], size=len(owner))
+    mu[~model.common.any(axis=1)[owner]] = 0.0
+    nu = rng.uniform(0.1, 1.0, size=len(owner))
+    y = rng.dirichlet(np.ones(m), size=s) * rng.choice([0.0, 1.0], size=(s, m))
+    y[np.arange(s), rng.integers(m, size=s)] = 1.0
+    y += rng.choice([0.0, 0.5e-9, 2e-9], size=(s, m))
+    y /= y.sum(axis=1, keepdims=True)
+    priced = np.zeros((s, s))
+    for i in np.flatnonzero(model.common.any(axis=1)):
+        priced[i, model.common[i]] = rng.dirichlet(np.ones(model.common[i].sum()))
+    x = np.concatenate([mu, nu, rng.normal(size=s)])
+    rnd = game._Round(rng.normal(size=s), rng.normal(size=s), y, x, np.arange(0),
+                      np.ones(len(owner), dtype=bool), 0.0)
+    assert_same_solution(game._extract(model, rows, owner, rnd, priced),
+                         extract_reference(model, rows, owner, rnd, priced))
 
 
 def test_num_constraints_count_v_rows_only_on_common_supports():

@@ -10,7 +10,7 @@ from riskmdp.certify import two_state_model
 from riskmdp.errors import GuardError
 from riskmdp.model import MdpModel
 
-from helpers import build_grid, enumerate_rows, random_model, solve_game
+from helpers import build_grid, enumerate_rows, greedy_numerators, random_model, solve_game
 
 
 def test_enumerate_rows_small_cases():
@@ -144,14 +144,58 @@ def test_lattice_numerators_equal_enumeration():
         assert tuple(int(c) for c in got) == max(best), case
 
 
+# from n = 47 consecutive gains can tie or swap in doubles; at n = 51 this z
+# once made the same coordinate both the best unit out and the worst one
+# held, and a swap of a unit with itself never ended
+ROUNDING_TIES_Z = np.array([1.509515676777226, 2.3459080601269617, 2.938755386394278,
+                            -7.2092300902637145, 2.7103209990888923, -3.142343329741574,
+                            3.3422057242709187, 1.0099329838268958])
+
+
 @pytest.mark.parametrize("n", [47, 51, 53])
 def test_lattice_numerators_end_where_rounding_ties_units(n):
-    # from n = 47 consecutive gains can tie or swap in doubles; at n = 51
-    # this z once made the same coordinate both the best unit out and the
-    # worst one held, and a swap of a unit with itself never ended
-    z = np.array([1.509515676777226, 2.3459080601269617, 2.938755386394278, -7.2092300902637145,
-                  2.7103209990888923, -3.142343329741574, 3.3422057242709187, 1.0099329838268958])
+    z = ROUNDING_TIES_Z
     got = lattice.lattice_numerators(z, n)
     assert int(got.sum()) == 2**n and got.min() >= 0
     row = got / 2.0**n
     assert row.sum() == 1.0 and np.array_equal(row * 2.0**n, got.astype(float))
+
+
+def _assert_stack_equals_one_row_calls(z, n):
+    got = lattice.lattice_numerators(z, n)
+    assert got.dtype == np.int64 and got.shape == z.shape
+    for row, nums in zip(z, got):
+        finite = np.isfinite(row)
+        want = np.zeros(len(row), dtype=np.int64)
+        if finite.any():
+            want[finite] = lattice.lattice_numerators(row[finite], n)
+            assert np.array_equal(want[finite], greedy_numerators(row[finite], n))
+        assert nums.tobytes() == want.tobytes()
+
+
+def test_stacked_lattice_rows_equal_one_row_calls():
+    # a stack, -inf off each row's support, gives bit for bit the 1-D call
+    # on each row's finite entries (zeros for a row with none), and that
+    # call gives the one-unit-at-a-time greedy's numerators: random rows of
+    # up to 9 entries, one finite entry, N = 1, exact ties, and the
+    # rounding-ties row beside an empty row
+    rng = np.random.default_rng(34)
+    for n in (0, 1, 2, 5, 8, 20, 47, 51, 53):
+        for _ in range(20):
+            width = int(rng.integers(1, 10))
+            z = np.full((int(rng.integers(1, 8)), width), -np.inf)
+            for row in z:
+                at = np.sort(rng.permutation(width)[:int(rng.integers(0, width + 1))])
+                row[at] = rng.choice([rng.normal(0.0, 3.0, size=len(at)),
+                                      rng.integers(-1, 2, size=len(at)) / 2.0,
+                                      np.zeros(len(at))])
+            _assert_stack_equals_one_row_calls(z, n)
+    for n in (47, 51, 53):
+        z = np.full((3, 10), -np.inf)
+        z[0, 1:9] = ROUNDING_TIES_Z
+        z[2, [0, 4, 9]] = ROUNDING_TIES_Z[[6, 2, 6]]
+        _assert_stack_equals_one_row_calls(z, n)
+    # with numpy's logs, the ranks of this row would end it one unit apart
+    z = np.array([[-np.inf, -6.245741765236176, 0.4256393173002515, -np.inf, 0.6494551815002811]])
+    _assert_stack_equals_one_row_calls(z, 52)
+    assert not lattice.lattice_numerators(np.full((2, 3), -np.inf), 4).any()

@@ -39,11 +39,14 @@ print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts, "lp_sol
                   "verify_emits": sum(span[0] == "cli.emit" for span in tracer.spans)}))
 """
 
-# every wrapper sits on a name a solve calls, under either method
+# every wrapper sits on a name a solve calls, under either method, where
+# the minimizer mixes actions at some state: purification scores them with
+# the scalar tilde_cost (oracle.tilde_cost) there and nowhere else
 SOLVE_SPANS = {
     "model.parse", "cli.emit", "grid.build", "game.tables", "oracle.tilde_cost",
     "lp.build", "lp.solve", "game.solve", "oracle.brute_force", "certify.certificate",
 }
+PURE_SOLVE_SPANS = SOLVE_SPANS - {"oracle.tilde_cost"}
 # a verify rebuilds the certificate from the report
 VERIFY_SPANS = {"model.parse", "cli.emit", "certify.certificate"}
 
@@ -78,8 +81,9 @@ def _traced_solve(tmp_path, model, *solve_args) -> dict:
 
 
 def test_tracer_installs_on_live_modules_and_sees_a_solve(tmp_path):
+    # this model's minimizer is pure at every state
     result = _traced_solve(tmp_path, random_model(11, 3, 2))
-    assert set(result["spans"]) == SOLVE_SPANS
+    assert set(result["spans"]) == PURE_SOLVE_SPANS
     assert result["verify_code"] == 0
     assert result["counts"]["game.resolutions"] >= 2
 
@@ -92,11 +96,21 @@ def test_tracer_sees_congen_and_grid_solves_without_polish_solves(tmp_path):
     # (an LP the tracer recognises by its 2s + s*m + 1 rows); congen starts
     # from the Dirac seed, as the crash start closes the ring in one round
     result = _traced_solve(tmp_path, sticky_ring(), "dirac-seed", "--method", "congen")
-    assert set(result["spans"]) == SOLVE_SPANS
+    assert set(result["spans"]) == PURE_SOLVE_SPANS
     assert result["counts"]["game.congen_rounds"] >= 2
     assert result["lp_solves"] == result["report"]["rounds"]
     assert "lp.polish_solves" not in result["counts"]
     result = _traced_solve(tmp_path, sticky_ring(), "--method", "grid", "--n-max", "4")
-    assert set(result["spans"]) == SOLVE_SPANS
+    assert set(result["spans"]) == PURE_SOLVE_SPANS
     assert result["lp_solves"] == sum(result["report"]["rounds"])
     assert "lp.polish_solves" not in result["counts"]
+
+
+def test_tracer_sees_every_wrapper_where_the_minimizer_mixes(tmp_path):
+    # this model's minimizer mixes actions (test_game's
+    # test_mixed_minimizer_can_undercut_pure_value), so purification scores
+    # them with tilde_cost under either method
+    model = random_model(106, 4, 3, kernel_jitter=0.24)
+    for method in ("grid", "congen"):
+        result = _traced_solve(tmp_path, model, "--method", method)
+        assert set(result["spans"]) == SOLVE_SPANS
